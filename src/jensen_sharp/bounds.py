@@ -11,7 +11,7 @@ the removable-singularity value phi''(nu)/2 at x = nu.  The gap satisfies
 
 with the extrema taken over the support of X and mu = E[X].  When phi' is
 convex, h is increasing in x, so the extrema sit at the support endpoints
-(mirrored for concave phi'); otherwise a dense scan with golden-section
+(mirrored for concave phi'); otherwise a grid scan with golden-section
 refinement locates them.  Endpoint extrema may be genuine limits (possibly
 infinite); evaluation, probing, and hint lookup are layered accordingly.
 
@@ -20,6 +20,11 @@ Numerical policy:
 * h switches to its Taylor value phi''(nu)/2 within a radius of
   eps**(1/3) * max(1, |nu|) of nu, balancing truncation against the
   catastrophic cancellation of the direct formula.
+* The scan grid has 480-512 points (geometric toward finite endpoints,
+  log-spaced into infinite tails).  Golden-section refinement starts at the
+  grid's best point and at any point no worse than both neighbours and
+  better than one of them by more than the evaluation noise (mirrored for
+  maxima), so the ties of a flat h start no search.
 * Endpoint limits are probed along geometric sequences: convergence is
   declared when successive values agree to 1e-8 of their magnitude,
   divergence when values exceed 1e12 or keep drifting monotonically after
@@ -46,7 +51,7 @@ from .errors import (
     ParameterError,
 )
 from .extreal import encode, ext_mul
-from .functions import FunctionSpec, Shape, SupportInterval, power
+from .functions import FunctionSpec, Shape, SupportInterval, finite_value, guarded, power
 
 __all__ = [
     "HMethod",
@@ -163,20 +168,6 @@ def switch_radius(nu: float) -> float:
     return EPS_CBRT * max(1.0, abs(nu))
 
 
-def _h_raw(f: FunctionSpec, nu: float, x: float) -> float:
-    """Tolerant h: returns NaN instead of raising when evaluation breaks down."""
-    try:
-        with np.errstate(all="ignore"):
-            dx = x - nu
-            if abs(dx) <= switch_radius(nu):
-                return 0.5 * float(f.deriv2(nu))
-            return (float(f.func(x)) - float(f.func(nu))) / (dx * dx) - float(
-                f.deriv1(nu)
-            ) / dx
-    except (OverflowError, ValueError, ZeroDivisionError):
-        return math.nan
-
-
 def h_eval(f: FunctionSpec, nu: float, x: float) -> HEvaluation:
     """Evaluate h(x; nu), switching to phi''(nu)/2 near the removable singularity."""
     dom = f.natural_domain
@@ -184,28 +175,9 @@ def h_eval(f: FunctionSpec, nu: float, x: float) -> HEvaluation:
         raise DomainError(f"x={x} is outside the natural domain {dom} of {f.label}")
     if not dom.contains(nu):
         raise DomainError(f"nu={nu} is outside the natural domain {dom} of {f.label}")
-    dx = x - nu
-    if abs(dx) <= switch_radius(nu):
-        v = _finite(f.deriv2, nu, "phi''")
-        return HEvaluation(0.5 * v, x, HMethod.TAYLOR_NEAR_CENTER)
-    fx = _finite(f.func, x, "phi")
-    fnu = _finite(f.func, nu, "phi")
-    d1 = _finite(f.deriv1, nu, "phi'")
-    value = (fx - fnu) / (dx * dx) - d1 / dx
-    if math.isnan(value):
-        raise EvaluationError(f"h({x}; {nu}) evaluated to NaN for {f.label}")
-    return HEvaluation(value, x, HMethod.DIRECT)
-
-
-def _finite(fn: Callable[[float], float], x: float, name: str) -> float:
-    try:
-        with np.errstate(all="ignore"):
-            v = float(fn(x))
-    except (OverflowError, ValueError, ZeroDivisionError) as exc:
-        raise EvaluationError(f"{name} failed at x={x}: {exc}") from exc
-    if not math.isfinite(v):
-        raise EvaluationError(f"{name} is not finite at x={x}")
-    return v
+    v = finite_value(_h_objective(f, nu).value, x, f"h(.; {nu}) of {f.label}")
+    near = abs(x - nu) <= switch_radius(nu)
+    return HEvaluation(v, x, HMethod.TAYLOR_NEAR_CENTER if near else HMethod.DIRECT)
 
 
 # ---------------------------------------------------------------------------
@@ -269,17 +241,7 @@ def h_endpoint_limit(f: FunctionSpec, nu: float, endpoint: float) -> float:
     Resolution order: catalog hint, direct evaluation (finite endpoints inside
     the natural domain), then geometric probing with divergence detection.
     """
-    endpoint = float(endpoint)
-    if f.h_limit_hint is not None:
-        hinted = f.h_limit_hint(endpoint, float(nu))
-        if hinted is not None:
-            return float(hinted)
-    if math.isfinite(endpoint) and f.natural_domain.contains(endpoint):
-        v = _h_raw(f, nu, endpoint)
-        if math.isnan(v):
-            raise EvaluationError(f"h is not evaluable at endpoint {endpoint} for {f.label}")
-        return v
-    return _probe_limit(lambda x: _h_raw(f, nu, x), endpoint, float(nu))
+    return _h_objective(f, float(nu)).limit(float(endpoint))
 
 
 # ---------------------------------------------------------------------------
@@ -298,48 +260,53 @@ class _Objective:
 
 
 def _h_objective(f: FunctionSpec, nu: float) -> _Objective:
-    try:
-        with np.errstate(all="ignore"):
-            phi_nu = abs(float(f.func(nu)))
-            d1_nu = abs(float(f.deriv1(nu)))
-    except (OverflowError, ValueError, ZeroDivisionError):
-        phi_nu = d1_nu = 0.0
+    """The one evaluator of h(.; nu): phi(nu), phi'(nu), phi''(nu)/2 are taken once.
+
+    ``value`` costs one guarded phi call.  It takes Python floats, whose
+    arithmetic overflows to inf without a numpy warning.
+    """
+    nu = float(nu)
+    phi_nu = guarded(f.func, nu)
+    d1_nu = guarded(f.deriv1, nu)
+    half_d2_nu = 0.5 * guarded(f.deriv2, nu)
+    radius = switch_radius(nu)
+
+    def value(x: float) -> float:
+        dx = x - nu
+        if abs(dx) <= radius:
+            return half_d2_nu
+        return (guarded(f.func, x) - phi_nu) / (dx * dx) - d1_nu / dx
+
+    def limit(e: float) -> float:
+        if f.h_limit_hint is not None:
+            hinted = f.h_limit_hint(e, nu)
+            if hinted is not None:
+                return float(hinted)
+        if math.isfinite(e) and f.natural_domain.contains(e):
+            v = value(e)
+            if math.isnan(v):
+                raise EvaluationError(f"h is not evaluable at endpoint {e} for {f.label}")
+            return v
+        return _probe_limit(value, e, nu)
 
     def noise(x: float) -> float:
         # rounding of phi is amplified by 1/dx^2 in the direct formula
-        dx = max(abs(x - nu), switch_radius(nu))
-        try:
-            with np.errstate(all="ignore"):
-                phi_x = abs(float(f.func(x)))
-        except (OverflowError, ValueError, ZeroDivisionError):
-            phi_x = 0.0
+        dx = max(abs(x - nu), radius)
+        phi_x = abs(guarded(f.func, x))
         if not math.isfinite(phi_x):
             phi_x = 0.0
-        return 8.0 * _EPS * (phi_x + phi_nu) / (dx * dx) + 4.0 * _EPS * d1_nu / dx
+        return 8.0 * _EPS * (phi_x + abs(phi_nu)) / (dx * dx) + 4.0 * _EPS * abs(d1_nu) / dx
 
-    return _Objective(
-        value=lambda x: _h_raw(f, nu, x),
-        limit=lambda e: h_endpoint_limit(f, nu, e),
-        domain=f.natural_domain,
-        noise=noise,
-    )
+    return _Objective(value=value, limit=limit, domain=f.natural_domain, noise=noise)
 
 
 def _curvature_objective(f: FunctionSpec) -> _Objective:
     def val(x: float) -> float:
-        try:
-            with np.errstate(all="ignore"):
-                return 0.5 * float(f.deriv2(x))
-        except (OverflowError, ValueError, ZeroDivisionError):
-            return math.nan
+        return 0.5 * guarded(f.deriv2, x)
 
     def lim(e: float) -> float:
-        if math.isfinite(e) and f.natural_domain.contains(e):
-            v = val(e)
-            if math.isnan(v):
-                raise EvaluationError(f"phi'' is not evaluable at endpoint {e}")
-            return v
-        # anchor the probe walk just inside the domain
+        # only reached for endpoints outside the domain (see _endpoint_evaluation):
+        # anchor the probe walk just inside it
         dom = f.natural_domain
         if math.isfinite(e):
             ref = e + (1.0 if e <= dom.lower else -1.0)
@@ -422,26 +389,35 @@ def _scan_grid(interval: SupportInterval, anchor: float, domain: SupportInterval
 def _scan_extrema(
     obj: _Objective, interval: SupportInterval, anchor: float
 ) -> tuple[HEvaluation, HEvaluation]:
-    """Dense grid + golden-section refinement + endpoint limits."""
+    """Dense grid + golden-section refinement of standout extrema + endpoint limits."""
     xs = _scan_grid(interval, anchor, obj.domain)
-    vs = np.array([obj.value(x) for x in xs])
+    vs = np.array([obj.value(x) for x in xs.tolist()])
     finite = np.isfinite(vs)
-    xs_f, vs_f = xs[finite], vs[finite]
-
-    min_candidates: list[tuple[float, float, bool]] = []  # (value, x, is_endpoint)
-    max_candidates: list[tuple[float, float, bool]] = []
+    xs_f, vs_f = xs[finite].tolist(), vs[finite].tolist()
     n = len(xs_f)
+    i_min = min(range(n), key=vs_f.__getitem__, default=-1)
+    i_max = max(range(n), key=vs_f.__getitem__, default=-1)
+    noise = obj.noise or (lambda x: 0.0)
+
+    min_candidates: list[tuple[float, float]] = []  # (value, x)
+    max_candidates: list[tuple[float, float]] = []
     for i in range(1, n - 1):
+        v = vs_f[i]
+        near, far = sorted((vs_f[i - 1], vs_f[i + 1]))
+        is_min, is_max = v <= near, v >= far
+        if not (is_min or is_max):
+            continue
+        eps, a, b = noise(xs_f[i]), xs_f[i - 1], xs_f[i + 1]
         tol = GOLDEN_RTOL * max(1.0, abs(xs_f[i]))
-        if vs_f[i] <= vs_f[i - 1] and vs_f[i] <= vs_f[i + 1]:
-            x, v = _golden_section(obj.value, xs_f[i - 1], xs_f[i + 1], tol)
-            min_candidates.append((v, x, False))
-        if vs_f[i] >= vs_f[i - 1] and vs_f[i] >= vs_f[i + 1]:
-            x, v = _golden_section(lambda t: -obj.value(t), xs_f[i - 1], xs_f[i + 1], tol)
-            max_candidates.append((-v, x, False))
+        if is_min and (i == i_min or far - v > eps):
+            x, g = _golden_section(obj.value, a, b, tol)
+            min_candidates.append((g, x))
+        if is_max and (i == i_max or v - near > eps):
+            x, g = _golden_section(lambda t: -obj.value(t), a, b, tol)
+            max_candidates.append((-g, x))
     if n > 0:
-        min_candidates.append((float(vs_f.min()), float(xs_f[int(vs_f.argmin())]), False))
-        max_candidates.append((float(vs_f.max()), float(xs_f[int(vs_f.argmax())]), False))
+        min_candidates.append((vs_f[i_min], xs_f[i_min]))
+        max_candidates.append((vs_f[i_max], xs_f[i_max]))
 
     lo_end = _endpoint_evaluation(obj, interval, "lower")
     hi_end = _endpoint_evaluation(obj, interval, "upper")
@@ -453,9 +429,7 @@ def _scan_extrema(
             return HEvaluation(v, nearer.attained_at, HMethod.ENDPOINT_LIMIT)
         return HEvaluation(v, x, HMethod.DIRECT)
 
-    noise = obj.noise or (lambda x: 0.0)
-
-    def pick(cands: list[tuple[float, float, bool]], sign: float, ends) -> HEvaluation:
+    def pick(cands: list[tuple[float, float]], sign: float, ends) -> HEvaluation:
         """Best candidate at the given sign (+1 min, -1 max).
 
         An interior candidate must beat the endpoint value by more than the
@@ -466,9 +440,8 @@ def _scan_extrema(
         than a limit).
         """
         end_best = min(ends, key=lambda e: sign * e.value)
-        interior = [(v, x) for v, x, is_end in cands if not is_end]
-        if interior:
-            v, x = min(interior, key=lambda c: sign * c[0])
+        if cands:
+            v, x = min(cands, key=lambda c: sign * c[0])
             if sign * v < sign * end_best.value - noise(x) or v == end_best.value:
                 return as_eval(v, x)
         return end_best
@@ -551,7 +524,7 @@ def _check_mass_in_domain(f: FunctionSpec, d: DistributionSpec) -> None:
 
 
 def _degenerate_bounds(f: FunctionSpec, at: float, method: BoundMethod) -> GapBounds:
-    detail = HEvaluation(0.5 * _finite(f.deriv2, at, "phi''"), at, HMethod.TAYLOR_NEAR_CENTER)
+    detail = HEvaluation(0.5 * finite_value(f.deriv2, at, "phi''"), at, HMethod.TAYLOR_NEAR_CENTER)
     return GapBounds(0.0, 0.0, detail, detail, 0.0, method)
 
 
@@ -721,8 +694,8 @@ def generalized_mean_bounds(
     """
     gb = jensen_bounds(f, d)
     mu = d.mean()
-    phimu = _finite(f.func, mu, "phi")
-    slope = _finite(f.deriv1, mu, "phi'")
+    phimu = finite_value(f.func, mu, "phi")
+    slope = finite_value(f.deriv1, mu, "phi'")
     if slope == 0.0:
         raise ParameterError(f"{f.label} is not strictly monotone at the mean {mu}")
     increasing = slope > 0.0
@@ -732,11 +705,7 @@ def generalized_mean_bounds(
         if math.isinf(v):
             high_side = v > 0
             return dom.upper if high_side == increasing else dom.lower
-        try:
-            with np.errstate(all="ignore"):
-                w = float(f_inverse(v))
-        except (OverflowError, ValueError, ZeroDivisionError):
-            w = math.nan
+        w = guarded(f_inverse, v)
         if math.isfinite(w) and dom.lower <= w <= dom.upper:
             return w
         high_side = v > phimu

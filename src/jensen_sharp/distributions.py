@@ -627,6 +627,13 @@ def equal_probability_cuts(d: DistributionSpec, m: int) -> list[float]:
     if m < 1:
         raise ParameterError(f"cell count must be >= 1, got {m}")
     cuts = [float(d.quantile(j / m)) for j in range(1, m)]
+    support = d.support
+    for c in cuts:
+        if not support.lower < c < support.upper:
+            raise ParameterError(
+                f"equal-probability cut {c} falls on an endpoint of the support "
+                f"{support}; the law is too concentrated for {m} cells"
+            )
     for left, right in zip(cuts, cuts[1:]):
         if not left < right:
             raise ParameterError(

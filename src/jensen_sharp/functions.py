@@ -134,6 +134,23 @@ class FunctionSpec:
         )
 
 
+def guarded(fn: Callable[[float], float], x: float) -> float:
+    """fn(x) as a float, NaN where the evaluation fails (overflow, bad input)."""
+    try:
+        with np.errstate(all="ignore"):
+            return float(fn(x))
+    except (OverflowError, ValueError, ZeroDivisionError):
+        return math.nan
+
+
+def finite_value(fn: Callable[[float], float], x: float, name: str) -> float:
+    """fn(x) as a float; raises EvaluationError where it fails or is not finite."""
+    v = guarded(fn, x)
+    if not math.isfinite(v):
+        raise EvaluationError(f"{name} is not finite at x={x}")
+    return v
+
+
 def exp_scaled(t: float) -> FunctionSpec:
     """phi(x) = exp(t*x) on the whole line.
 
@@ -166,18 +183,33 @@ def power(p: float) -> FunctionSpec:
 
     phi' is convex for p >= 2 or p in (0, 1], concave for p < 0 or p in
     [1, 2].  The boundary exponents p = 1 and p = 2 make phi' linear, which
-    satisfies both tests; they are tagged convex.
+    satisfies both tests; they are tagged convex.  The hint gives the h
+    limits in closed form, which probing misses where they converge slowly.
     """
     p = float(p)
     if p == 0.0 or not math.isfinite(p):
         raise ParameterError(f"power needs a finite nonzero exponent p, got {p}")
     shape = Shape.CONVEX if (p >= 2.0 or 0.0 < p <= 1.0) else Shape.CONCAVE
+
+    def hint(endpoint: float, nu: float) -> float | None:
+        if endpoint == 0.0:
+            if p < 0.0:
+                return math.inf
+            try:
+                return (p - 1.0) * nu ** (p - 2.0)
+            except OverflowError:
+                return None  # nu too close to 0 or too far out: leave it to probing
+        if endpoint == math.inf:
+            return math.inf if p > 2.0 else (1.0 if p == 2.0 else 0.0)
+        return None
+
     return FunctionSpec(
         func=lambda x: np.power(x, p),
         deriv1=lambda x: p * np.power(x, p - 1.0),
         deriv2=lambda x: p * (p - 1.0) * np.power(x, p - 2.0),
         natural_domain=POSITIVE_HALF_LINE,
         phi_prime_shape=shape,
+        h_limit_hint=hint,
         label=f"power:p={p:g}",
     )
 
@@ -290,14 +322,14 @@ def classify_phi_prime_shape(
     lo, hi = _probe_window(f.natural_domain, window)
     # interior probes only, so open endpoints and singular edges stay untouched
     xs = np.linspace(lo, hi, probe_grid_size + 2)[1:-1]
-    d1 = np.array([_finite_deriv1(f, x) for x in xs])
+    d1 = np.array([finite_value(f.deriv1, x, "phi'") for x in xs])
     scale = max(1.0, float(np.max(np.abs(d1))))
     slack = 1e-9 * scale
     convex = concave = True
     n = len(xs)
     for i in range(n):
         for j in range(i + 1, n):
-            mid = _finite_deriv1(f, 0.5 * (xs[i] + xs[j]))
+            mid = finite_value(f.deriv1, 0.5 * (xs[i] + xs[j]), "phi'")
             chord = 0.5 * (d1[i] + d1[j])
             if mid > chord + slack:
                 convex = False
@@ -310,17 +342,6 @@ def classify_phi_prime_shape(
     if concave:
         return Shape.CONCAVE
     return Shape.UNKNOWN
-
-
-def _finite_deriv1(f: FunctionSpec, x: float) -> float:
-    try:
-        with np.errstate(all="ignore"):
-            v = float(f.deriv1(x))
-    except (OverflowError, ValueError, ZeroDivisionError) as exc:
-        raise EvaluationError(f"phi' failed at probe point x={x}: {exc}") from exc
-    if not math.isfinite(v):
-        raise EvaluationError(f"phi' is not finite at probe point x={x}")
-    return v
 
 
 def _probe_window(

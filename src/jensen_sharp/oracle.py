@@ -24,7 +24,7 @@ from .distributions import (
 )
 from .errors import DomainError, EmptyCellError, NumericError, ParameterError
 from .extreal import encode
-from .functions import FunctionSpec
+from .functions import FunctionSpec, guarded
 from .quadrature import expectation
 
 __all__ = [
@@ -99,8 +99,7 @@ def _apply(fn, xs: np.ndarray) -> np.ndarray:
             return out
     except (TypeError, ValueError):
         pass
-    with np.errstate(all="ignore"):
-        return np.array([float(fn(x)) for x in xs])
+    return np.array([guarded(fn, x) for x in xs])
 
 
 def _exact_sum(f: FunctionSpec, points: np.ndarray, weights: np.ndarray, mu: float) -> GapEstimate:

@@ -10,6 +10,7 @@ garbage, and genuinely unclassifiable behaviour raises NumericError.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from typing import Callable, Iterable, Iterator
@@ -18,7 +19,7 @@ import numpy as np
 from scipy import integrate
 
 from .errors import NumericError
-from .functions import SupportInterval
+from .functions import SupportInterval, guarded
 
 QUAD_ABS = 1e-10
 QUAD_REL = 1e-8
@@ -26,17 +27,6 @@ GEOM_WINDOWS = 60  # cap on geometric subdivision depth per endpoint
 GROWTH_RUN = 4  # this many consecutive non-contracting increments => divergent
 HUGE = 1e300
 _EPS = float(np.finfo(float).eps)
-
-
-def _safe(fn: Callable[[float], float]) -> Callable[[float], float]:
-    def wrapped(x: float) -> float:
-        try:
-            with np.errstate(all="ignore"):
-                return float(fn(x))
-        except (OverflowError, ValueError, ZeroDivisionError):
-            return math.nan
-
-    return wrapped
 
 
 def _quad(fn, lo: float, hi: float, limit: int) -> tuple[float, float, bool]:
@@ -167,7 +157,7 @@ def expectation(
     in a classifiable direction, and NumericError is raised when it cannot
     be classified.
     """
-    fn = _safe(integrand)
+    fn = functools.partial(guarded, integrand)
     lo, hi = support.lower, support.upper
     limit = int(min(max(int(budget), 50), 1000))
 

@@ -235,6 +235,9 @@ def test_empirical_nearest_rank_quantile():
     tied = Empirical([5.0, 5.0, 5.0, 5.0, 9.0])
     with pytest.raises(ParameterError):
         equal_probability_cuts(tied, 4)
+    # a cut on a support endpoint is one that build_partition would refuse
+    with pytest.raises(ParameterError, match="too concentrated for 3 cells"):
+        equal_probability_cuts(Empirical([1.0, 2.0, 3.0]), 3)
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,17 @@ from hypothesis import strategies as st
 
 from jensen_sharp import (
     EvaluationError,
+    Exponential,
     ParameterError,
     Shape,
     SupportInterval,
     classify_phi_prime_shape,
     exp_scaled,
+    h_endpoint_limit,
     make_catalog_function,
     neg_log,
     power,
+    power_mean_bounds,
     quadratic,
 )
 from jensen_sharp.functions import FunctionSpec, _probe_window
@@ -139,6 +142,20 @@ def test_neglog_hint_and_domain():
     assert f.h_limit_hint(math.inf, 1.0) == 0.0
     assert f.h_limit_hint(0.0, 1.0) == math.inf
     assert f.h_limit_hint(5.0, 1.0) is None
+
+
+def test_power_hint_gives_closed_form_limits():
+    # probing misses the slowest limits: p near 0 toward 0, p near 2 toward +inf
+    nu = 1.18
+    assert h_endpoint_limit(power(0.25), nu, 0.0) == pytest.approx(-0.75 * nu**-1.75, abs=1e-12)
+    moment_lower = power_mean_bounds(Exponential(1.3), r=2, s=0.5).moment_lower
+    assert math.isfinite(moment_lower)
+    assert moment_lower <= math.gamma(1.5) / math.sqrt(1.3)  # E[X**0.5]
+    assert power(-1.0).h_limit_hint(0.0, nu) == math.inf
+    assert power(3.0).h_limit_hint(math.inf, nu) == math.inf
+    assert power(2.0).h_limit_hint(math.inf, nu) == 1.0
+    assert power(1.75).h_limit_hint(math.inf, nu) == 0.0
+    assert power(0.5).h_limit_hint(5.0, nu) is None
 
 
 def test_power_negative_exponent_is_concave_on_positive_half_line():

@@ -27,7 +27,6 @@ from jensen_sharp import (
     sample_bounds,
     switch_radius,
 )
-from jensen_sharp.bounds import _h_raw
 from _support import assert_brackets, population_stats
 
 
@@ -72,8 +71,8 @@ def test_h_of_neglog_is_positive_and_decreasing_pair(nu, x):
 def test_h_continuity_at_switch_radius(t, nu, mult):
     f = exp_scaled(t)
     r = switch_radius(nu)
-    inside = _h_raw(f, nu, nu + r * 0.999)
-    outside = _h_raw(f, nu, nu + r * mult)
+    inside = h_eval(f, nu, nu + r * 0.999).value
+    outside = h_eval(f, nu, nu + r * mult).value
     scale = max(1.0, abs(float(f.deriv1(nu))) / r)
     assert abs(inside - outside) <= 1e-6 * scale * mult
 
@@ -227,5 +226,5 @@ def test_scan_path_handles_nonmonotone_h_rising_and_falling():
     gap = (e4 - 3.0 * e2) - 0.0  # phi(EX) = phi(0) = 0
     assert gb.lower - 1e-9 <= gap <= gb.upper + 1e-9
     # the dip of h at the center must be found: inf h < h at both edges
-    edge = min(_h_raw(f, 0.0, -2.0), _h_raw(f, 0.0, 2.0))
+    edge = min(h_eval(f, 0.0, -2.0).value, h_eval(f, 0.0, 2.0).value)
     assert gb.lower / d.variance() < edge
