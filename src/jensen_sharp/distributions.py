@@ -17,13 +17,13 @@ Conventions:
 from __future__ import annotations
 
 import math
+import statistics
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import ndtr, ndtri
 
 from .errors import DomainError, EmptyCellError, NumericError, ParameterError
 from .functions import SupportInterval
@@ -49,6 +49,23 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_STD_NORMAL = statistics.NormalDist()
+
+
+def _ndtr(z: float) -> float:
+    """Standard normal CDF."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+def _ndtri(q: float) -> float:
+    """Standard normal quantile: -inf at 0, +inf at 1, NaN outside [0, 1]."""
+    if q == 0.0:
+        return -math.inf
+    if q == 1.0:
+        return math.inf
+    if not 0.0 < q < 1.0:
+        return math.nan
+    return _STD_NORMAL.inv_cdf(q)
 
 
 @dataclass(frozen=True)
@@ -169,18 +186,31 @@ class Normal(DistributionSpec):
             return 1.0
         if x == -math.inf:
             return 0.0
-        return float(ndtr((x - self.mu) / self.sigma))
+        return _ndtr((x - self.mu) / self.sigma)
 
-    def interval_prob(self, cell: SupportInterval) -> float:
-        return max(0.0, self.cdf(cell.upper) - self.cdf(cell.lower))
-
-    def truncated_stats(self, cell: SupportInterval) -> TruncatedStats:
-        p = self._require_prob(cell)
+    def _standardize(self, cell: SupportInterval) -> tuple[float, float]:
         alpha = (cell.lower - self.mu) / self.sigma if math.isfinite(cell.lower) else -math.inf
         beta = (cell.upper - self.mu) / self.sigma if math.isfinite(cell.upper) else math.inf
-        z = float(ndtr(beta) - ndtr(alpha))
-        if z <= 0.0:
-            raise EmptyCellError(f"cell {cell} has zero probability under {self!r}")
+        return alpha, beta
+
+    def interval_prob(self, cell: SupportInterval) -> float:
+        """Cell mass.
+
+        A cell right of the mean is measured by upper tails, so that it does
+        not round to zero past about 8.3 sigma.  A mass below the smallest
+        normal float counts as zero: it carries too few correct digits to
+        divide by.
+        """
+        alpha, beta = self._standardize(cell)
+        if alpha >= 0.0:
+            p = 0.5 * (math.erfc(alpha / math.sqrt(2.0)) - math.erfc(beta / math.sqrt(2.0)))
+        else:
+            p = _ndtr(beta) - _ndtr(alpha)
+        return p if p >= sys.float_info.min else 0.0
+
+    def truncated_stats(self, cell: SupportInterval) -> TruncatedStats:
+        z = self._require_prob(cell)
+        alpha, beta = self._standardize(cell)
         pa = _std_normal_pdf(alpha)
         pb = _std_normal_pdf(beta)
         apa = alpha * pa if math.isfinite(alpha) else 0.0
@@ -188,10 +218,10 @@ class Normal(DistributionSpec):
         shift = (pa - pb) / z
         m = self.mu + self.sigma * shift
         v = self.sigma**2 * _clamp_variance(1.0 + (apa - bpb) / z - shift * shift, 1.0)
-        return TruncatedStats(prob=p, mean=m, variance=v)
+        return TruncatedStats(prob=z, mean=m, variance=v)
 
     def quantile(self, q: float) -> float:
-        return self.mu + self.sigma * float(ndtri(q))
+        return self.mu + self.sigma * _ndtri(q)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.normal(self.mu, self.sigma, n)
@@ -578,6 +608,8 @@ class CustomPdf(DistributionSpec):
         while not math.isfinite(sup.upper) and self._cdf(hi) < q:
             hi += step
             step *= 2.0
+        from scipy.optimize import brentq
+
         return float(brentq(lambda x: self._cdf(x) - q, lo, hi, xtol=1e-12, rtol=1e-12))
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:

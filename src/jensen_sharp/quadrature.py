@@ -1,11 +1,13 @@
 """Expectation integrals with divergence classification.
 
-scipy's adaptive quadrature does the heavy lifting.  This wrapper adds the
-endpoint policy the rest of the package relies on: when the direct pass is
-not trusted, the integral is re-accumulated over geometric windows toward
-each endpoint (doubling reach toward infinite ends, halving gaps toward
-finite ones) so that divergent integrals come back as +/-inf instead of
-garbage, and genuinely unclassifiable behaviour raises NumericError.
+scipy's adaptive quadrature does the heavy lifting.  It is imported by the
+first integral, not with the package, so code that never integrates does not
+load scipy.  This wrapper adds the endpoint policy the rest of the package
+relies on: when the direct pass is not trusted, the integral is
+re-accumulated over geometric windows toward each endpoint (doubling reach
+toward infinite ends, halving gaps toward finite ones) so that divergent
+integrals come back as +/-inf instead of garbage, and genuinely
+unclassifiable behaviour raises NumericError.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import warnings
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
-from scipy import integrate
 
 from .errors import NumericError
 from .functions import SupportInterval, guarded
@@ -33,6 +34,8 @@ def _quad(fn, lo: float, hi: float, limit: int) -> tuple[float, float, bool]:
     """One adaptive pass; trusted only when QUADPACK reports a clean run."""
     if lo == hi:
         return 0.0, 0.0, True
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         out = integrate.quad(

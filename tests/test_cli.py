@@ -1,11 +1,15 @@
 """CLI: grammar parsing, report content, exit statuses, JSON schema."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
+import jensen_sharp
 from jensen_sharp import NumericError
 from jensen_sharp.cli import (
     CliParseError,
@@ -289,3 +293,51 @@ def test_divergent_oracle_reports_infinite_value():
     assert status == 0
     assert report["oracle"]["value"] == "inf"
     validate_report(report)
+
+
+# ---------------------------------------------------------------------------
+# scipy loads only when a command integrates
+# ---------------------------------------------------------------------------
+
+_PACKAGE_DIR = Path(jensen_sharp.__file__).resolve().parent
+
+_RUN_MAIN = """
+import contextlib, io, sys
+from jensen_sharp.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    status = main(sys.argv[1:])
+print(status, "scipy" in sys.modules)
+"""
+
+
+def _fresh_python(code: str, *argv: str) -> list[str]:
+    """Run ``code`` in a new interpreter that imports this package; return its stdout words."""
+    path = [str(_PACKAGE_DIR.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_import_leaves_scipy_unloaded():
+    assert _fresh_python("import sys, jensen_sharp; print('scipy' in sys.modules)") == ["False"]
+
+
+@pytest.mark.parametrize(
+    "argv,loads_scipy",
+    [
+        (["bound", "--phi", "exp:t=0.5", "--dist", "exp:rate=1"], False),
+        (
+            ["sample-bound", "--phi", "neglog", "--oracle", "exact",
+             "--dist", f"file:{_PACKAGE_DIR / 'data/uniform_10_100_seed42.txt'}"],
+            False,
+        ),
+        (["oracle", "--phi", "exp:t=0.5", "--dist", "exp:rate=1", "--oracle", "mc:n=1000,seed=1"], False),
+        (["bound", "--phi", "exp:t=0.5", "--dist", "exp:rate=1", "--oracle", "quad"], True),
+    ],
+    ids=["bound", "sample-bound-exact", "oracle-mc", "bound-quad"],
+)
+def test_scipy_loads_only_for_quadrature(argv, loads_scipy):
+    assert _fresh_python(_RUN_MAIN, *argv) == ["0", str(loads_scipy)]

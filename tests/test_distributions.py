@@ -28,6 +28,7 @@ from jensen_sharp import (
     truncated_stats,
     variance,
 )
+from jensen_sharp.distributions import _ndtr, _ndtri
 from _support import population_stats
 
 
@@ -379,3 +380,61 @@ def test_normal_cdf_consistency_with_scipy():
     d = Normal(1.0, 2.0)
     for x in (-3.0, 0.0, 1.0, 4.5):
         assert d.cdf(x) == pytest.approx(float(ndtr((x - 1.0) / 2.0)), rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# standard-library normal functions and far-tail cells
+# ---------------------------------------------------------------------------
+
+
+def test_ndtr_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for z in np.linspace(-37.0, 8.0, 901):
+            ref = mpmath.ncdf(mpmath.mpf(float(z)))
+            assert abs(_ndtr(float(z)) - ref) <= 1e-12 * ref, z
+
+
+def _mp_normal_quantile(mpmath, q: float, x0: float):
+    """Root of log Phi(x) = log q (log of the upper tail above the median)."""
+    q = mpmath.mpf(q)
+    if q <= 0.5:
+        return mpmath.findroot(lambda x: mpmath.log(mpmath.ncdf(x)) - mpmath.log(q), x0)
+    return mpmath.findroot(lambda x: mpmath.log(mpmath.ncdf(-x)) - mpmath.log(1 - q), x0)
+
+
+def test_ndtri_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    levels = [float(q) for q in np.geomspace(1e-300, 0.99, 301)]
+    levels += [1.0 - q for q in levels if 1.0 - q != 1.0]
+    with mpmath.workdps(50):
+        for q in levels:
+            x = _ndtri(q)
+            ref = _mp_normal_quantile(mpmath, q, x)
+            assert abs(x - ref) <= 1e-14 * abs(ref), q
+
+
+def test_ndtri_edge_values():
+    assert _ndtri(0.0) == -math.inf
+    assert _ndtri(1.0) == math.inf
+    for q in (-1e-300, -0.5, 1.0 + 2.0**-52, 2.0, math.nan):
+        assert math.isnan(_ndtri(q)), q
+
+
+def test_subnormal_normal_cell_mass_counts_as_empty():
+    d = Normal(0.0, 1.0)
+    for cell in (SupportInterval(-math.inf, -38.0), SupportInterval(38.0, math.inf)):
+        assert interval_prob(d, cell) == 0.0
+        with pytest.raises(EmptyCellError):
+            truncated_stats(d, cell)
+
+
+def test_normal_right_tail_cell_mirrors_left_tail():
+    d = Normal(0.0, 1.0)
+    right = truncated_stats(d, SupportInterval(9.0, math.inf))
+    left = truncated_stats(d, SupportInterval(-math.inf, -9.0))
+    assert right.prob == pytest.approx(0.5 * math.erfc(9.0 / math.sqrt(2.0)), rel=1e-12)
+    assert right.prob == pytest.approx(left.prob, rel=1e-12)
+    assert right.mean == pytest.approx(-left.mean, rel=1e-12)
+    assert right.variance == pytest.approx(left.variance, rel=1e-12)
+    assert interval_prob(d, SupportInterval(9.0, 10.0)) > 0.0
