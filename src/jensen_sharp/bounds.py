@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import DistributionSpec, transform_power
+from .distributions import DistributionSpec, Empirical, _check_mass_in_domain, transform_power
 from .errors import (
     DomainError,
     EvaluationError,
@@ -126,7 +126,8 @@ class GapBounds:
 
     ``lower``/``upper`` may be +/-inf but never NaN.  The details record
     where the h (or phi''/2) extremum was taken; partition bounds aggregate
-    many extrema and leave them None.
+    many extrema and leave them None, and keep each cell's (inf, sup) of h
+    in ``cell_extrema`` instead (empty for the other methods).
     """
 
     lower: float
@@ -135,6 +136,7 @@ class GapBounds:
     upper_detail: HEvaluation | None
     variance_used: float
     method: BoundMethod
+    cell_extrema: tuple[tuple[HEvaluation, HEvaluation], ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lower", float(self.lower))
@@ -460,11 +462,7 @@ def h_extrema(
     the right (h is increasing); concave phi' mirrors that.  Unknown shape
     falls back to the global scan.
     """
-    if not f.natural_domain.contains_interval(interval):
-        raise DomainError(
-            f"interval {interval} is not inside the natural domain "
-            f"{f.natural_domain} of {f.label}"
-        )
+    _check_interval_in_domain(f, interval)
     if not interval.contains(nu):
         raise DomainError(f"center nu={nu} lies outside the interval {interval}")
     obj = _h_objective(f, nu)
@@ -496,12 +494,16 @@ def curvature_extrema(
     f: FunctionSpec, interval: SupportInterval, anchor: float
 ) -> tuple[HEvaluation, HEvaluation]:
     """(inf, sup) of phi''/2 over the interval via the scan machinery."""
+    _check_interval_in_domain(f, interval)
+    return _scan_extrema(_curvature_objective(f), interval, anchor)
+
+
+def _check_interval_in_domain(f: FunctionSpec, interval: SupportInterval) -> None:
     if not f.natural_domain.contains_interval(interval):
         raise DomainError(
             f"interval {interval} is not inside the natural domain "
             f"{f.natural_domain} of {f.label}"
         )
-    return _scan_extrema(_curvature_objective(f), interval, anchor)
 
 
 # ---------------------------------------------------------------------------
@@ -509,72 +511,47 @@ def curvature_extrema(
 # ---------------------------------------------------------------------------
 
 
-def _check_mass_in_domain(f: FunctionSpec, d: DistributionSpec) -> None:
-    lo, hi, lo_at, hi_at = d.mass_bounds()
-    dom = f.natural_domain
-    if lo == hi:
-        ok = dom.contains(lo)
-    else:
-        ok = dom.contains_interval(SupportInterval(lo, hi, lo_at, hi_at))
-    if not ok:
-        raise DomainError(
-            f"support [{lo}, {hi}] of {d!r} is not inside the natural domain "
-            f"{dom} of {f.label}"
-        )
-
-
-def _degenerate_bounds(f: FunctionSpec, at: float, method: BoundMethod) -> GapBounds:
-    detail = HEvaluation(0.5 * finite_value(f.deriv2, at, "phi''"), at, HMethod.TAYLOR_NEAR_CENTER)
-    return GapBounds(0.0, 0.0, detail, detail, 0.0, method)
-
-
-def jensen_bounds(f: FunctionSpec, d: DistributionSpec) -> GapBounds:
-    """Two-sided gap bounds from the h extrema over the support of d."""
+def _assemble(
+    f: FunctionSpec,
+    d: DistributionSpec,
+    extrema: Callable[[FunctionSpec, SupportInterval, float], tuple[HEvaluation, HEvaluation]],
+    method: BoundMethod,
+) -> GapBounds:
+    """inf * var(d) and sup * var(d), the extrema taken over the support at the mean."""
     _check_mass_in_domain(f, d)
     var = d.variance()
     nu = d.mean()
     lo, hi, *_ = d.mass_bounds()
+    # lo == hi also catches constant samples whose mean rounded off the point
     if var == 0.0 or lo == hi:
-        return _degenerate_bounds(f, nu, BoundMethod.DISTRIBUTION)
-    inf_ev, sup_ev = h_extrema(f, d.support, nu)
+        detail = HEvaluation(
+            0.5 * finite_value(f.deriv2, nu, "phi''"), nu, HMethod.TAYLOR_NEAR_CENTER
+        )
+        return GapBounds(0.0, 0.0, detail, detail, 0.0, method)
+    inf_ev, sup_ev = extrema(f, d.support, nu)
     return GapBounds(
         lower=ext_mul(inf_ev.value, var),
         upper=ext_mul(sup_ev.value, var),
         lower_detail=inf_ev,
         upper_detail=sup_ev,
         variance_used=var,
-        method=BoundMethod.DISTRIBUTION,
+        method=method,
     )
+
+
+def jensen_bounds(f: FunctionSpec, d: DistributionSpec) -> GapBounds:
+    """Two-sided gap bounds from the h extrema over the support of d."""
+    return _assemble(f, d, h_extrema, BoundMethod.DISTRIBUTION)
 
 
 def sample_bounds(f: FunctionSpec, xs) -> GapBounds:
-    """Gap bounds for a data sample: closed range [min, max], population variance."""
-    arr = np.asarray(list(xs) if not isinstance(xs, np.ndarray) else xs, dtype=float).ravel()
-    if arr.size < 2:
-        raise ParameterError(f"need at least 2 samples, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise ParameterError("samples must all be finite")
-    a, b = float(arr.min()), float(arr.max())
-    if not (f.natural_domain.contains(a) and f.natural_domain.contains(b)):
-        raise DomainError(
-            f"sample range [{a}, {b}] is not inside the natural domain "
-            f"{f.natural_domain} of {f.label}"
-        )
-    xbar = math.fsum(arr) / arr.size
-    s2 = math.fsum((x - xbar) ** 2 for x in arr) / arr.size
-    # a == b also catches constant samples whose mean rounded off the point
-    if s2 == 0.0 or a == b:
-        return _degenerate_bounds(f, xbar, BoundMethod.SAMPLE)
-    interval = SupportInterval(a, b, lower_closed=True, upper_closed=True)
-    inf_ev, sup_ev = h_extrema(f, interval, xbar)
-    return GapBounds(
-        lower=ext_mul(inf_ev.value, s2),
-        upper=ext_mul(sup_ev.value, s2),
-        lower_detail=inf_ev,
-        upper_detail=sup_ev,
-        variance_used=s2,
-        method=BoundMethod.SAMPLE,
-    )
+    """The distribution bounds of the empirical law of a sample.
+
+    The extrema run over the closed range [min, max] and the variance is the
+    population (n divisor) one.  ``xs`` may be any iterable of numbers.
+    """
+    d = Empirical(xs if isinstance(xs, np.ndarray) else list(xs))
+    return _assemble(f, d, h_extrema, BoundMethod.SAMPLE)
 
 
 def curvature_bounds(f: FunctionSpec, d: DistributionSpec) -> GapBounds:
@@ -583,25 +560,12 @@ def curvature_bounds(f: FunctionSpec, d: DistributionSpec) -> GapBounds:
     These can never be tighter than :func:`jensen_bounds`; the nesting is
     asserted (to 1e-10 of scale) whenever the h bounds are computable.
     """
-    _check_mass_in_domain(f, d)
-    var = d.variance()
-    nu = d.mean()
-    lo, hi, *_ = d.mass_bounds()
-    if var == 0.0 or lo == hi:
-        return _degenerate_bounds(f, nu, BoundMethod.CURVATURE)
-    inf_ev, sup_ev = curvature_extrema(f, d.support, nu)
-    result = GapBounds(
-        lower=ext_mul(inf_ev.value, var),
-        upper=ext_mul(sup_ev.value, var),
-        lower_detail=inf_ev,
-        upper_detail=sup_ev,
-        variance_used=var,
-        method=BoundMethod.CURVATURE,
-    )
+    result = _assemble(f, d, curvature_extrema, BoundMethod.CURVATURE)
     try:
         hb = jensen_bounds(f, d)
     except (NumericError, EvaluationError, LimitUndeterminedError):
         return result
+    var = result.variance_used
     finite = [abs(v) for v in (result.lower, result.upper, hb.lower, hb.upper) if math.isfinite(v)]
     tol = 1e-10 * max(1.0, *finite) if finite else 1e-10
     # probed endpoint limits resolve values only to LIMIT_RTOL of their

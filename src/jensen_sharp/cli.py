@@ -44,6 +44,7 @@ from .distributions import (
     Exponential,
     Normal,
     Uniform,
+    _parse_samples,
     empirical_from_file,
     equal_probability_cuts,
     transform_power,
@@ -59,7 +60,7 @@ from .errors import (
 from .extreal import encode
 from .functions import FunctionSpec, make_catalog_function, power
 from .oracle import DEFAULT_MC_BUDGET, DEFAULT_SEED, GapEstimate, estimate_gap
-from .partition import build_partition, cell_h_extrema, partition_bounds
+from .partition import build_partition, partition_bounds
 
 __all__ = ["RunConfig", "parse_args", "run", "paper_report", "main"]
 
@@ -187,8 +188,8 @@ def parse_oracle_text(text: str, default_seed: int) -> tuple[str, int, int]:
         return name, DEFAULT_MC_BUDGET, default_seed
     if name == "mc":
         params = _parse_kv(body, "oracle") if sep else {}
-        budget = int(params.pop("n", DEFAULT_MC_BUDGET))
-        seed = int(params.pop("seed", default_seed))
+        budget = _whole_number(params.pop("n", DEFAULT_MC_BUDGET), "monte carlo n")
+        seed = _whole_number(params.pop("seed", default_seed), "monte carlo seed")
         if params:
             raise CliParseError(f"unexpected oracle parameter(s): {sorted(params)}")
         return "mc", budget, seed
@@ -205,14 +206,22 @@ def _parse_cuts(text: str) -> tuple[float, ...]:
     return cuts
 
 
+def _whole_number(value: float, what: str) -> int:
+    """A sample count or seed: finite, integral and nonnegative."""
+    if not (value >= 0 and (isinstance(value, int) or value.is_integer())):
+        raise CliParseError(f"{what} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 def _default_seed() -> int:
     raw = os.environ.get("JENSEN_SHARP_SEED")
     if raw is None:
         return DEFAULT_SEED
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise CliParseError(f"JENSEN_SHARP_SEED must be an integer, got {raw!r}") from None
+    return _whole_number(seed, "JENSEN_SHARP_SEED")
 
 
 def parse_args(argv: list[str] | None = None) -> RunConfig:
@@ -253,9 +262,7 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
     p_paper.add_argument("--seed", type=int, default=None)  # accepted for uniformity; unused
 
     ns = parser.parse_args(argv)
-    seed = getattr(ns, "seed", None)
-    if seed is None:
-        seed = _default_seed()
+    seed = _default_seed() if ns.seed is None else _whole_number(ns.seed, "--seed")
     return RunConfig(
         command=ns.command,
         phi=getattr(ns, "phi", None),
@@ -266,7 +273,7 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
         s=_parse_number(ns.s) if getattr(ns, "s", None) is not None else None,
         oracle=getattr(ns, "oracle", None),
         output_format=ns.format,
-        seed=int(seed),
+        seed=seed,
     )
 
 
@@ -335,7 +342,7 @@ def _run_partition(config: RunConfig) -> dict:
     plan = build_partition(d, cuts)
     gb = partition_bounds(f, plan)
     rows = []
-    for (interval, ts), (inf_ev, sup_ev) in zip(plan.cells, cell_h_extrema(f, plan)):
+    for (interval, ts), (inf_ev, sup_ev) in zip(plan.cells, gb.cell_extrema):
         rows.append(
             {
                 "cell": str(interval),
@@ -438,12 +445,7 @@ def run(config: RunConfig) -> tuple[int, dict]:
 def reference_sample() -> np.ndarray:
     """The pinned 100-point uniform(10, 100) sample shipped with the package."""
     path = resources.files("jensen_sharp").joinpath("data/uniform_10_100_seed42.txt")
-    values = []
-    for raw in path.read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            values.append(float(line))
-    return np.asarray(values, dtype=float)
+    return np.asarray(_parse_samples(path.read_text(encoding="utf-8"), path), dtype=float)
 
 
 def _value_row(name: str, reference: float, computed: float, tol: float) -> dict:
@@ -504,7 +506,6 @@ def paper_report() -> dict:
     cuts = equal_probability_cuts(d_norm, 3)
     plan = build_partition(d_norm, cuts)
     pb = partition_bounds(f_exp, plan)
-    per_cell = cell_h_extrema(f_exp, plan)
     est_n = estimate_gap(f_exp, d_norm, method="quad")
 
     rows.append(_value_row("normal 3-cell: lower cut", -0.431, cuts[0], 1e-3))
@@ -513,7 +514,7 @@ def paper_report() -> dict:
     ref_vars = (0.280, 0.060, 0.280)
     ref_infs = (0.000, 0.435, 1.209)
     ref_sups = (0.212, 0.580, math.inf)
-    for j, ((cell, ts), (inf_ev, sup_ev)) in enumerate(zip(plan.cells, per_cell), start=1):
+    for j, ((cell, ts), (inf_ev, sup_ev)) in enumerate(zip(plan.cells, pb.cell_extrema), start=1):
         rows.append(_value_row(f"normal 3-cell: cell {j} conditional mean", ref_means[j - 1], ts.mean, 1e-3))
         rows.append(_value_row(f"normal 3-cell: cell {j} conditional variance", ref_vars[j - 1], ts.variance, 1e-3))
         rows.append(_value_row(f"normal 3-cell: cell {j} h infimum", ref_infs[j - 1], inf_ev.value, 2e-3))

@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, EmptyCellError, NumericError, ParameterError
-from .functions import SupportInterval
+from .functions import FunctionSpec, SupportInterval
 from .quadrature import expectation
 
 __all__ = [
@@ -50,6 +50,7 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _STD_NORMAL = statistics.NormalDist()
+_QUAD_LIMIT = 200  # QUADPACK subdivision limit for CustomPdf integrals
 
 
 def _ndtr(z: float) -> float:
@@ -107,6 +108,19 @@ def _clamp_variance(raw: float, scale: float) -> float:
     if raw < -1e-8 * max(1.0, scale):
         raise NumericError(f"conditional variance came out at {raw}; cancellation blew up")
     return max(0.0, raw)
+
+
+def _moments(xs: np.ndarray) -> tuple[float, float]:
+    """fsum mean and population (n divisor) variance of equal-weight atoms."""
+    m = math.fsum(xs) / xs.size
+    return m, math.fsum(np.square(xs - m)) / xs.size
+
+
+def _mask(xs: np.ndarray, cell: SupportInterval) -> np.ndarray:
+    """Which of the atoms xs lie in the cell, honouring its endpoint flags."""
+    lo_ok = (xs >= cell.lower) if cell.lower_closed else (xs > cell.lower)
+    hi_ok = (xs <= cell.upper) if cell.upper_closed else (xs < cell.upper)
+    return lo_ok & hi_ok
 
 
 class DistributionSpec:
@@ -352,6 +366,9 @@ class Empirical(DistributionSpec):
         srt = np.sort(arr)
         srt.setflags(write=False)
         object.__setattr__(self, "_sorted", srt)
+        m, v = _moments(arr)
+        object.__setattr__(self, "_mean", m)
+        object.__setattr__(self, "_variance", v)
 
     def __repr__(self) -> str:
         s = self._sorted
@@ -362,26 +379,17 @@ class Empirical(DistributionSpec):
         return float(s[0]), float(s[-1]), True, True
 
     def mean(self) -> float:
-        return math.fsum(self.samples) / self.samples.size
+        return self._mean
 
     def variance(self) -> float:
-        m = self.mean()
-        return math.fsum((x - m) ** 2 for x in self.samples) / self.samples.size
-
-    def _mask(self, cell: SupportInterval) -> np.ndarray:
-        x = self.samples
-        lo_ok = (x >= cell.lower) if cell.lower_closed else (x > cell.lower)
-        hi_ok = (x <= cell.upper) if cell.upper_closed else (x < cell.upper)
-        return lo_ok & hi_ok
+        return self._variance
 
     def interval_prob(self, cell: SupportInterval) -> float:
-        return float(np.count_nonzero(self._mask(cell))) / self.samples.size
+        return float(np.count_nonzero(_mask(self.samples, cell))) / self.samples.size
 
     def truncated_stats(self, cell: SupportInterval) -> TruncatedStats:
         p = self._require_prob(cell)
-        sub = self.samples[self._mask(cell)]
-        m = math.fsum(sub) / sub.size
-        v = math.fsum((x - m) ** 2 for x in sub) / sub.size
+        m, v = _moments(self.samples[_mask(self.samples, cell)])
         return TruncatedStats(prob=p, mean=m, variance=v)
 
     def quantile(self, q: float) -> float:
@@ -433,18 +441,12 @@ class Discrete(DistributionSpec):
         m = self.mean()
         return math.fsum(p * (x - m) ** 2 for p, x in zip(self.probs, self.points))
 
-    def _mask(self, cell: SupportInterval) -> np.ndarray:
-        x = self.points
-        lo_ok = (x >= cell.lower) if cell.lower_closed else (x > cell.lower)
-        hi_ok = (x <= cell.upper) if cell.upper_closed else (x < cell.upper)
-        return lo_ok & hi_ok
-
     def interval_prob(self, cell: SupportInterval) -> float:
-        return float(math.fsum(self.probs[self._mask(cell)]))
+        return float(math.fsum(self.probs[_mask(self.points, cell)]))
 
     def truncated_stats(self, cell: SupportInterval) -> TruncatedStats:
         p = self._require_prob(cell)
-        mask = self._mask(cell)
+        mask = _mask(self.points, cell)
         pts, pr = self.points[mask], self.probs[mask]
         m = math.fsum(w * x for w, x in zip(pr, pts)) / p
         v = math.fsum(w * (x - m) ** 2 for w, x in zip(pr, pts)) / p
@@ -476,7 +478,6 @@ class CustomPdf(DistributionSpec):
 
     pdf: Callable[[float], float]
     support_interval: SupportInterval
-    quadrature_budget: int = 200
     anchor: float | None = None
     scale_hint: float | None = None
     label: str = "custom-pdf"
@@ -500,17 +501,17 @@ class CustomPdf(DistributionSpec):
         object.__setattr__(self, "scale_hint", float(scale))
 
         guarded = self._guarded_pdf()
-        norm, _ = expectation(guarded, sup, anchor, scale, self.quadrature_budget)
+        norm, _ = expectation(guarded, sup, anchor, scale, _QUAD_LIMIT)
         if not math.isfinite(norm):
             raise NumericError("pdf does not integrate to a finite mass")
         if abs(norm - 1.0) > 1e-6:
             raise ParameterError(f"pdf integrates to {norm!r}; expected 1 within 1e-6")
-        m1, _ = expectation(lambda x: x * guarded(x), sup, anchor, scale, self.quadrature_budget)
+        m1, _ = expectation(lambda x: x * guarded(x), sup, anchor, scale, _QUAD_LIMIT)
         if not math.isfinite(m1):
             raise NumericError("law has non-finite mean")
         m1 /= norm
         m2, _ = expectation(
-            lambda x: (x - m1) ** 2 * guarded(x), sup, anchor, scale, self.quadrature_budget
+            lambda x: (x - m1) ** 2 * guarded(x), sup, anchor, scale, _QUAD_LIMIT
         )
         if not math.isfinite(m2):
             raise NumericError("law has non-finite variance")
@@ -554,17 +555,15 @@ class CustomPdf(DistributionSpec):
             return 0.0
         window = SupportInterval(lo, hi)
         p, _ = expectation(
-            self._guarded_pdf(), window, self._cell_anchor(window), self._scale(),
-            self.quadrature_budget,
+            self._guarded_pdf(), window, self._cell_anchor(window), self._scale(), _QUAD_LIMIT
         )
         return min(1.0, max(0.0, p))
 
     def _cell_anchor(self, cell: SupportInterval) -> float:
         if cell.bounded:
             return 0.5 * (cell.lower + cell.upper)
-        m = self._mean if hasattr(self, "_mean") else self.anchor
-        if cell.contains(m):
-            return m
+        if cell.contains(self._mean):
+            return self._mean
         if math.isfinite(cell.lower):
             return cell.lower + self._scale()
         return cell.upper - self._scale()
@@ -575,13 +574,10 @@ class CustomPdf(DistributionSpec):
         window = SupportInterval(max(sup.lower, cell.lower), min(sup.upper, cell.upper))
         anchor = self._cell_anchor(window)
         guarded = self._guarded_pdf()
-        m1, _ = expectation(
-            lambda x: x * guarded(x), window, anchor, self._scale(), self.quadrature_budget
-        )
+        m1, _ = expectation(lambda x: x * guarded(x), window, anchor, self._scale(), _QUAD_LIMIT)
         m1 /= p
         m2, _ = expectation(
-            lambda x: (x - m1) ** 2 * guarded(x), window, anchor, self._scale(),
-            self.quadrature_budget,
+            lambda x: (x - m1) ** 2 * guarded(x), window, anchor, self._scale(), _QUAD_LIMIT
         )
         v = _clamp_variance(m2 / p, abs(m1) + 1.0)
         return TruncatedStats(prob=p, mean=m1, variance=v)
@@ -635,6 +631,21 @@ class CustomPdf(DistributionSpec):
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
+
+
+def _check_mass_in_domain(f: FunctionSpec, d: DistributionSpec) -> None:
+    """Raise DomainError unless the mass of d lies inside the natural domain of f."""
+    lo, hi, lo_at, hi_at = d.mass_bounds()
+    dom = f.natural_domain
+    if lo == hi:
+        ok = dom.contains(lo)
+    else:
+        ok = dom.contains_interval(SupportInterval(lo, hi, lo_at, hi_at))
+    if not ok:
+        raise DomainError(
+            f"support [{lo}, {hi}] of {d!r} is not inside the natural domain "
+            f"{dom} of {f.label}"
+        )
 
 
 def mean(d: DistributionSpec) -> float:
@@ -723,11 +734,9 @@ def _transform_continuous(d: DistributionSpec, r: float) -> CustomPdf:
     sd = math.sqrt(d.variance())
     anchor = m**r
     scale = abs(r) * m ** (r - 1.0) * sd  # delta-method spread of Y
-    budget = getattr(d, "quadrature_budget", 200)
     return CustomPdf(
         pdf=pdf_y,
         support_interval=support,
-        quadrature_budget=budget,
         anchor=anchor,
         scale_hint=scale,
         label=f"power-transform(r={r:g})",
@@ -736,8 +745,12 @@ def _transform_continuous(d: DistributionSpec, r: float) -> CustomPdf:
 
 def load_samples(path: str | Path) -> list[float]:
     """Read one decimal number per line; blank lines and ``#`` comments ignored."""
+    return _parse_samples(Path(path).read_text(encoding="utf-8"), path)
+
+
+def _parse_samples(text: str, source) -> list[float]:
+    """The numbers of a sample file's text; ``source`` names the file in errors."""
     values: list[float] = []
-    text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -745,7 +758,7 @@ def load_samples(path: str | Path) -> list[float]:
         try:
             values.append(float(line))
         except ValueError as exc:
-            raise ParameterError(f"{path}:{lineno}: not a decimal number: {line!r}") from exc
+            raise ParameterError(f"{source}:{lineno}: not a decimal number: {line!r}") from exc
     return values
 
 

@@ -21,8 +21,10 @@ from .distributions import (
     DistributionSpec,
     Empirical,
     SupportInterval,
+    _check_mass_in_domain,
+    _mask,
 )
-from .errors import DomainError, EmptyCellError, NumericError, ParameterError
+from .errors import EmptyCellError, NumericError, ParameterError
 from .extreal import encode
 from .functions import FunctionSpec, guarded
 from .quadrature import expectation
@@ -38,6 +40,7 @@ __all__ = [
 
 DEFAULT_SEED = 42
 DEFAULT_MC_BUDGET = 1_000_000
+_QUAD_LIMIT = 1000  # QUADPACK subdivision limit of the quadrature oracle
 _EPS = float(np.finfo(float).eps)
 
 
@@ -77,19 +80,6 @@ class GapEstimate:
         return {"value": encode(self.value), "error_bound": self.error_bound, "method": method}
 
 
-def _check_domain(f: FunctionSpec, d: DistributionSpec) -> None:
-    lo, hi, lo_at, hi_at = d.mass_bounds()
-    dom = f.natural_domain
-    ok = dom.contains(lo) if lo == hi else dom.contains_interval(
-        SupportInterval(lo, hi, lo_at, hi_at)
-    )
-    if not ok:
-        raise DomainError(
-            f"support [{lo}, {hi}] of {d!r} is not inside the natural domain "
-            f"{dom} of {f.label}"
-        )
-
-
 def _apply(fn, xs: np.ndarray) -> np.ndarray:
     """Vectorised application with a scalar fallback for plain-Python callables."""
     try:
@@ -114,14 +104,14 @@ def _exact_sum(f: FunctionSpec, points: np.ndarray, weights: np.ndarray, mu: flo
     return GapEstimate(e_phi - phimu, err, OracleMethod.EXACT_SUM)
 
 
-def _quadrature(f: FunctionSpec, d, budget: int) -> GapEstimate:
+def _quadrature(f: FunctionSpec, d) -> GapEstimate:
     mu = d.mean()
     sd = math.sqrt(d.variance())
 
     def integrand(x: float) -> float:
         return float(f.func(x)) * d.pdf(x)
 
-    value, err = expectation(integrand, d.support, mu, sd, budget)
+    value, err = expectation(integrand, d.support, mu, sd, _QUAD_LIMIT)
     if math.isinf(value):
         return GapEstimate(value, 0.0, OracleMethod.QUADRATURE)
     phimu = float(f.func(mu))
@@ -160,28 +150,26 @@ def estimate_gap(
 
     ``method`` is one of ``auto`` (exact summation for laws with atoms,
     quadrature otherwise), ``quad``, ``mc``, or ``exact``.  ``budget`` is
-    the Monte Carlo sample count or the quadrature subdivision allowance.
+    the Monte Carlo sample count; the other methods ignore it.
     A divergent integral comes back as value +/-inf rather than an error.
     """
-    _check_domain(f, d)
+    _check_mass_in_domain(f, d)
     seed = DEFAULT_SEED if seed is None else int(seed)
     method = method.lower()
     if method not in ("auto", "quad", "mc", "exact"):
         raise ParameterError(f"unknown oracle method {method!r}; expected auto, quad, mc, or exact")
 
-    has_atoms = isinstance(d, (Empirical, Discrete))
-    if method == "exact" or (method == "auto" and has_atoms):
-        if isinstance(d, Empirical):
-            n = d.samples.size
-            return _exact_sum(f, d.samples, np.full(n, 1.0 / n), d.mean())
-        if isinstance(d, Discrete):
-            return _exact_sum(f, d.points, d.probs, d.mean())
-        raise ParameterError(f"exact summation needs a law with atoms, got {d!r}")
     if method == "mc":
         return _monte_carlo(f, d, budget, seed)
-    if has_atoms:  # quad requested on an atomic law: exact summation is the honest answer
-        return estimate_gap(f, d, budget, "exact", seed)
-    return _quadrature(f, d, budget)
+    # a law with atoms is summed exactly, also when quad is asked for: that is the honest answer
+    if isinstance(d, Empirical):
+        n = d.samples.size
+        return _exact_sum(f, d.samples, np.full(n, 1.0 / n), d.mean())
+    if isinstance(d, Discrete):
+        return _exact_sum(f, d.points, d.probs, d.mean())
+    if method == "exact":
+        raise ParameterError(f"exact summation needs a law with atoms, got {d!r}")
+    return _quadrature(f, d)
 
 
 def _conditional(d: DistributionSpec, cell: SupportInterval) -> DistributionSpec:
@@ -190,13 +178,13 @@ def _conditional(d: DistributionSpec, cell: SupportInterval) -> DistributionSpec
     if p <= 0.0:
         raise EmptyCellError(f"cell {cell} has zero probability under {d!r}")
     if isinstance(d, Empirical):
-        sub = d.samples[d._mask(cell)]
-        values, counts = np.unique(sub, return_counts=True)
+        sub = d.samples[_mask(d.samples, cell)]
+        values = np.unique(sub)
         if values.size == 1:
             return Discrete(values, np.array([1.0]))
         return Empirical(sub)
     if isinstance(d, Discrete):
-        mask = d._mask(cell)
+        mask = _mask(d.points, cell)
         return Discrete(d.points[mask], d.probs[mask] / p)
     lo, hi, *_ = d.mass_bounds()
     window = SupportInterval(max(lo, cell.lower), min(hi, cell.upper))
@@ -209,7 +197,6 @@ def _conditional(d: DistributionSpec, cell: SupportInterval) -> DistributionSpec
     return CustomPdf(
         pdf=cond_pdf,
         support_interval=window,
-        quadrature_budget=getattr(d, "quadrature_budget", 200),
         anchor=ts.mean,
         scale_hint=min(math.sqrt(ts.variance), sd) if ts.variance else sd,
         label=f"conditional({d!r} | {cell})",

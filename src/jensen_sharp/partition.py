@@ -70,22 +70,6 @@ class PartitionPlan:
     def m(self) -> int:
         return len(self.cells)
 
-    def table(self) -> list[dict]:
-        """Per-cell rows: interval, mass, conditional mean and variance."""
-        rows = []
-        for interval, ts in self.cells:
-            rows.append(
-                {
-                    "cell": str(interval),
-                    "lower": interval.lower,
-                    "upper": interval.upper,
-                    "prob": ts.prob,
-                    "mean": ts.mean,
-                    "variance": ts.variance,
-                }
-            )
-        return rows
-
 
 def build_partition(d: DistributionSpec, cuts: Sequence[float]) -> PartitionPlan:
     """Split the support of d at the given interior cut points.
@@ -146,7 +130,8 @@ def partition_bounds(f: FunctionSpec, plan: PartitionPlan) -> GapBounds:
 
     Extended-real rules apply: an infinite cell supremum makes the upper
     bound infinite, and any term with zero variance contributes zero.
-    With no cuts the plan collapses to the single-interval bounds.
+    With no cuts the plan collapses to the single-interval bounds.  Each
+    cell's (inf, sup) of h is kept in ``cell_extrema``, in cell order.
     """
     lows: list[float] = []
     highs: list[float] = []
@@ -163,7 +148,7 @@ def partition_bounds(f: FunctionSpec, plan: PartitionPlan) -> GapBounds:
             lows.append(ext_mul(c_inf.value, var_y))
             highs.append(ext_mul(c_sup.value, var_y))
 
-    per_cell = cell_h_extrema(f, plan)
+    per_cell = tuple(cell_h_extrema(f, plan))
     var_total = plan.coarse.variance() if plan.m > 1 else 0.0
     for (cell, ts), (inf_ev, sup_ev) in zip(plan.cells, per_cell):
         lows.append(ts.prob * ext_mul(inf_ev.value, ts.variance))
@@ -177,6 +162,7 @@ def partition_bounds(f: FunctionSpec, plan: PartitionPlan) -> GapBounds:
         upper_detail=None,
         variance_used=var_total,
         method=BoundMethod.PARTITION,
+        cell_extrema=per_cell,
     )
 
 
@@ -189,14 +175,12 @@ def positivity_certificate(
     window, the window carries probability, and the conditional variance on
     it is positive.  False is inconclusive, never a disproof.
     """
-    p = d.interval_prob(window)
-    if p <= 0.0:
+    if d.interval_prob(window) <= 0.0:
         return False
-    ts = d.truncated_stats(window)
-    if not (ts.variance is not None and ts.variance > 0.0):
+    ts = d.truncated_stats(window)  # a cell with mass has a mean and a variance
+    if not ts.variance > 0.0:
         return False
     if not f.natural_domain.contains_interval(window):
         return False
-    anchor = ts.mean if ts.mean is not None else 0.5 * (window.lower + window.upper)
-    inf_ev, _ = curvature_extrema(f, window, anchor)
+    inf_ev, _ = curvature_extrema(f, window, ts.mean)
     return inf_ev.value > 0.0

@@ -1,0 +1,93 @@
+"""The public surface: every exported name resolves and the signatures stay put.
+
+A change to a pinned signature is a change to the public API; it must come
+with the README, the tests and CHANGES.md updated in the same change.
+"""
+
+import dataclasses
+import inspect
+
+import pytest
+
+import jensen_sharp
+from jensen_sharp import bounds, oracle, partition
+
+PINNED_SIGNATURES = {
+    "bounds.h_eval": "(f: 'FunctionSpec', nu: 'float', x: 'float') -> 'HEvaluation'",
+    "bounds.h_endpoint_limit": "(f: 'FunctionSpec', nu: 'float', endpoint: 'float') -> 'float'",
+    "bounds.h_extrema": (
+        "(f: 'FunctionSpec', interval: 'SupportInterval', nu: 'float')"
+        " -> 'tuple[HEvaluation, HEvaluation]'"
+    ),
+    "bounds.jensen_bounds": "(f: 'FunctionSpec', d: 'DistributionSpec') -> 'GapBounds'",
+    "bounds.sample_bounds": "(f: 'FunctionSpec', xs) -> 'GapBounds'",
+    "bounds.curvature_bounds": "(f: 'FunctionSpec', d: 'DistributionSpec') -> 'GapBounds'",
+    "bounds.power_mean_bounds": (
+        "(d: 'DistributionSpec', r: 'float', s: 'float') -> 'PowerMeanBounds'"
+    ),
+    "bounds.generalized_mean_bounds": (
+        "(f: 'FunctionSpec', f_inverse: 'Callable[[float], float]', d: 'DistributionSpec')"
+        " -> 'tuple[float, float]'"
+    ),
+    "bounds.switch_radius": "(nu: 'float') -> 'float'",
+    "partition.build_partition": (
+        "(d: 'DistributionSpec', cuts: 'Sequence[float]') -> 'PartitionPlan'"
+    ),
+    "partition.partition_bounds": "(f: 'FunctionSpec', plan: 'PartitionPlan') -> 'GapBounds'",
+    "partition.cell_h_extrema": (
+        "(f: 'FunctionSpec', plan: 'PartitionPlan')"
+        " -> 'list[tuple[HEvaluation, HEvaluation]]'"
+    ),
+    "partition.positivity_certificate": (
+        "(f: 'FunctionSpec', d: 'DistributionSpec', window: 'SupportInterval') -> 'bool'"
+    ),
+    "oracle.estimate_gap": (
+        "(f: 'FunctionSpec', d: 'DistributionSpec', budget: 'int' = 1000000,"
+        " method: 'str' = 'auto', seed: 'int | None' = None) -> 'GapEstimate'"
+    ),
+    "oracle.estimate_conditional_gap": (
+        "(f: 'FunctionSpec', d: 'DistributionSpec', cell: 'SupportInterval',"
+        " budget: 'int' = 1000000, method: 'str' = 'auto', seed: 'int | None' = None)"
+        " -> 'GapEstimate'"
+    ),
+}
+
+PINNED_FIELDS = {
+    "GapBounds": (
+        "lower", "upper", "lower_detail", "upper_detail", "variance_used", "method",
+        "cell_extrema",
+    ),
+    "CustomPdf": ("pdf", "support_interval", "anchor", "scale_hint", "label"),
+}
+
+
+def _public_functions() -> dict[str, object]:
+    found = {}
+    for mod in (bounds, partition, oracle):
+        short = mod.__name__.rsplit(".", 1)[1]
+        for name in mod.__all__:
+            obj = getattr(mod, name)
+            if inspect.isfunction(obj):
+                found[f"{short}.{name}"] = obj
+    return found
+
+
+def test_every_exported_name_resolves():
+    for name in jensen_sharp.__all__:
+        assert getattr(jensen_sharp, name) is not None, name
+    assert len(set(jensen_sharp.__all__)) == len(jensen_sharp.__all__)
+
+
+def test_public_functions_are_exactly_the_pinned_ones():
+    assert sorted(_public_functions()) == sorted(PINNED_SIGNATURES)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SIGNATURES))
+def test_public_signature_is_pinned(name):
+    assert str(inspect.signature(_public_functions()[name])) == PINNED_SIGNATURES[name]
+
+
+@pytest.mark.parametrize("cls", sorted(PINNED_FIELDS))
+def test_result_and_law_fields_are_pinned(cls):
+    fields = tuple(f.name for f in dataclasses.fields(getattr(jensen_sharp, cls)))
+    assert fields == PINNED_FIELDS[cls]

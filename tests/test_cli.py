@@ -14,6 +14,7 @@ from jensen_sharp import NumericError
 from jensen_sharp.cli import (
     CliParseError,
     main,
+    paper_report,
     parse_args,
     parse_distribution_text,
     parse_function_text,
@@ -118,6 +119,40 @@ def test_env_seed_override(monkeypatch):
         parse_args(["bound", "--phi", "exp:t=1", "--dist", "exp:rate=2"])
 
 
+_MC = ["oracle", "--phi", "exp:t=0.5", "--dist", "exp:rate=1", "--oracle"]
+
+
+@pytest.mark.parametrize(
+    "argv,env_seed",
+    [
+        (_MC + ["mc:n=inf"], None),
+        (_MC + ["mc:n=nan"], None),
+        (_MC + ["mc:n=-5"], None),
+        (_MC + ["mc:n=2.7"], None),
+        (_MC + ["mc:n=1000,seed=-1"], None),
+        (_MC + ["mc:n=1000,seed=inf"], None),
+        (_MC + ["mc:n=1000,seed=2.5"], None),
+        (_MC + ["mc:n=1000", "--seed", "-1"], None),
+        (_MC + ["mc:n=1000"], "-3"),
+    ],
+    ids=["n-inf", "n-nan", "n-negative", "n-fraction", "seed-negative", "seed-inf",
+         "seed-fraction", "flag-seed-negative", "env-seed-negative"],
+)
+def test_bad_monte_carlo_specs_are_usage_errors(monkeypatch, capsys, argv, env_seed):
+    if env_seed is None:
+        monkeypatch.delenv("JENSEN_SHARP_SEED", raising=False)
+    else:
+        monkeypatch.setenv("JENSEN_SHARP_SEED", env_seed)
+    assert main(argv) == 2
+    assert "must be a nonnegative integer" in capsys.readouterr().err
+
+
+def test_integral_monte_carlo_specs_still_parse(monkeypatch):
+    assert parse_oracle_text("mc:n=1e3,seed=0", 42) == ("mc", 1000, 0)
+    monkeypatch.setenv("JENSEN_SHARP_SEED", "0")
+    assert parse_args(_MC + ["mc:n=1000"]).seed == 0
+
+
 # ---------------------------------------------------------------------------
 # commands end to end
 # ---------------------------------------------------------------------------
@@ -193,6 +228,35 @@ def test_partition_command_matches_library(tmp_path):
     assert report["bounds"]["lower"] == pytest.approx(0.40604, abs=1e-4)
     assert report["bounds"]["upper"] == "inf"
     assert report["bracket"]["pass"] is True
+
+
+def _count_partition_h_extrema(monkeypatch) -> list[int]:
+    import jensen_sharp.partition as partition_mod
+
+    calls = [0]
+    original = partition_mod.h_extrema
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(partition_mod, "h_extrema", counted)
+    return calls
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_partition_command_finds_each_cell_extremum_once(monkeypatch, m):
+    calls = _count_partition_h_extrema(monkeypatch)
+    argv = ["partition", "--phi", "exp:t=1", "--dist", "normal:mu=0,sigma=1", "--cells", str(m)]
+    status, report = run(parse_args(argv))
+    assert status == 0 and len(report["cells"]) == m
+    assert calls[0] == m + 1  # the coarse term and one per cell
+
+
+def test_paper_report_finds_each_cell_extremum_once(monkeypatch):
+    calls = _count_partition_h_extrema(monkeypatch)
+    paper_report()
+    assert calls[0] == 3 + 1  # the three-cell normal refinement
 
 
 def test_partition_cuts_equivalent_to_cells():

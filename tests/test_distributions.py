@@ -369,6 +369,28 @@ def test_pinned_sample_matches_its_generator(pinned_sample):
     assert d.variance() == pytest.approx(v, rel=1e-15)
 
 
+def _fsum_moments(xs) -> tuple[float, float]:
+    """Mean and population variance, one Python float at a time."""
+    m = math.fsum(xs) / len(xs)
+    return m, math.fsum((x - m) ** 2 for x in xs) / len(xs)
+
+
+@pytest.mark.parametrize("sample", ["pinned", "lognormal-1e5", "narrow-normal"])
+def test_empirical_moments_equal_the_fsum_reference(pinned_sample, sample):
+    rng = np.random.default_rng(11)
+    xs = {
+        "pinned": pinned_sample,
+        "lognormal-1e5": rng.lognormal(0.0, 2.0, 100_000),
+        "narrow-normal": Normal(1e6, 1e-3).sample(rng, 2_000),
+    }[sample]
+    d = Empirical(xs)
+    assert (d.mean(), d.variance()) == _fsum_moments(xs)
+    cell = SupportInterval(float(np.quantile(xs, 0.2)), float(np.quantile(xs, 0.7)), True, True)
+    inside = [x for x in xs if cell.contains(x)]
+    ts = d.truncated_stats(cell)
+    assert (ts.mean, ts.variance) == _fsum_moments(inside)
+
+
 def test_degenerate_support_is_rejected_but_law_works():
     d = Empirical([3.0, 3.0, 3.0])
     assert d.mean() == 3.0 and d.variance() == 0.0
