@@ -10,10 +10,10 @@ the removable-singularity value phi''(nu)/2 at x = nu.  The gap satisfies
     inf h(x; mu) * var(X)  <=  E[phi(X)] - phi(E[X])  <=  sup h(x; mu) * var(X)
 
 with the extrema taken over the support of X and mu = E[X].  When phi' is
-convex, h is increasing in x, so the extrema sit at the support endpoints
-(mirrored for concave phi'); otherwise a grid scan with golden-section
-refinement locates them.  Endpoint extrema may be genuine limits (possibly
-infinite); evaluation, probing, and hint lookup are layered accordingly.
+convex, h and phi''/2 are nondecreasing, so their extrema sit at the support
+endpoints (mirrored for concave phi'); otherwise a grid scan refined by
+golden-section search locates them.  Endpoint extrema may be genuine limits
+(possibly infinite); evaluation, probing and hint lookup are layered accordingly.
 
 Numerical policy:
 
@@ -302,25 +302,16 @@ def _h_objective(f: FunctionSpec, nu: float) -> _Objective:
     return _Objective(value=value, limit=limit, domain=f.natural_domain, noise=noise)
 
 
-def _curvature_objective(f: FunctionSpec) -> _Objective:
-    def val(x: float) -> float:
+def _curvature_objective(f: FunctionSpec, anchor: float) -> _Objective:
+    """phi''/2; an endpoint outside the domain is probed from the anchor, as h probes from nu."""
+
+    def value(x: float) -> float:
         return 0.5 * guarded(f.deriv2, x)
 
-    def lim(e: float) -> float:
-        # only reached for endpoints outside the domain (see _endpoint_evaluation):
-        # anchor the probe walk just inside it
-        dom = f.natural_domain
-        if math.isfinite(e):
-            ref = e + (1.0 if e <= dom.lower else -1.0)
-        elif math.isfinite(dom.lower):
-            ref = dom.lower + 1.0
-        elif math.isfinite(dom.upper):
-            ref = dom.upper - 1.0
-        else:
-            ref = 0.0
-        return _probe_limit(val, e, ref)
+    def limit(e: float) -> float:
+        return _probe_limit(value, e, anchor)
 
-    return _Objective(value=val, limit=lim, domain=f.natural_domain)
+    return _Objective(value=value, limit=limit, domain=f.natural_domain)
 
 
 def _endpoint_evaluation(obj: _Objective, interval: SupportInterval, side: str) -> HEvaluation:
@@ -453,57 +444,48 @@ def _scan_extrema(
     return inf_ev, sup_ev
 
 
-def h_extrema(
-    f: FunctionSpec, interval: SupportInterval, nu: float
+def _extrema(
+    f: FunctionSpec, obj: _Objective, interval: SupportInterval, anchor: float
 ) -> tuple[HEvaluation, HEvaluation]:
-    """(inf, sup) of h(.; nu) over the interval, with witnesses.
+    """(inf, sup) of h or phi''/2 over the interval, with witnesses.
 
-    Convex phi' sends the infimum to the left endpoint and the supremum to
-    the right (h is increasing); concave phi' mirrors that.  Unknown shape
-    falls back to the global scan.
+    Both are nondecreasing when phi' is convex, so the infimum sits at the
+    left endpoint and the supremum at the right; concave phi' mirrors that.
+    An unknown shape falls back to the global scan around the anchor.
     """
-    _check_interval_in_domain(f, interval)
-    if not interval.contains(nu):
-        raise DomainError(f"center nu={nu} lies outside the interval {interval}")
-    obj = _h_objective(f, nu)
-    if f.phi_prime_shape is Shape.CONVEX:
-        return _ordered(
-            _endpoint_evaluation(obj, interval, "lower"),
-            _endpoint_evaluation(obj, interval, "upper"),
-        )
-    if f.phi_prime_shape is Shape.CONCAVE:
-        return _ordered(
-            _endpoint_evaluation(obj, interval, "upper"),
-            _endpoint_evaluation(obj, interval, "lower"),
-        )
-    return _scan_extrema(obj, interval, nu)
-
-
-def _ordered(
-    inf_ev: HEvaluation, sup_ev: HEvaluation
-) -> tuple[HEvaluation, HEvaluation]:
-    # a monotone shape tag guarantees inf <= sup mathematically; a flipped
-    # pair can only be endpoint-evaluation noise (e.g. h of a linear phi is
-    # all cancellation), so restore the ordering rather than erroring out
-    if inf_ev.value > sup_ev.value:
-        return sup_ev, inf_ev
-    return inf_ev, sup_ev
-
-
-def curvature_extrema(
-    f: FunctionSpec, interval: SupportInterval, anchor: float
-) -> tuple[HEvaluation, HEvaluation]:
-    """(inf, sup) of phi''/2 over the interval via the scan machinery."""
-    _check_interval_in_domain(f, interval)
-    return _scan_extrema(_curvature_objective(f), interval, anchor)
-
-
-def _check_interval_in_domain(f: FunctionSpec, interval: SupportInterval) -> None:
     if not f.natural_domain.contains_interval(interval):
         raise DomainError(
             f"interval {interval} is not inside the natural domain "
             f"{f.natural_domain} of {f.label}"
         )
+    if f.phi_prime_shape is Shape.UNKNOWN:
+        return _scan_extrema(obj, interval, anchor)
+    inf_ev = _endpoint_evaluation(obj, interval, "lower")
+    sup_ev = _endpoint_evaluation(obj, interval, "upper")
+    if f.phi_prime_shape is Shape.CONCAVE:
+        inf_ev, sup_ev = sup_ev, inf_ev
+    # the shape tag guarantees inf <= sup mathematically; a flipped pair can
+    # only be endpoint-evaluation noise (e.g. h of a linear phi is all
+    # cancellation), so restore the ordering rather than erroring out
+    if inf_ev.value > sup_ev.value:
+        return sup_ev, inf_ev
+    return inf_ev, sup_ev
+
+
+def h_extrema(
+    f: FunctionSpec, interval: SupportInterval, nu: float
+) -> tuple[HEvaluation, HEvaluation]:
+    """(inf, sup) of h(.; nu) over the interval, with witnesses."""
+    if not interval.contains(nu):
+        raise DomainError(f"center nu={nu} lies outside the interval {interval}")
+    return _extrema(f, _h_objective(f, nu), interval, nu)
+
+
+def curvature_extrema(
+    f: FunctionSpec, interval: SupportInterval, anchor: float
+) -> tuple[HEvaluation, HEvaluation]:
+    """(inf, sup) of phi''/2 over the interval, with witnesses."""
+    return _extrema(f, _curvature_objective(f, anchor), interval, anchor)
 
 
 # ---------------------------------------------------------------------------
@@ -548,10 +530,12 @@ def sample_bounds(f: FunctionSpec, xs) -> GapBounds:
     """The distribution bounds of the empirical law of a sample.
 
     The extrema run over the closed range [min, max] and the variance is the
-    population (n divisor) one.  ``xs`` may be any iterable of numbers.
+    population (n divisor) one.  ``xs`` may be any iterable of numbers, or
+    an :class:`Empirical` law, which is used as it is.
     """
-    d = Empirical(xs if isinstance(xs, np.ndarray) else list(xs))
-    return _assemble(f, d, h_extrema, BoundMethod.SAMPLE)
+    if not isinstance(xs, Empirical):
+        xs = Empirical(xs if isinstance(xs, np.ndarray) else list(xs))
+    return _assemble(f, xs, h_extrema, BoundMethod.SAMPLE)
 
 
 def curvature_bounds(f: FunctionSpec, d: DistributionSpec) -> GapBounds:

@@ -47,7 +47,6 @@ from .distributions import (
     _parse_samples,
     empirical_from_file,
     equal_probability_cuts,
-    transform_power,
 )
 from .errors import (
     DomainError,
@@ -320,7 +319,7 @@ def _run_sample_bound(config: RunConfig) -> dict:
         raise CliParseError(
             f"sample-bound needs a sample file distribution (file:PATH), got {config.dist!r}"
         )
-    gb = sample_bounds(f, d.samples)
+    gb = sample_bounds(f, d)
     oracle_dict, bracket = _maybe_oracle(config, f, d, gb)
     return {
         "command": "sample-bound",
@@ -379,11 +378,10 @@ def _run_power_mean(config: RunConfig) -> dict:
     oracle_dict = bracket = oracle_moment = None
     if config.oracle is not None:
         method, budget, seed = parse_oracle_text(config.oracle, config.seed)
-        y = transform_power(d, config.r)
-        p = config.s / config.r
-        est = estimate_gap(power(p), y, budget=budget, method=method, seed=seed)
+        # E[Y**p] = E[X**s] for Y = X**r, p = s/r, so the gap is taken on X's own law
+        est = estimate_gap(power(config.s), d, budget=budget, method=method, seed=seed)
         oracle_dict = est.to_json_dict()
-        base = y.mean() ** p
+        base = d.mean() ** config.s
         oracle_moment = base + est.value
         bracket = _bracket_check(est, pm.moment_lower - base, pm.moment_upper - base)
     return {
@@ -536,7 +534,7 @@ def paper_report() -> dict:
     xs = reference_sample()
     d_emp = Empirical(xs)
     neglog = make_catalog_function("neglog")
-    sb = sample_bounds(neglog, xs)
+    sb = sample_bounds(neglog, d_emp)
     am = d_emp.mean()
     gm = math.exp(math.fsum(math.log(x) for x in xs) / xs.size)
     ratio = am / gm

@@ -74,6 +74,7 @@ def test_sample_bounds_accepts_any_iterable_of_numbers():
     assert sample_bounds(neg_log(), iter(xs)) == expected
     assert sample_bounds(neg_log(), tuple(xs)) == expected
     assert sample_bounds(neg_log(), np.array(xs)) == expected
+    assert sample_bounds(neg_log(), Empirical(xs)) == expected
 
 
 def _plans():

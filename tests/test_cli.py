@@ -1,6 +1,7 @@
 """CLI: grammar parsing, report content, exit statuses, JSON schema."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -195,6 +196,28 @@ def test_sample_bound_command(tmp_path, pinned_sample):
     assert report["bounds"]["method"] == "sample"
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        lambda data: run(parse_args(["sample-bound", "--phi", "neglog", "--dist", f"file:{data}"])),
+        lambda data: paper_report(),
+    ],
+    ids=["sample-bound", "paper"],
+)
+def test_each_sample_law_is_built_once(monkeypatch, command):
+    data = Path(__file__).parent.parent / "src/jensen_sharp/data/uniform_10_100_seed42.txt"
+    built = [0]
+    original = jensen_sharp.Empirical.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        original(self)
+
+    monkeypatch.setattr(jensen_sharp.Empirical, "__post_init__", counted)
+    command(data)
+    assert built[0] == 1
+
+
 def test_sample_bound_needs_at_least_two_samples(tmp_path, capsys):
     p = tmp_path / "empty.txt"
     p.write_text("")
@@ -291,6 +314,54 @@ def test_power_mean_command(pinned_sample):
     assert pm["mean_upper"] < float(pinned_sample.mean())
     assert report["bracket"]["pass"] is True
     assert report["oracle_moment"] == pytest.approx(1.0 / harmonic, rel=1e-9)
+
+
+def _oracle_moment(argv: list[str]) -> tuple[float, float]:
+    status, report = run(parse_args(argv))
+    assert status == 0
+    validate_report(report)
+    assert report["bracket"]["pass"] is True
+    return report["oracle_moment"], report["oracle"]["error_bound"]
+
+
+def test_power_mean_monte_carlo_oracle_measures_the_moment_on_the_source_law():
+    """E[X**0.5] for X ~ Exponential(1) is Gamma(1.5).
+
+    Sampling the power-transformed law X**2 misplaces the mass near 0, which
+    put this estimate 7 error bounds off.
+    """
+    moment, err = _oracle_moment([
+        "power-mean", "--dist", "exp:rate=1", "--r", "2", "--s", "0.5",
+        "--oracle", "mc:n=100000,seed=1",
+    ])
+    assert abs(moment - math.gamma(1.5)) <= 3.0 * err
+
+
+def test_power_mean_quadrature_oracle_lands_within_its_error_bound():
+    moment, err = _oracle_moment([
+        "power-mean", "--dist", "exp:rate=1.3", "--r", "0.5", "--s", "1.5", "--oracle", "quad",
+    ])
+    assert abs(moment - math.gamma(2.5) / 1.3**1.5) <= err
+
+
+def test_power_mean_oracle_builds_the_power_transform_once(monkeypatch):
+    import jensen_sharp.bounds as bounds_mod
+    import jensen_sharp.cli as cli_mod
+
+    calls = [0]
+    original = bounds_mod.transform_power
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(bounds_mod, "transform_power", counted)
+    # the CLI does not import it; patching it anyway counts a build that comes back
+    monkeypatch.setattr(cli_mod, "transform_power", counted, raising=False)
+    argv = ["power-mean", "--dist", "exp:rate=1.3", "--r", "0.5", "--s", "1.5", "--oracle", "quad"]
+    status, _ = run(parse_args(argv))
+    assert status == 0
+    assert calls[0] == 1  # the bracket's own Y = X**r; the oracle works on X
 
 
 def test_oracle_command_mc_reproducible():
