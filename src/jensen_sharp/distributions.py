@@ -116,6 +116,13 @@ def _moments(xs: np.ndarray) -> tuple[float, float]:
     return m, math.fsum(np.square(xs - m)) / xs.size
 
 
+def _weighted_moments(xs: np.ndarray, ws: np.ndarray, total: float) -> tuple[float, float]:
+    """fsum mean and variance of atoms xs with weights ws summing to total.  float_power
+    squares with libm's pow like a scalar ``x ** 2``, which np.square can miss by an ulp."""
+    m = math.fsum(ws * xs) / total
+    return m, math.fsum(ws * np.float_power(xs - m, 2)) / total
+
+
 def _mask(xs: np.ndarray, cell: SupportInterval) -> np.ndarray:
     """Which of the atoms xs lie in the cell, honouring its endpoint flags."""
     lo_ok = (xs >= cell.lower) if cell.lower_closed else (xs > cell.lower)
@@ -430,16 +437,18 @@ class Discrete(DistributionSpec):
         pr.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "probs", pr)
+        m, v = _weighted_moments(pts, pr, 1.0)
+        object.__setattr__(self, "_mean", m)
+        object.__setattr__(self, "_variance", v)
 
     def mass_bounds(self):
         return float(self.points[0]), float(self.points[-1]), True, True
 
     def mean(self) -> float:
-        return math.fsum(p * x for p, x in zip(self.probs, self.points))
+        return self._mean
 
     def variance(self) -> float:
-        m = self.mean()
-        return math.fsum(p * (x - m) ** 2 for p, x in zip(self.probs, self.points))
+        return self._variance
 
     def interval_prob(self, cell: SupportInterval) -> float:
         return float(math.fsum(self.probs[_mask(self.points, cell)]))
@@ -447,9 +456,7 @@ class Discrete(DistributionSpec):
     def truncated_stats(self, cell: SupportInterval) -> TruncatedStats:
         p = self._require_prob(cell)
         mask = _mask(self.points, cell)
-        pts, pr = self.points[mask], self.probs[mask]
-        m = math.fsum(w * x for w, x in zip(pr, pts)) / p
-        v = math.fsum(w * (x - m) ** 2 for w, x in zip(pr, pts)) / p
+        m, v = _weighted_moments(self.points[mask], self.probs[mask], p)
         return TruncatedStats(prob=p, mean=m, variance=v)
 
     def quantile(self, q: float) -> float:
@@ -711,6 +718,23 @@ def _map_power_end(t: float, r: float) -> float:
     return t**r
 
 
+@dataclass(frozen=True, eq=False, repr=False)
+class _PowerTransform(CustomPdf):
+    """Y = X**r: the density by change of variables, quantiles and draws from X's law."""
+
+    source: DistributionSpec | None = None
+    r: float = 1.0
+
+    def quantile(self, q: float) -> float:
+        if not 0.0 < q < 1.0:
+            raise ParameterError(f"quantile level must lie in (0, 1), got {q}")
+        # x -> x**r reverses the order of the levels when r < 0
+        return float(self.source.quantile(q if self.r > 0.0 else 1.0 - q) ** self.r)
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return np.power(self.source.sample(rng, n), self.r)
+
+
 def _transform_continuous(d: DistributionSpec, r: float) -> CustomPdf:
     lo, hi, lo_at, hi_at = d.mass_bounds()
     ends = [(_map_power_end(lo, r), lo_at), (_map_power_end(hi, r), hi_at)]
@@ -734,12 +758,14 @@ def _transform_continuous(d: DistributionSpec, r: float) -> CustomPdf:
     sd = math.sqrt(d.variance())
     anchor = m**r
     scale = abs(r) * m ** (r - 1.0) * sd  # delta-method spread of Y
-    return CustomPdf(
+    return _PowerTransform(
         pdf=pdf_y,
         support_interval=support,
         anchor=anchor,
         scale_hint=scale,
         label=f"power-transform(r={r:g})",
+        source=d,
+        r=r,
     )
 
 

@@ -24,7 +24,7 @@ from .distributions import (
     _check_mass_in_domain,
     _mask,
 )
-from .errors import EmptyCellError, NumericError, ParameterError
+from .errors import NumericError, ParameterError
 from .extreal import encode
 from .functions import FunctionSpec, guarded
 from .quadrature import expectation
@@ -96,9 +96,10 @@ def _exact_sum(f: FunctionSpec, points: np.ndarray, weights: np.ndarray, mu: flo
     phivals = _apply(f.func, points)
     if not np.all(np.isfinite(phivals)):
         raise NumericError("phi is not finite at a mass point of the law")
-    e_phi = math.fsum(w * v for w, v in zip(weights, phivals))
+    terms = weights * phivals
+    e_phi = math.fsum(terms)
     phimu = float(f.func(mu))
-    scale = max(1.0, math.fsum(abs(w * v) for w, v in zip(weights, phivals)), abs(phimu))
+    scale = max(1.0, math.fsum(np.abs(terms)), abs(phimu))
     # fsum is exactly rounded; the products and the final subtraction dominate
     err = 16.0 * _EPS * scale
     return GapEstimate(e_phi - phimu, err, OracleMethod.EXACT_SUM)
@@ -174,9 +175,8 @@ def estimate_gap(
 
 def _conditional(d: DistributionSpec, cell: SupportInterval) -> DistributionSpec:
     """The law of X given X in cell, built without the closed-form moments."""
-    p = d.interval_prob(cell)
-    if p <= 0.0:
-        raise EmptyCellError(f"cell {cell} has zero probability under {d!r}")
+    ts = d.truncated_stats(cell)  # raises EmptyCellError on a massless cell
+    p = ts.prob
     if isinstance(d, Empirical):
         sub = d.samples[_mask(d.samples, cell)]
         values = np.unique(sub)
@@ -188,7 +188,6 @@ def _conditional(d: DistributionSpec, cell: SupportInterval) -> DistributionSpec
         return Discrete(d.points[mask], d.probs[mask] / p)
     lo, hi, *_ = d.mass_bounds()
     window = SupportInterval(max(lo, cell.lower), min(hi, cell.upper))
-    ts = d.truncated_stats(cell)
     sd = math.sqrt(d.variance())
 
     def cond_pdf(x: float) -> float:

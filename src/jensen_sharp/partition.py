@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .bounds import BoundMethod, GapBounds, HEvaluation, curvature_extrema, h_extrema
 from .distributions import Discrete, DistributionSpec, TruncatedStats
-from .errors import EmptyCellError, NumericError, ParameterError
+from .errors import NumericError, ParameterError
 from .extreal import ext_mul, ext_sum
 from .functions import FunctionSpec, SupportInterval
 
@@ -97,10 +97,7 @@ def build_partition(d: DistributionSpec, cuts: Sequence[float]) -> PartitionPlan
             lower_closed=support.lower_closed if j == 0 else True,
             upper_closed=support.upper_closed if j == m - 1 else False,
         )
-        prob = d.interval_prob(cell)
-        if prob <= 0.0:
-            raise EmptyCellError(f"cell {cell} has zero probability; move or drop the cut")
-        cells.append((cell, d.truncated_stats(cell)))
+        cells.append((cell, d.truncated_stats(cell)))  # raises EmptyCellError on a massless cell
 
     total = math.fsum(ts.prob for _, ts in cells)
     if abs(total - 1.0) > 1e-9:

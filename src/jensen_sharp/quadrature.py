@@ -1,13 +1,18 @@
 """Expectation integrals with divergence classification.
 
-scipy's adaptive quadrature does the heavy lifting.  It is imported by the
-first integral, not with the package, so code that never integrates does not
-load scipy.  This wrapper adds the endpoint policy the rest of the package
-relies on: when the direct pass is not trusted, the integral is
-re-accumulated over geometric windows toward each endpoint (doubling reach
-toward infinite ends, halving gaps toward finite ones) so that divergent
-integrals come back as +/-inf instead of garbage, and genuinely
-unclassifiable behaviour raises NumericError.
+scipy's adaptive quadrature (QUADPACK) does the heavy lifting; it is imported
+by the first integral, so code that never integrates does not load scipy.
+When the direct pass is not trusted, the integral is re-accumulated over a
+core window and one walk of geometric windows toward each endpoint (doubling
+reach toward an infinite end, halving gaps toward a finite one).  A walk
+converges once its increments fall below tolerance.  Toward an infinite end,
+GROWTH_RUN + 1 same-signed increments that never shrink call it divergent.
+A walk that stops any other way (at an untrusted window, or with no windows
+left) gets one verdict: geometrically contracting increments converge, with
+the series remainder added and charged to the error; a same-signed run that
+does not shrink diverges; anything else raises NumericError.  A finite end
+gets no early growth exit, because an integrable singularity such as
+y**-0.75 * log(1/y) grows for several halvings before it decays.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from .functions import SupportInterval, guarded
 QUAD_ABS = 1e-10
 QUAD_REL = 1e-8
 GEOM_WINDOWS = 60  # cap on geometric subdivision depth per endpoint
-GROWTH_RUN = 4  # this many consecutive non-contracting increments => divergent
+GROWTH_RUN = 4  # this many consecutive non-shrinking increments => divergent
+CONTRACTION = 0.9  # |ratio| of the last two increments at or below this => converging
 HUGE = 1e300
 _EPS = float(np.finfo(float).eps)
 
@@ -47,27 +53,36 @@ def _quad(fn, lo: float, hi: float, limit: int) -> tuple[float, float, bool]:
 
 
 def _trend_sign(increments: list[float]) -> int:
-    """+/-1 when the recent increments form a same-signed non-contracting run."""
+    """+/-1 when the last GROWTH_RUN + 1 increments (all, if 3 or 4) keep that sign unshrunk."""
     tail = increments[-(GROWTH_RUN + 1):]
-    if len(tail) < 3:
-        return 0
-    mags = [abs(t) for t in tail]
-    if not all(mags[i + 1] >= 0.9 * mags[i] for i in range(len(mags) - 1)):
+    if len(tail) < 3 or any(abs(b) < abs(a) for a, b in zip(tail, tail[1:])):
         return 0
     signs = {int(math.copysign(1.0, t)) for t in tail if t != 0.0}
-    if len(signs) == 1:
-        return signs.pop()
-    return 0
+    return signs.pop() if len(signs) == 1 else 0
 
 
-def _geometric_side(
-    fn, windows: Iterable[tuple[float, float]], limit: int
+def _verdict(total: float, err: float, increments: list[float]) -> tuple[float, float, int]:
+    """(partial_sum, error, diverged_sign) of a walk that stopped unsettled."""
+    if len(increments) >= 2 and increments[-2] != 0.0:
+        last = increments[-1]
+        ratio = last / increments[-2]
+        if abs(ratio) <= CONTRACTION:
+            rest = last * ratio / (1.0 - ratio)
+            return total + rest, err + max(2.0 * abs(last), abs(rest)), 0
+    sign = _trend_sign(increments)
+    if sign:
+        return total, err, sign
+    raise NumericError(
+        f"tail integration did not settle after {len(increments)} windows: the "
+        "increments neither contract geometrically nor grow with one sign"
+    )
+
+
+def _walk(
+    fn, windows: Iterable[tuple[float, float]], limit: int, infinite_end: bool
 ) -> tuple[float, float, int]:
-    """Accumulate quad increments over windows approaching one endpoint.
-
-    Returns (partial_sum, error, diverged_sign); diverged_sign is 0 when the
-    side converged, else the sign of the infinity it runs off to.
-    """
+    """(partial_sum, error, diverged_sign) over windows approaching one endpoint;
+    diverged_sign is 0 when the side converged."""
     total = 0.0
     err = 0.0
     increments: list[float] = []
@@ -82,13 +97,7 @@ def _geometric_side(
                 return total + v, err + tol, 0
             if small_run >= 1:
                 return total, err + tol, 0
-            sign = _trend_sign(increments)
-            if sign:
-                return total, err, sign
-            raise NumericError(
-                f"quadrature failed on window [{a}, {b}] with no divergence trend "
-                "to classify"
-            )
+            return _verdict(total, err, increments)
         increments.append(v)
         total += v
         err += e
@@ -100,49 +109,30 @@ def _geometric_side(
             small_run = 0
         if abs(total) > HUGE:
             return total, err, int(math.copysign(1.0, total))
-        if len(increments) >= GROWTH_RUN + 1:
-            tail = increments[-(GROWTH_RUN + 1):]
-            mags = [abs(t) for t in tail]
-            growing = all(mags[i + 1] >= mags[i] for i in range(GROWTH_RUN))
-            if growing and mags[-1] > tol:
-                signs = {int(math.copysign(1.0, t)) for t in tail if t != 0.0}
-                if len(signs) == 1:
-                    return total, err, signs.pop()
-                raise NumericError(
-                    "integral increments grow with alternating sign; divergence "
-                    "direction is undetermined"
-                )
-    # windows exhausted: accept if the increments were clearly contracting
-    if len(increments) >= 2 and abs(increments[-1]) <= 0.5 * abs(increments[-2]):
-        return total, err + 2.0 * abs(increments[-1]), 0
-    if not increments:
-        return total, err, 0
-    raise NumericError(
-        f"tail integration did not settle within {GEOM_WINDOWS} geometric windows"
-    )
+        if infinite_end and len(increments) > GROWTH_RUN:
+            sign = _trend_sign(increments)
+            if sign:
+                return total, err, sign
+    return _verdict(total, err, increments)
 
 
-def _windows_to_pos_inf(start: float, step: float) -> Iterator[tuple[float, float]]:
+def _windows(
+    origin: float, step: float, side: int, infinite_end: bool
+) -> Iterator[tuple[float, float]]:
+    """Windows toward the lower (side -1) or upper (side +1) endpoint: reach doubling
+    from ``step`` past the core edge ``origin`` toward an infinite end, or gap halving
+    from ``step`` toward a finite end ``origin``, down to its rounding floor."""
+    floor = _EPS * max(1.0, abs(origin))
+    direction = side if infinite_end else -side
     for k in range(GEOM_WINDOWS):
-        yield start + step * (2.0**k - 1.0), start + step * (2.0 ** (k + 1) - 1.0)
-
-
-def _windows_to_neg_inf(start: float, step: float) -> Iterator[tuple[float, float]]:
-    for k in range(GEOM_WINDOWS):
-        yield start - step * (2.0 ** (k + 1) - 1.0), start - step * (2.0**k - 1.0)
-
-
-def _windows_to_finite(endpoint: float, d0: float, from_right: bool) -> Iterator[tuple[float, float]]:
-    """Halving windows approaching a finite endpoint from inside the domain."""
-    floor = _EPS * max(1.0, abs(endpoint))
-    for k in range(GEOM_WINDOWS):
-        d = d0 * 2.0 ** (-k)
-        if d < floor:
-            return
-        if from_right:
-            yield endpoint + 0.5 * d, endpoint + d
+        if infinite_end:
+            near, far = step * (2.0**k - 1.0), step * (2.0 ** (k + 1) - 1.0)
         else:
-            yield endpoint - d, endpoint - 0.5 * d
+            far = step * 2.0 ** (-k)
+            if far < floor:
+                return
+            near = 0.5 * far
+        yield (origin + near, origin + far) if direction > 0 else (origin - far, origin - near)
 
 
 def expectation(
@@ -168,12 +158,8 @@ def expectation(
     if trusted:
         return value, abserr
 
-    anchor = float(anchor)
-    scale = float(scale)
-    if not math.isfinite(anchor):
-        anchor = 0.0
-    if not (math.isfinite(scale) and scale > 0.0):
-        scale = 1.0
+    anchor = float(anchor) if math.isfinite(anchor) else 0.0
+    scale = float(scale) if math.isfinite(scale) and scale > 0.0 else 1.0
 
     a = lo if math.isfinite(lo) else anchor - 8.0 * scale
     b = hi if math.isfinite(hi) else anchor + 8.0 * scale
@@ -182,9 +168,9 @@ def expectation(
             a, b = lo, lo + 16.0 * scale
         else:
             a, b = hi - 16.0 * scale, hi
-    off_lo = (b - a) / 8.0 if math.isfinite(lo) else 0.0
-    off_hi = (b - a) / 8.0 if math.isfinite(hi) else 0.0
-    core_lo, core_hi = a + off_lo, b - off_hi
+    off = (b - a) / 8.0
+    core_lo = a + off if math.isfinite(lo) else a
+    core_hi = b - off if math.isfinite(hi) else b
 
     total, err, ok = _quad(fn, core_lo, core_hi, limit)
     if not ok:
@@ -193,28 +179,17 @@ def expectation(
         )
 
     diverged = 0
-    if math.isfinite(lo):
-        windows = _windows_to_finite(lo, off_lo, from_right=True)
-    else:
-        windows = _windows_to_neg_inf(a, 8.0 * scale)
-    s, e, sign = _geometric_side(fn, windows, limit)
-    total += s
-    err += e
-    diverged = sign
-
-    if math.isfinite(hi):
-        windows = _windows_to_finite(hi, off_hi, from_right=False)
-    else:
-        windows = _windows_to_pos_inf(b, 8.0 * scale)
-    s, e, sign = _geometric_side(fn, windows, limit)
-    total += s
-    err += e
-    if sign:
-        if diverged and sign != diverged:
+    for side, end, origin in ((-1, lo, a), (1, hi, b)):
+        infinite_end = math.isinf(end)
+        step = 8.0 * scale if infinite_end else off
+        s, e, sign = _walk(fn, _windows(origin, step, side, infinite_end), limit, infinite_end)
+        total += s
+        err += e
+        if sign and diverged and sign != diverged:
             raise NumericError(
                 "integral diverges toward +inf on one side and -inf on the other"
             )
-        diverged = sign
+        diverged = sign or diverged
 
     if diverged:
         return math.copysign(math.inf, diverged), 0.0

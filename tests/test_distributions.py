@@ -285,6 +285,17 @@ def test_transform_power_continuous_matches_closed_form():
     assert inv.support.lower == pytest.approx(0.01) and inv.support.upper == pytest.approx(0.1)
 
 
+def test_power_transform_quantile_and_draws_come_from_the_source_law():
+    y = transform_power(Exponential(1.0), 2.0)
+    assert isinstance(y, CustomPdf)
+    assert abs(y.quantile(0.3) - math.log(0.7) ** 2) <= 1e-12
+    # a negative exponent reverses the order of the levels
+    inv = transform_power(Uniform(1.0, 4.0), -0.5)
+    assert inv.quantile(0.3) == pytest.approx(Uniform(1.0, 4.0).quantile(0.7) ** -0.5, rel=1e-15)
+    draws = y.sample(np.random.default_rng(5), 1000)
+    assert np.array_equal(draws, np.random.default_rng(5).exponential(1.0, 1000) ** 2)
+
+
 def test_transform_power_discrete():
     d = Discrete([1.0, 2.0, 4.0], [0.5, 0.25, 0.25])
     y = transform_power(d, -1.0)
@@ -309,6 +320,30 @@ def test_discrete_moments_and_cells():
         Discrete([1.0, 1.0], [0.5, 0.5])
     with pytest.raises(ParameterError):
         Discrete([1.0, 2.0], [0.7, 0.7])
+
+
+def _random_discrete_laws():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        n = int(rng.integers(2, 40))
+        pts = rng.normal(rng.uniform(-50.0, 50.0), rng.uniform(0.01, 30.0), n)
+        w = rng.uniform(0.0, 1.0, n)
+        yield Discrete(pts, w / w.sum())
+    # mean 0; libm's pow squares 29.07538533248004 one ulp away from x*x
+    yield Discrete([-29.07538533248004, 29.07538533248004], [0.5, 0.5])
+
+
+def test_discrete_sums_match_scalar_fsum_bit_for_bit():
+    for d in _random_discrete_laws():
+        m = math.fsum(p * x for p, x in zip(d.probs, d.points))
+        assert d.mean() == m
+        assert d.variance() == math.fsum(p * (x - m) ** 2 for p, x in zip(d.probs, d.points))
+        cell = SupportInterval(float(d.points[0]), float(d.points[-1]), True, False)
+        ts = d.truncated_stats(cell)
+        pr, pt = d.probs[:-1], d.points[:-1]
+        cm = math.fsum(p * x for p, x in zip(pr, pt)) / ts.prob
+        assert ts.mean == cm
+        assert ts.variance == math.fsum(p * (x - cm) ** 2 for p, x in zip(pr, pt)) / ts.prob
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from jensen_sharp import (
     neg_log,
     power,
     quadratic,
+    transform_power,
 )
 
 
@@ -102,6 +103,22 @@ def test_monte_carlo_error_scales_like_inverse_sqrt_n():
     for bigger, smaller in zip(errs, errs[1:]):
         ratio = bigger / smaller
         assert root10 / 2.0 <= ratio <= root10 * 2.0
+
+
+@pytest.mark.parametrize(
+    "f, r, truth",
+    [
+        (neg_log(), 2.0, 2.0 * 0.5772156649015329 + math.lgamma(3.0)),
+        (neg_log(), 3.0, 3.0 * 0.5772156649015329 + math.lgamma(4.0)),
+        (power(0.5), 2.0, 1.0 - math.sqrt(2.0)),
+    ],
+    ids=["neglog-r2", "neglog-r3", "power0.5-r2"],
+)
+def test_monte_carlo_on_a_power_transform_lands_within_its_error_bound(f, r, truth):
+    # Y = X**r with X ~ Exponential(1): the draws are X's draws raised to r,
+    # so the singular density of Y near 0 costs nothing
+    est = estimate_gap(f, transform_power(Exponential(1.0), r), budget=200_000, method="mc", seed=1)
+    assert abs(est.value - truth) <= 3.0 * est.error_bound
 
 
 def test_mc_default_seed_is_applied():

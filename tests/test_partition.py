@@ -31,6 +31,7 @@ from jensen_sharp import (
     positivity_certificate,
     power,
     quadratic,
+    transform_power,
 )
 from _support import assert_brackets
 
@@ -130,6 +131,26 @@ def test_build_partition_validation():
         build_partition(Uniform(0.0, 1.0), [2.0])
     with pytest.raises(EmptyCellError, match=r"\[1.5, 1.6\)"):
         build_partition(Empirical([1.0, 2.0, 3.0, 4.0]), [1.5, 1.6])
+
+
+@pytest.mark.parametrize(
+    "d",
+    [Exponential(1.3), Uniform(1.0, 2.0), transform_power(Uniform(1.0, 2.0), 2.0)],
+    ids=["exponential", "uniform", "custom-pdf"],
+)
+def test_build_partition_asks_each_cell_for_its_mass_once(d, monkeypatch):
+    cuts = equal_probability_cuts(d, 4)
+    calls = []
+    law = type(d)
+    original = law.interval_prob
+
+    def counting(self, cell):
+        calls.append(cell)
+        return original(self, cell)
+
+    monkeypatch.setattr(law, "interval_prob", counting)
+    plan = build_partition(d, cuts)
+    assert len(calls) == plan.m
 
 
 def test_plan_coarse_mean_matches_source():
@@ -242,8 +263,6 @@ def test_partition_details_are_none():
 
 def test_partition_of_transformed_law_brackets_oracle():
     # Y = X**2 for X ~ uniform(1, 2): quadrature-backed cells and cuts
-    from jensen_sharp import transform_power
-
     y = transform_power(Uniform(1.0, 2.0), 2.0)
     cuts = equal_probability_cuts(y, 3)
     assert 1.0 < cuts[0] < cuts[1] < 4.0

@@ -1,0 +1,85 @@
+"""The quadrature fallback's tail rule: one window walk per endpoint, one verdict.
+
+A walk toward a finite endpoint is judged only where it ends, so an
+integrable singularity whose window integrals grow for several halvings
+before they decay is summed, not called divergent.  Toward an infinite
+endpoint a run of non-shrinking increments still stops the walk early.
+"""
+
+import math
+
+import pytest
+
+from jensen_sharp import (
+    CustomPdf,
+    Exponential,
+    NumericError,
+    SupportInterval,
+    estimate_gap,
+    exp_scaled,
+    neg_log,
+    power,
+    transform_power,
+)
+
+EULER_GAMMA = 0.5772156649015329
+RATES = (0.3, 0.5, 0.8, 1.0, 1.3, 2.0, 3.0, 5.0, 10.0)
+# r = 4 at rate 0.3: the tail of Y grows for more than five doublings past the
+# core before its stretched exponential wins, so the walk may read it as
+# divergent and refuse the law's variance with a typed error
+KNOWN_REFUSALS = {(4.0, 0.3)}
+
+
+@pytest.mark.parametrize("rate", RATES)
+@pytest.mark.parametrize("r", [2.0, 2.5, 3.0, 4.0])
+def test_neglog_gap_of_an_exponential_power_is_finite_and_right(r, rate):
+    # Y = X**r with X ~ Exponential(rate): E[-log Y] + log E[Y] is
+    # r*gamma + log Gamma(r + 1) whatever the rate.  The density of Y carries
+    # y**(1/r - 1), and -log y times it grows for several halvings toward 0.
+    truth = r * EULER_GAMMA + math.lgamma(r + 1.0)
+    try:
+        est = estimate_gap(neg_log(), transform_power(Exponential(rate), r), method="quad")
+    except NumericError:
+        if (r, rate) in KNOWN_REFUSALS:
+            return
+        raise
+    assert math.isfinite(est.value)
+    # QUADPACK's direct pass underestimates its own error on this singularity
+    # by up to 4x, so allow the usual quadrature slack of 1e-8 of |E[-log Y]|
+    e_phi = r * (EULER_GAMMA + math.log(rate))
+    slack = 3.0 * est.error_bound + 1e-8 * max(1.0, abs(e_phi))
+    assert abs(est.value - truth) <= slack, (est.value, est.error_bound, truth)
+
+
+DIVERGENT = [
+    *[(f"exp:t={k * rate:g} rate={rate:g}", exp_scaled(k * rate), rate)
+      for rate in (0.5, 1.0, 2.0) for k in (1.0, 1.5, 2.0, 4.0)],
+    *[(f"power:p={p:g} rate={rate:g}", power(p), rate)
+      for rate in (0.5, 1.0, 2.0) for p in (-1.0, -1.5, -2.0, -3.0, -5.0)],
+]
+
+
+@pytest.mark.parametrize("name, f, rate", DIVERGENT, ids=[c[0] for c in DIVERGENT])
+def test_divergent_gaps_on_exponentials_stay_infinite(name, f, rate):
+    # E[exp(tX)] diverges toward infinity for t >= rate, and E[X**p] at 0 for p <= -1
+    est = estimate_gap(f, Exponential(rate), method="quad")
+    assert est.value == math.inf
+    assert est.error_bound == 0.0
+
+
+def test_mgf_of_a_squared_exponential_diverges():
+    # E[exp(0.1 Y)] with Y = X**2 is E[exp(0.1 X**2)] = inf; the left tail of Y
+    # carries a y**-0.5 singularity that contracts by 2**-0.5 per halving
+    est = estimate_gap(exp_scaled(0.1), transform_power(Exponential(1.0), 2.0), method="quad")
+    assert est.value == math.inf
+
+
+def test_half_cauchy_law_is_refused_for_its_divergent_mean():
+    # the mean integral 2x/(pi(1 + x**2)) diverges like a logarithm; a direct
+    # QUADPACK pass with a subdivision limit of 1000 calls it 225.57 and only
+    # the variance would then be refused
+    with pytest.raises(NumericError, match="mean"):
+        CustomPdf(
+            pdf=lambda x: 2.0 / (math.pi * (1.0 + x * x)),
+            support_interval=SupportInterval(0.0, math.inf),
+        )
