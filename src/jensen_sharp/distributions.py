@@ -50,7 +50,6 @@ __all__ = [
 _EPS = float(np.finfo(float).eps)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _STD_NORMAL = statistics.NormalDist()
-_QUAD_LIMIT = 200  # QUADPACK subdivision limit for CustomPdf integrals
 
 
 def _ndtr(z: float) -> float:
@@ -73,34 +72,26 @@ def _ndtri(q: float) -> float:
 class TruncatedStats:
     """Probability mass, conditional mean, and conditional variance of a cell.
 
-    A zero-probability cell is representable (prob=0) but carries no mean or
-    variance; they are ``None`` rather than fabricated numbers.
+    The cell carries mass: a massless cell has no conditional moments, so
+    ``truncated_stats`` raises EmptyCellError for it instead.
     """
 
     prob: float
-    mean: float | None
-    variance: float | None
+    mean: float
+    variance: float
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prob", float(self.prob))
-        if not 0.0 <= self.prob <= 1.0 + 1e-12:
-            raise ParameterError(f"cell probability {self.prob} outside [0, 1]")
-        if self.prob == 0.0:
-            if self.mean is not None or self.variance is not None:
-                raise ParameterError("a zero-probability cell has no defined moments")
-            return
+        if not 0.0 < self.prob <= 1.0 + 1e-12:
+            raise ParameterError(f"cell probability {self.prob} outside (0, 1]")
         if self.mean is None or self.variance is None:
-            raise ParameterError("a positive-probability cell needs mean and variance")
+            raise ParameterError("a cell with mass needs a mean and a variance")
         object.__setattr__(self, "mean", float(self.mean))
         object.__setattr__(self, "variance", float(self.variance))
         if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
             raise ParameterError("conditional moments must be finite")
         if self.variance < 0.0:
             raise ParameterError(f"conditional variance {self.variance} is negative")
-
-    @property
-    def defined(self) -> bool:
-        return self.prob > 0.0
 
 
 def _clamp_variance(raw: float, scale: float) -> float:
@@ -128,6 +119,12 @@ def _mask(xs: np.ndarray, cell: SupportInterval) -> np.ndarray:
     lo_ok = (xs >= cell.lower) if cell.lower_closed else (xs > cell.lower)
     hi_ok = (xs <= cell.upper) if cell.upper_closed else (xs < cell.upper)
     return lo_ok & hi_ok
+
+
+def _check_level(q: float) -> None:
+    """Raise ParameterError unless the quantile level q lies in (0, 1)."""
+    if not 0.0 < q < 1.0:
+        raise ParameterError(f"quantile level must lie in (0, 1), got {q}")
 
 
 class DistributionSpec:
@@ -169,8 +166,8 @@ class DistributionSpec:
             )
         return SupportInterval(lo, hi, lo_at, hi_at)
 
-    def _require_prob(self, cell: SupportInterval) -> float:
-        p = self.interval_prob(cell)
+    def _require_prob(self, cell: SupportInterval, p: float) -> float:
+        """p, the mass of the cell; EmptyCellError when it has none."""
         if p <= 0.0:
             raise EmptyCellError(f"cell {cell} has zero probability under {self!r}")
         return p
@@ -230,7 +227,7 @@ class Normal(DistributionSpec):
         return p if p >= sys.float_info.min else 0.0
 
     def truncated_stats(self, cell: SupportInterval) -> TruncatedStats:
-        z = self._require_prob(cell)
+        z = self._require_prob(cell, self.interval_prob(cell))
         alpha, beta = self._standardize(cell)
         pa = _std_normal_pdf(alpha)
         pb = _std_normal_pdf(beta)
@@ -242,6 +239,7 @@ class Normal(DistributionSpec):
         return TruncatedStats(prob=z, mean=m, variance=v)
 
     def quantile(self, q: float) -> float:
+        _check_level(q)
         return self.mu + self.sigma * _ndtri(q)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -289,7 +287,7 @@ class Exponential(DistributionSpec):
         return max(0.0, self._sf(cell.lower) - self._sf(cell.upper))
 
     def truncated_stats(self, cell: SupportInterval) -> TruncatedStats:
-        p = self._require_prob(cell)
+        p = self._require_prob(cell, self.interval_prob(cell))
         lo = max(0.0, cell.lower)
         hi = cell.upper
         lam = self.rate
@@ -305,6 +303,7 @@ class Exponential(DistributionSpec):
         return TruncatedStats(prob=p, mean=lo + m1, variance=v)
 
     def quantile(self, q: float) -> float:
+        _check_level(q)
         return -math.log1p(-q) / self.rate
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -345,11 +344,12 @@ class Uniform(DistributionSpec):
         return max(0.0, (b - a) / (self.hi - self.lo))
 
     def truncated_stats(self, cell: SupportInterval) -> TruncatedStats:
-        p = self._require_prob(cell)
+        p = self._require_prob(cell, self.interval_prob(cell))
         a, b = self._clip(cell)
         return TruncatedStats(prob=p, mean=0.5 * (a + b), variance=(b - a) ** 2 / 12.0)
 
     def quantile(self, q: float) -> float:
+        _check_level(q)
         return self.lo + q * (self.hi - self.lo)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -395,14 +395,14 @@ class Empirical(DistributionSpec):
         return float(np.count_nonzero(_mask(self.samples, cell))) / self.samples.size
 
     def truncated_stats(self, cell: SupportInterval) -> TruncatedStats:
-        p = self._require_prob(cell)
-        m, v = _moments(self.samples[_mask(self.samples, cell)])
+        inside = self.samples[_mask(self.samples, cell)]
+        p = self._require_prob(cell, float(inside.size) / self.samples.size)
+        m, v = _moments(inside)
         return TruncatedStats(prob=p, mean=m, variance=v)
 
     def quantile(self, q: float) -> float:
         """Nearest-rank quantile over the sorted sample."""
-        if not 0.0 < q < 1.0:
-            raise ParameterError(f"quantile level must lie in (0, 1), got {q}")
+        _check_level(q)
         n = self._sorted.size
         idx = max(1, math.ceil(q * n))
         return float(self._sorted[idx - 1])
@@ -454,14 +454,13 @@ class Discrete(DistributionSpec):
         return float(math.fsum(self.probs[_mask(self.points, cell)]))
 
     def truncated_stats(self, cell: SupportInterval) -> TruncatedStats:
-        p = self._require_prob(cell)
         mask = _mask(self.points, cell)
+        p = self._require_prob(cell, float(math.fsum(self.probs[mask])))
         m, v = _weighted_moments(self.points[mask], self.probs[mask], p)
         return TruncatedStats(prob=p, mean=m, variance=v)
 
     def quantile(self, q: float) -> float:
-        if not 0.0 < q < 1.0:
-            raise ParameterError(f"quantile level must lie in (0, 1), got {q}")
+        _check_level(q)
         acc = 0.0
         for x, w in zip(self.points, self.probs):
             acc += w
@@ -507,25 +506,29 @@ class CustomPdf(DistributionSpec):
         object.__setattr__(self, "anchor", float(anchor))
         object.__setattr__(self, "scale_hint", float(scale))
 
-        guarded = self._guarded_pdf()
-        norm, _ = expectation(guarded, sup, anchor, scale, _QUAD_LIMIT)
+        norm, _ = expectation(self._guarded_pdf(), sup, anchor, scale)
         if not math.isfinite(norm):
             raise NumericError("pdf does not integrate to a finite mass")
         if abs(norm - 1.0) > 1e-6:
             raise ParameterError(f"pdf integrates to {norm!r}; expected 1 within 1e-6")
-        m1, _ = expectation(lambda x: x * guarded(x), sup, anchor, scale, _QUAD_LIMIT)
+        m, v = self._window_moments(sup, anchor, scale, norm)
+        object.__setattr__(self, "_mean", m)
+        object.__setattr__(self, "_variance", v)
+        object.__setattr__(self, "_cdf_grid", None)
+
+    def _window_moments(
+        self, window: SupportInterval, anchor: float, scale: float, mass: float
+    ) -> tuple[float, float]:
+        """Mean and variance of the law restricted to window, which carries mass."""
+        guarded = self._guarded_pdf()
+        m1, _ = expectation(lambda x: x * guarded(x), window, anchor, scale)
         if not math.isfinite(m1):
             raise NumericError("law has non-finite mean")
-        m1 /= norm
-        m2, _ = expectation(
-            lambda x: (x - m1) ** 2 * guarded(x), sup, anchor, scale, _QUAD_LIMIT
-        )
+        m1 /= mass
+        m2, _ = expectation(lambda x: (x - m1) ** 2 * guarded(x), window, anchor, scale)
         if not math.isfinite(m2):
             raise NumericError("law has non-finite variance")
-        v = _clamp_variance(m2 / norm, abs(m1) + 1.0)
-        object.__setattr__(self, "_mean", float(m1))
-        object.__setattr__(self, "_variance", float(v))
-        object.__setattr__(self, "_cdf_grid", None)
+        return m1, _clamp_variance(m2 / mass, abs(m1) + 1.0)
 
     def _guarded_pdf(self) -> Callable[[float], float]:
         sup = self.support_interval
@@ -561,9 +564,7 @@ class CustomPdf(DistributionSpec):
         if not lo < hi:
             return 0.0
         window = SupportInterval(lo, hi)
-        p, _ = expectation(
-            self._guarded_pdf(), window, self._cell_anchor(window), self._scale(), _QUAD_LIMIT
-        )
+        p, _ = expectation(self._guarded_pdf(), window, self._cell_anchor(window), self._scale())
         return min(1.0, max(0.0, p))
 
     def _cell_anchor(self, cell: SupportInterval) -> float:
@@ -576,18 +577,11 @@ class CustomPdf(DistributionSpec):
         return cell.upper - self._scale()
 
     def truncated_stats(self, cell: SupportInterval) -> TruncatedStats:
-        p = self._require_prob(cell)
+        p = self._require_prob(cell, self.interval_prob(cell))
         sup = self.support_interval
         window = SupportInterval(max(sup.lower, cell.lower), min(sup.upper, cell.upper))
-        anchor = self._cell_anchor(window)
-        guarded = self._guarded_pdf()
-        m1, _ = expectation(lambda x: x * guarded(x), window, anchor, self._scale(), _QUAD_LIMIT)
-        m1 /= p
-        m2, _ = expectation(
-            lambda x: (x - m1) ** 2 * guarded(x), window, anchor, self._scale(), _QUAD_LIMIT
-        )
-        v = _clamp_variance(m2 / p, abs(m1) + 1.0)
-        return TruncatedStats(prob=p, mean=m1, variance=v)
+        m, v = self._window_moments(window, self._cell_anchor(window), self._scale(), p)
+        return TruncatedStats(prob=p, mean=m, variance=v)
 
     def _cdf(self, x: float) -> float:
         sup = self.support_interval
@@ -598,8 +592,7 @@ class CustomPdf(DistributionSpec):
         return self.interval_prob(SupportInterval(sup.lower, x))
 
     def quantile(self, q: float) -> float:
-        if not 0.0 < q < 1.0:
-            raise ParameterError(f"quantile level must lie in (0, 1), got {q}")
+        _check_level(q)
         sup = self.support_interval
         step = max(self._scale(), 1e-6)
         lo = sup.lower if math.isfinite(sup.lower) else self._mean - step
@@ -726,8 +719,7 @@ class _PowerTransform(CustomPdf):
     r: float = 1.0
 
     def quantile(self, q: float) -> float:
-        if not 0.0 < q < 1.0:
-            raise ParameterError(f"quantile level must lie in (0, 1), got {q}")
+        _check_level(q)
         # x -> x**r reverses the order of the levels when r < 0
         return float(self.source.quantile(q if self.r > 0.0 else 1.0 - q) ** self.r)
 

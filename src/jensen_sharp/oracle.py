@@ -40,7 +40,6 @@ __all__ = [
 
 DEFAULT_SEED = 42
 DEFAULT_MC_BUDGET = 1_000_000
-_QUAD_LIMIT = 1000  # QUADPACK subdivision limit of the quadrature oracle
 _EPS = float(np.finfo(float).eps)
 
 
@@ -112,7 +111,7 @@ def _quadrature(f: FunctionSpec, d) -> GapEstimate:
     def integrand(x: float) -> float:
         return float(f.func(x)) * d.pdf(x)
 
-    value, err = expectation(integrand, d.support, mu, sd, _QUAD_LIMIT)
+    value, err = expectation(integrand, d.support, mu, sd)
     if math.isinf(value):
         return GapEstimate(value, 0.0, OracleMethod.QUADRATURE)
     phimu = float(f.func(mu))

@@ -22,9 +22,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bounds import BoundMethod, GapBounds, HEvaluation, curvature_extrema, h_extrema
+from .bounds import BoundMethod, GapBounds, HEvaluation, _assemble, curvature_extrema, h_extrema
 from .distributions import Discrete, DistributionSpec, TruncatedStats
-from .errors import NumericError, ParameterError
+from .errors import EmptyCellError, NumericError, ParameterError
 from .extreal import ext_mul, ext_sum
 from .functions import FunctionSpec, SupportInterval
 
@@ -132,21 +132,12 @@ def partition_bounds(f: FunctionSpec, plan: PartitionPlan) -> GapBounds:
     """
     lows: list[float] = []
     highs: list[float] = []
-
+    var_total = 0.0
     if plan.m > 1:
-        coarse = plan.coarse
-        var_y = coarse.variance()
-        if var_y > 0.0:
-            coarse_iv = SupportInterval(
-                float(coarse.points[0]), float(coarse.points[-1]),
-                lower_closed=True, upper_closed=True,
-            )
-            c_inf, c_sup = h_extrema(f, coarse_iv, coarse.mean())
-            lows.append(ext_mul(c_inf.value, var_y))
-            highs.append(ext_mul(c_sup.value, var_y))
+        coarse = _assemble(f, plan.coarse, h_extrema, BoundMethod.PARTITION)
+        lows, highs, var_total = [coarse.lower], [coarse.upper], coarse.variance_used
 
     per_cell = tuple(cell_h_extrema(f, plan))
-    var_total = plan.coarse.variance() if plan.m > 1 else 0.0
     for (cell, ts), (inf_ev, sup_ev) in zip(plan.cells, per_cell):
         lows.append(ts.prob * ext_mul(inf_ev.value, ts.variance))
         highs.append(ts.prob * ext_mul(sup_ev.value, ts.variance))
@@ -172,9 +163,10 @@ def positivity_certificate(
     window, the window carries probability, and the conditional variance on
     it is positive.  False is inconclusive, never a disproof.
     """
-    if d.interval_prob(window) <= 0.0:
+    try:
+        ts = d.truncated_stats(window)
+    except EmptyCellError:
         return False
-    ts = d.truncated_stats(window)  # a cell with mass has a mean and a variance
     if not ts.variance > 0.0:
         return False
     if not f.natural_domain.contains_interval(window):

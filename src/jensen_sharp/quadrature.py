@@ -27,8 +27,11 @@ import numpy as np
 from .errors import NumericError
 from .functions import SupportInterval, guarded
 
+__all__ = ["expectation"]
+
 QUAD_ABS = 1e-10
 QUAD_REL = 1e-8
+QUAD_LIMIT = 200  # QUADPACK subdivisions per pass; 1000 lets a divergent 1/x tail pass clean
 GEOM_WINDOWS = 60  # cap on geometric subdivision depth per endpoint
 GROWTH_RUN = 4  # this many consecutive non-shrinking increments => divergent
 CONTRACTION = 0.9  # |ratio| of the last two increments at or below this => converging
@@ -36,7 +39,7 @@ HUGE = 1e300
 _EPS = float(np.finfo(float).eps)
 
 
-def _quad(fn, lo: float, hi: float, limit: int) -> tuple[float, float, bool]:
+def _quad(fn, lo: float, hi: float) -> tuple[float, float, bool]:
     """One adaptive pass; trusted only when QUADPACK reports a clean run."""
     if lo == hi:
         return 0.0, 0.0, True
@@ -45,7 +48,7 @@ def _quad(fn, lo: float, hi: float, limit: int) -> tuple[float, float, bool]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         out = integrate.quad(
-            fn, lo, hi, epsabs=QUAD_ABS, epsrel=QUAD_REL, limit=limit, full_output=1
+            fn, lo, hi, epsabs=QUAD_ABS, epsrel=QUAD_REL, limit=QUAD_LIMIT, full_output=1
         )
     value, abserr = float(out[0]), float(out[1])
     trusted = len(out) == 3 and math.isfinite(value) and math.isfinite(abserr)
@@ -79,7 +82,7 @@ def _verdict(total: float, err: float, increments: list[float]) -> tuple[float, 
 
 
 def _walk(
-    fn, windows: Iterable[tuple[float, float]], limit: int, infinite_end: bool
+    fn, windows: Iterable[tuple[float, float]], infinite_end: bool
 ) -> tuple[float, float, int]:
     """(partial_sum, error, diverged_sign) over windows approaching one endpoint;
     diverged_sign is 0 when the side converged."""
@@ -88,7 +91,7 @@ def _walk(
     increments: list[float] = []
     small_run = 0
     for a, b in windows:
-        v, e, ok = _quad(fn, a, b, limit)
+        v, e, ok = _quad(fn, a, b)
         tol = 0.5 * (QUAD_ABS + QUAD_REL * abs(total))
         if not ok:
             # QUADPACK gives up on windows whose integrand has shrunk to
@@ -140,7 +143,6 @@ def expectation(
     support: SupportInterval,
     anchor: float,
     scale: float,
-    budget: int = 200,
 ) -> tuple[float, float]:
     """Integral of ``integrand`` over ``support`` with an error estimate.
 
@@ -152,9 +154,8 @@ def expectation(
     """
     fn = functools.partial(guarded, integrand)
     lo, hi = support.lower, support.upper
-    limit = int(min(max(int(budget), 50), 1000))
 
-    value, abserr, trusted = _quad(fn, lo, hi, limit)
+    value, abserr, trusted = _quad(fn, lo, hi)
     if trusted:
         return value, abserr
 
@@ -172,7 +173,7 @@ def expectation(
     core_lo = a + off if math.isfinite(lo) else a
     core_hi = b - off if math.isfinite(hi) else b
 
-    total, err, ok = _quad(fn, core_lo, core_hi, limit)
+    total, err, ok = _quad(fn, core_lo, core_hi)
     if not ok:
         raise NumericError(
             f"quadrature failed on the interior window [{core_lo}, {core_hi}]"
@@ -182,7 +183,7 @@ def expectation(
     for side, end, origin in ((-1, lo, a), (1, hi, b)):
         infinite_end = math.isinf(end)
         step = 8.0 * scale if infinite_end else off
-        s, e, sign = _walk(fn, _windows(origin, step, side, infinite_end), limit, infinite_end)
+        s, e, sign = _walk(fn, _windows(origin, step, side, infinite_end), infinite_end)
         total += s
         err += e
         if sign and diverged and sign != diverged:

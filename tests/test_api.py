@@ -10,7 +10,7 @@ import inspect
 import pytest
 
 import jensen_sharp
-from jensen_sharp import bounds, oracle, partition
+from jensen_sharp import bounds, oracle, partition, quadrature
 
 PINNED_SIGNATURES = {
     "bounds.h_eval": "(f: 'FunctionSpec', nu: 'float', x: 'float') -> 'HEvaluation'",
@@ -50,6 +50,10 @@ PINNED_SIGNATURES = {
         " budget: 'int' = 1000000, method: 'str' = 'auto', seed: 'int | None' = None)"
         " -> 'GapEstimate'"
     ),
+    "quadrature.expectation": (
+        "(integrand: 'Callable[[float], float]', support: 'SupportInterval',"
+        " anchor: 'float', scale: 'float') -> 'tuple[float, float]'"
+    ),
 }
 
 PINNED_FIELDS = {
@@ -63,7 +67,7 @@ PINNED_FIELDS = {
 
 def _public_functions() -> dict[str, object]:
     found = {}
-    for mod in (bounds, partition, oracle):
+    for mod in (bounds, partition, oracle, quadrature):
         short = mod.__name__.rsplit(".", 1)[1]
         for name in mod.__all__:
             obj = getattr(mod, name)

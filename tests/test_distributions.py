@@ -28,6 +28,7 @@ from jensen_sharp import (
     truncated_stats,
     variance,
 )
+from jensen_sharp import distributions
 from jensen_sharp.distributions import _ndtr, _ndtri
 from _support import population_stats
 
@@ -148,8 +149,30 @@ def test_truncated_stats_type_guards():
         TruncatedStats(prob=0.0, mean=1.0, variance=1.0)
     with pytest.raises(ParameterError):
         TruncatedStats(prob=0.5, mean=1.0, variance=-0.1)
-    undefined = TruncatedStats(prob=0.0, mean=None, variance=None)
-    assert not undefined.defined
+    with pytest.raises(ParameterError):
+        TruncatedStats(prob=0.0, mean=None, variance=None)
+
+
+@pytest.mark.parametrize(
+    "law, cell",
+    [
+        (Empirical([1.0, 2.0, 2.0, 5.0]), SupportInterval(1.5, 3.0)),
+        (Discrete([1.0, 2.0, 5.0], [0.25, 0.5, 0.25]), SupportInterval(1.5, 3.0)),
+    ],
+    ids=["empirical", "discrete"],
+)
+def test_atom_laws_mask_each_cell_once(law, cell, monkeypatch):
+    calls = []
+    original = distributions._mask
+
+    def counting(xs, c):
+        calls.append(c)
+        return original(xs, c)
+
+    monkeypatch.setattr(distributions, "_mask", counting)
+    ts = law.truncated_stats(cell)
+    assert (ts.prob, ts.mean, ts.variance) == (0.5, 2.0, 0.0)
+    assert calls == [cell]
 
 
 @pytest.mark.parametrize(
@@ -239,6 +262,27 @@ def test_empirical_nearest_rank_quantile():
     # a cut on a support endpoint is one that build_partition would refuse
     with pytest.raises(ParameterError, match="too concentrated for 3 cells"):
         equal_probability_cuts(Empirical([1.0, 2.0, 3.0]), 3)
+
+
+EVERY_LAW_KIND = [
+    Normal(0.0, 1.0),
+    Exponential(1.0),
+    Uniform(1.0, 4.0),
+    Empirical([1.0, 2.0, 3.0]),
+    Discrete([1.0, 2.0], [0.5, 0.5]),
+    CustomPdf(pdf=lambda x: 1.0 / 3.0, support_interval=SupportInterval(1.0, 4.0)),
+    transform_power(Exponential(1.0), 2.0),
+]
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0, -0.2, 1.5, math.nan])
+@pytest.mark.parametrize(
+    "law", EVERY_LAW_KIND,
+    ids=["normal", "exponential", "uniform", "empirical", "discrete", "custom-pdf", "power"],
+)
+def test_every_law_rejects_a_quantile_level_outside_the_unit_interval(law, q):
+    with pytest.raises(ParameterError, match="quantile level"):
+        law.quantile(q)
 
 
 # ---------------------------------------------------------------------------

@@ -286,6 +286,29 @@ def test_positivity_certificate_zero_probability_window():
     )
 
 
+@pytest.mark.parametrize(
+    "d, window",
+    [
+        (Exponential(1.3), SupportInterval(0.2, 1.5)),
+        (Uniform(1.0, 2.0), SupportInterval(1.2, 1.7)),
+        (transform_power(Uniform(1.0, 2.0), 2.0), SupportInterval(1.5, 3.0)),
+    ],
+    ids=["exponential", "uniform", "custom-pdf"],
+)
+def test_positivity_certificate_asks_its_window_for_its_mass_once(d, window, monkeypatch):
+    calls = []
+    law = type(d)
+    original = law.interval_prob
+
+    def counting(self, cell):
+        calls.append(cell)
+        return original(self, cell)
+
+    monkeypatch.setattr(law, "interval_prob", counting)
+    assert positivity_certificate(exp_scaled(1.0), d, window)
+    assert calls == [window]
+
+
 def test_positivity_certificate_constant_cell():
     # within the window the sample never varies: conditional variance 0
     d = Empirical([2.0, 2.0, 5.0])

@@ -21,6 +21,7 @@ from jensen_sharp import (
     power,
     transform_power,
 )
+from jensen_sharp.quadrature import expectation
 
 EULER_GAMMA = 0.5772156649015329
 RATES = (0.3, 0.5, 0.8, 1.0, 1.3, 2.0, 3.0, 5.0, 10.0)
@@ -83,3 +84,16 @@ def test_half_cauchy_law_is_refused_for_its_divergent_mean():
             pdf=lambda x: 2.0 / (math.pi * (1.0 + x * x)),
             support_interval=SupportInterval(0.0, math.inf),
         )
+
+
+@pytest.mark.parametrize(
+    "integrand",
+    [lambda x: 2.0 * x / (math.pi * (1.0 + x * x)), lambda x: x / (1.0 + x * x)],
+    ids=["half-cauchy-mean", "x-over-1-plus-x2"],
+)
+def test_log_divergent_tail_integrates_to_infinity(integrand):
+    # a 1/x tail diverges like a logarithm: the one subdivision limit leaves a
+    # direct QUADPACK pass no room to report it as a clean finite value
+    value, err = expectation(integrand, SupportInterval(0.0, math.inf), 1.0, 1.0)
+    assert value == math.inf
+    assert err == 0.0
