@@ -1,8 +1,8 @@
 """Distribution layer: everything the bounds engine needs from X.
 
-Uniform access to means, variances, interval probabilities, truncated
-moments, quantile cuts, and power transforms for analytic laws, empirical
-samples, weighted discrete laws, and user-supplied densities.
+Uniform access to means, variances, integrals (``expect``), interval
+probabilities, truncated moments, quantile cuts, and power transforms for
+analytic laws, empirical samples, weighted atoms, and user-supplied densities.
 
 Conventions:
 
@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, EmptyCellError, NumericError, ParameterError
-from .functions import FunctionSpec, SupportInterval
+from .functions import FunctionSpec, SupportInterval, guarded
 from .quadrature import expectation
 
 __all__ = [
@@ -44,12 +44,14 @@ __all__ = [
     "truncated_stats",
     "equal_probability_cuts",
     "transform_power",
+    "PowerTransform",
     "load_samples",
 ]
 
 _EPS = float(np.finfo(float).eps)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _STD_NORMAL = statistics.NormalDist()
+_FAR_TAIL = 3.0  # a normal tail from here on takes 60 terms of the Mills-ratio continued fraction
 
 
 def _ndtr(z: float) -> float:
@@ -114,6 +116,41 @@ def _weighted_moments(xs: np.ndarray, ws: np.ndarray, total: float) -> tuple[flo
     return m, math.fsum(ws * np.float_power(xs - m, 2)) / total
 
 
+def _moments_by(expect: Callable, mass: float) -> tuple[float, float]:
+    """Mean and variance of a law, or of its cell of that mass, from expect(g) on it."""
+    m1, _ = expect(lambda x: x)
+    if not math.isfinite(m1):
+        raise NumericError("law has non-finite mean")
+    m1 /= mass
+    m2, _ = expect(lambda x: (x - m1) ** 2)
+    if not math.isfinite(m2):
+        raise NumericError("law has non-finite variance")
+    return m1, _clamp_variance(m2 / mass, abs(m1) + 1.0)
+
+
+def _apply(fn, xs: np.ndarray) -> np.ndarray:
+    """Vectorised application with a scalar fallback for plain-Python callables."""
+    try:
+        with np.errstate(all="ignore"):
+            out = np.asarray(fn(xs), dtype=float)
+        if out.shape == xs.shape:
+            return out
+    except (TypeError, ValueError):
+        pass
+    return np.array([guarded(fn, x) for x in xs])
+
+
+def _atom_expect(g, xs: np.ndarray, ws: np.ndarray, cell) -> tuple[float, float]:
+    """(fsum of w * g(x) over the atoms in the cell, the rounding of its products)."""
+    if cell is not None:
+        inside = _mask(xs, cell)
+        xs, ws = xs[inside], ws[inside]
+    terms = ws * _apply(g, xs)
+    if not np.all(np.isfinite(terms)):
+        raise NumericError("g is not finite at a mass point of the law")
+    return math.fsum(terms), 16.0 * _EPS * max(1.0, math.fsum(np.abs(terms)))
+
+
 def _mask(xs: np.ndarray, cell: SupportInterval) -> np.ndarray:
     """Which of the atoms xs lie in the cell, honouring its endpoint flags."""
     lo_ok = (xs >= cell.lower) if cell.lower_closed else (xs > cell.lower)
@@ -130,17 +167,57 @@ def _check_level(q: float) -> None:
 class DistributionSpec:
     """Common query interface; concrete laws are the dataclasses below."""
 
+    # laws that work their moments out at construction keep them in _mean and _variance
     def mean(self) -> float:
-        raise NotImplementedError
+        return self._mean
 
     def variance(self) -> float:
-        raise NotImplementedError
+        return self._variance
 
     def interval_prob(self, cell: SupportInterval) -> float:
-        raise NotImplementedError
+        """Cell mass; a density law without a closed form integrates it by ``expect``."""
+        return min(1.0, max(0.0, self.expect(lambda x: 1.0, cell)[0]))
+
+    def expect(
+        self, g: Callable[[float], float], cell: SupportInterval | None = None
+    ) -> tuple[float, float]:
+        """(value, error) of E[g(X); X in cell], the integral of g against the law over
+        the cell (all of the support when cell is None), not divided by the cell's mass;
+        +/-inf when it diverges.  A density law integrates g * pdf, laid out by its mean
+        and standard deviation on the support and by ``_cell_anchor`` and ``_scale`` on a cell.
+        """
+        if cell is None:
+            return self._integrate(g, self.support, self.mean(), math.sqrt(self.variance()))
+        lo, hi, *_ = self.mass_bounds()
+        lo, hi = max(lo, cell.lower), min(hi, cell.upper)
+        if not lo < hi:
+            return 0.0, 0.0
+        window = SupportInterval(lo, hi)
+        return self._integrate(g, window, self._cell_anchor(window), self._scale())
+
+    def _integrate(self, g, window: SupportInterval, anchor: float, scale: float):
+        """The one integral of g * pdf; ``expect`` picks its window and layout."""
+        pdf = self.pdf
+        return expectation(lambda x: float(g(x)) * pdf(x), window, anchor, scale)
+
+    def _scale(self) -> float:
+        return max(math.sqrt(self.variance()), 1e-6 * max(1.0, abs(self.mean())))
+
+    def _cell_anchor(self, cell: SupportInterval) -> float:
+        if cell.bounded:
+            return 0.5 * (cell.lower + cell.upper)
+        if cell.contains(self.mean()):
+            return self.mean()
+        if math.isfinite(cell.lower):
+            return cell.lower + self._scale()
+        return cell.upper - self._scale()
 
     def truncated_stats(self, cell: SupportInterval) -> TruncatedStats:
-        raise NotImplementedError
+        """Cell mass p, then the cell's mean and variance by ``expect`` of g / p, which keeps
+        QUADPACK's absolute tolerance at the scale of g however small p is."""
+        p = self._require_prob(cell, self.interval_prob(cell))
+        m, v = _moments_by(lambda g: self.expect(lambda x: g(x) / p, cell), 1.0)
+        return TruncatedStats(prob=p, mean=m, variance=v)
 
     def quantile(self, q: float) -> float:
         raise NotImplementedError
@@ -229,8 +306,13 @@ class Normal(DistributionSpec):
     def truncated_stats(self, cell: SupportInterval) -> TruncatedStats:
         z = self._require_prob(cell, self.interval_prob(cell))
         alpha, beta = self._standardize(cell)
-        pa = _std_normal_pdf(alpha)
-        pb = _std_normal_pdf(beta)
+        # a one-sided tail from a: the closed form below cancels terms of size a**2
+        a = alpha if beta == math.inf else -beta if alpha == -math.inf else 0.0
+        if a >= _FAR_TAIL:
+            shift, v = _tail_moments(a)
+            shift = shift if beta == math.inf else -shift
+            return TruncatedStats(z, self.mu + self.sigma * shift, self.sigma**2 * v)
+        pa, pb = (math.exp(-0.5 * t * t) / _SQRT_2PI for t in (alpha, beta))  # 0 at +/-inf
         apa = alpha * pa if math.isfinite(alpha) else 0.0
         bpb = beta * pb if math.isfinite(beta) else 0.0
         shift = (pa - pb) / z
@@ -246,10 +328,15 @@ class Normal(DistributionSpec):
         return rng.normal(self.mu, self.sigma, n)
 
 
-def _std_normal_pdf(z: float) -> float:
-    if math.isinf(z):
-        return 0.0
-    return math.exp(-0.5 * z * z) / _SQRT_2PI
+def _tail_moments(a: float) -> tuple[float, float]:
+    """Mean and variance of a standard normal beyond a >= _FAR_TAIL by Laplace's continued
+    fraction for the Mills ratio (Botev, JRSS-B 2017): 1/(a + t), t = 1/(a + u) and
+    u = 2/(a + 3/(a + ...)) give the mean a + t and the variance 1 - (a + t) t = (u - t)/(a + u)."""
+    u = 0.0
+    for k in range(60, 1, -1):
+        u = k / (a + u)
+    t = 1.0 / (a + u)
+    return a + t, (u - t) / (a + u)
 
 
 @dataclass(frozen=True)
@@ -385,14 +472,12 @@ class Empirical(DistributionSpec):
         s = self._sorted
         return float(s[0]), float(s[-1]), True, True
 
-    def mean(self) -> float:
-        return self._mean
-
-    def variance(self) -> float:
-        return self._variance
-
     def interval_prob(self, cell: SupportInterval) -> float:
         return float(np.count_nonzero(_mask(self.samples, cell))) / self.samples.size
+
+    def expect(self, g, cell=None):
+        n = self.samples.size
+        return _atom_expect(g, self.samples, np.full(n, 1.0 / n), cell)
 
     def truncated_stats(self, cell: SupportInterval) -> TruncatedStats:
         inside = self.samples[_mask(self.samples, cell)]
@@ -444,14 +529,11 @@ class Discrete(DistributionSpec):
     def mass_bounds(self):
         return float(self.points[0]), float(self.points[-1]), True, True
 
-    def mean(self) -> float:
-        return self._mean
-
-    def variance(self) -> float:
-        return self._variance
-
     def interval_prob(self, cell: SupportInterval) -> float:
         return float(math.fsum(self.probs[_mask(self.points, cell)]))
+
+    def expect(self, g, cell=None):
+        return _atom_expect(g, self.points, self.probs, cell)
 
     def truncated_stats(self, cell: SupportInterval) -> TruncatedStats:
         mask = _mask(self.points, cell)
@@ -506,40 +588,18 @@ class CustomPdf(DistributionSpec):
         object.__setattr__(self, "anchor", float(anchor))
         object.__setattr__(self, "scale_hint", float(scale))
 
-        norm, _ = expectation(self._guarded_pdf(), sup, anchor, scale)
+        def integrate(g):  # the moments are not known yet, so the hints lay out the integrals
+            return self._integrate(g, sup, anchor, scale)
+
+        norm, _ = integrate(lambda x: 1.0)
         if not math.isfinite(norm):
             raise NumericError("pdf does not integrate to a finite mass")
         if abs(norm - 1.0) > 1e-6:
             raise ParameterError(f"pdf integrates to {norm!r}; expected 1 within 1e-6")
-        m, v = self._window_moments(sup, anchor, scale, norm)
+        m, v = _moments_by(integrate, norm)
         object.__setattr__(self, "_mean", m)
         object.__setattr__(self, "_variance", v)
         object.__setattr__(self, "_cdf_grid", None)
-
-    def _window_moments(
-        self, window: SupportInterval, anchor: float, scale: float, mass: float
-    ) -> tuple[float, float]:
-        """Mean and variance of the law restricted to window, which carries mass."""
-        guarded = self._guarded_pdf()
-        m1, _ = expectation(lambda x: x * guarded(x), window, anchor, scale)
-        if not math.isfinite(m1):
-            raise NumericError("law has non-finite mean")
-        m1 /= mass
-        m2, _ = expectation(lambda x: (x - m1) ** 2 * guarded(x), window, anchor, scale)
-        if not math.isfinite(m2):
-            raise NumericError("law has non-finite variance")
-        return m1, _clamp_variance(m2 / mass, abs(m1) + 1.0)
-
-    def _guarded_pdf(self) -> Callable[[float], float]:
-        sup = self.support_interval
-        raw = self.pdf
-
-        def guarded(x: float) -> float:
-            if x < sup.lower or x > sup.upper:
-                return 0.0
-            return float(raw(x))
-
-        return guarded
 
     def __repr__(self) -> str:
         return f"CustomPdf({self.label!r}, support={self.support_interval})"
@@ -547,41 +607,6 @@ class CustomPdf(DistributionSpec):
     def mass_bounds(self):
         sup = self.support_interval
         return sup.lower, sup.upper, sup.lower_closed, sup.upper_closed
-
-    def mean(self) -> float:
-        return self._mean
-
-    def variance(self) -> float:
-        return self._variance
-
-    def _scale(self) -> float:
-        return max(math.sqrt(self._variance), 1e-6 * max(1.0, abs(self._mean)))
-
-    def interval_prob(self, cell: SupportInterval) -> float:
-        sup = self.support_interval
-        lo = max(sup.lower, cell.lower)
-        hi = min(sup.upper, cell.upper)
-        if not lo < hi:
-            return 0.0
-        window = SupportInterval(lo, hi)
-        p, _ = expectation(self._guarded_pdf(), window, self._cell_anchor(window), self._scale())
-        return min(1.0, max(0.0, p))
-
-    def _cell_anchor(self, cell: SupportInterval) -> float:
-        if cell.bounded:
-            return 0.5 * (cell.lower + cell.upper)
-        if cell.contains(self._mean):
-            return self._mean
-        if math.isfinite(cell.lower):
-            return cell.lower + self._scale()
-        return cell.upper - self._scale()
-
-    def truncated_stats(self, cell: SupportInterval) -> TruncatedStats:
-        p = self._require_prob(cell, self.interval_prob(cell))
-        sup = self.support_interval
-        window = SupportInterval(max(sup.lower, cell.lower), min(sup.upper, cell.upper))
-        m, v = self._window_moments(window, self._cell_anchor(window), self._scale(), p)
-        return TruncatedStats(prob=p, mean=m, variance=v)
 
     def _cdf(self, x: float) -> float:
         sup = self.support_interval
@@ -617,8 +642,7 @@ class CustomPdf(DistributionSpec):
             a = sup.lower if math.isfinite(sup.lower) else self._mean - 40.0 * sd
             b = sup.upper if math.isfinite(sup.upper) else self._mean + 40.0 * sd
             xs = np.linspace(a, b, 65537)
-            guarded = self._guarded_pdf()
-            ys = np.array([guarded(x) for x in xs])
+            ys = np.array([float(self.pdf(x)) for x in xs])
             cdf = np.concatenate([[0.0], np.cumsum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))])
             cdf /= cdf[-1]
             grid = (xs, cdf)
@@ -628,14 +652,70 @@ class CustomPdf(DistributionSpec):
         return np.interp(u, cdf, xs)
 
 
+@dataclass(frozen=True, eq=False)
+class PowerTransform(DistributionSpec):
+    """Y = X**r for a continuous, positively supported X, as ``transform_power`` builds it.
+    Y has no density of its own: ``expect`` integrates g(x**r) on X's law over the cell of X
+    that maps onto Y's cell, and masses, quantiles and draws are X's."""
+
+    source: DistributionSpec
+    r: float
+
+    def __post_init__(self) -> None:
+        m, v = _moments_by(self.expect, 1.0)
+        object.__setattr__(self, "_mean", m)
+        object.__setattr__(self, "_variance", v)
+
+    def _source_cell(self, cell: SupportInterval) -> SupportInterval | None:
+        """The cell of X that x -> x**r maps onto the cell of Y; None when it is empty."""
+        lo = max(cell.lower, 0.0)
+        return _power_image(lo, cell.upper, cell.lower_closed, cell.upper_closed, 1.0 / self.r)
+
+    def mass_bounds(self):
+        y = _power_image(*self.source.mass_bounds(), self.r)
+        return y.lower, y.upper, y.lower_closed, y.upper_closed
+
+    def expect(self, g, cell=None):
+        x_cell = None if cell is None else self._source_cell(cell)
+        if cell is not None and x_cell is None:
+            return 0.0, 0.0
+        return self.source.expect(lambda x: g(x**self.r), x_cell)
+
+    def interval_prob(self, cell: SupportInterval) -> float:
+        x_cell = self._source_cell(cell)
+        return 0.0 if x_cell is None else self.source.interval_prob(x_cell)
+
+    def quantile(self, q: float) -> float:
+        _check_level(q)
+        # x -> x**r reverses the order of the levels when r < 0
+        return float(self.source.quantile(q if self.r > 0.0 else 1.0 - q) ** self.r)
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return np.power(self.source.sample(rng, n), self.r)
+
+
+def _power_image(lo, hi, lo_closed: bool, hi_closed: bool, s: float) -> SupportInterval | None:
+    """The image of (lo, hi), 0 <= lo, under t -> t**s (ends swap when s < 0); None if empty."""
+    if not lo < hi:
+        return None
+    a, b = (math.inf if t == 0.0 and s < 0.0 else t**s for t in (lo, hi))
+    if s < 0.0:
+        a, b, lo_closed, hi_closed = b, a, hi_closed, lo_closed
+    if not a < b:
+        return None
+    return SupportInterval(a, b, lo_closed and math.isfinite(a), hi_closed and math.isfinite(b))
+
+
 # ---------------------------------------------------------------------------
 # module-level operations
 # ---------------------------------------------------------------------------
 
 
-def _check_mass_in_domain(f: FunctionSpec, d: DistributionSpec) -> None:
-    """Raise DomainError unless the mass of d lies inside the natural domain of f."""
+def _check_mass_in_domain(f: FunctionSpec, d: DistributionSpec, cell=None) -> None:
+    """Raise DomainError unless the mass of d (in cell, if given) lies in the domain of f."""
     lo, hi, lo_at, hi_at = d.mass_bounds()
+    if cell is not None:
+        lo, hi, lo_at, hi_at = max(lo, cell.lower), min(hi, cell.upper), False, False
     dom = f.natural_domain
     if lo == hi:
         ok = dom.contains(lo)
@@ -671,17 +751,12 @@ def equal_probability_cuts(d: DistributionSpec, m: int) -> list[float]:
         raise ParameterError(f"cell count must be >= 1, got {m}")
     cuts = [float(d.quantile(j / m)) for j in range(1, m)]
     support = d.support
-    for c in cuts:
-        if not support.lower < c < support.upper:
-            raise ParameterError(
-                f"equal-probability cut {c} falls on an endpoint of the support "
-                f"{support}; the law is too concentrated for {m} cells"
-            )
-    for left, right in zip(cuts, cuts[1:]):
+    ends = [support.lower, *cuts, support.upper]
+    for left, right in zip(ends, ends[1:]):
         if not left < right:
             raise ParameterError(
-                f"equal-probability cuts are not strictly increasing ({left} then "
-                f"{right}); the law is too concentrated for {m} cells"
+                f"equal-probability cuts {cuts} do not split the support {support} into "
+                f"{m} cells; the law is too concentrated for {m} cells"
             )
     return cuts
 
@@ -700,65 +775,7 @@ def transform_power(d: DistributionSpec, r: float) -> DistributionSpec:
         return Empirical(np.power(d.samples, r))
     if isinstance(d, Discrete):
         return Discrete(np.power(d.points, r), d.probs)
-    return _transform_continuous(d, r)
-
-
-def _map_power_end(t: float, r: float) -> float:
-    if t == 0.0:
-        return math.inf if r < 0.0 else 0.0
-    if math.isinf(t):
-        return 0.0 if r < 0.0 else math.inf
-    return t**r
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class _PowerTransform(CustomPdf):
-    """Y = X**r: the density by change of variables, quantiles and draws from X's law."""
-
-    source: DistributionSpec | None = None
-    r: float = 1.0
-
-    def quantile(self, q: float) -> float:
-        _check_level(q)
-        # x -> x**r reverses the order of the levels when r < 0
-        return float(self.source.quantile(q if self.r > 0.0 else 1.0 - q) ** self.r)
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.power(self.source.sample(rng, n), self.r)
-
-
-def _transform_continuous(d: DistributionSpec, r: float) -> CustomPdf:
-    lo, hi, lo_at, hi_at = d.mass_bounds()
-    ends = [(_map_power_end(lo, r), lo_at), (_map_power_end(hi, r), hi_at)]
-    ends.sort(key=lambda e: e[0])
-    (new_lo, lo_closed), (new_hi, hi_closed) = ends
-    support = SupportInterval(
-        new_lo,
-        new_hi,
-        lo_closed and math.isfinite(new_lo),
-        hi_closed and math.isfinite(new_hi),
-    )
-    inv_r = 1.0 / r
-
-    def pdf_y(y: float) -> float:
-        if y <= 0.0:
-            return 0.0
-        x = y**inv_r
-        return d.pdf(x) * abs(inv_r) * y ** (inv_r - 1.0)
-
-    m = d.mean()
-    sd = math.sqrt(d.variance())
-    anchor = m**r
-    scale = abs(r) * m ** (r - 1.0) * sd  # delta-method spread of Y
-    return _PowerTransform(
-        pdf=pdf_y,
-        support_interval=support,
-        anchor=anchor,
-        scale_hint=scale,
-        label=f"power-transform(r={r:g})",
-        source=d,
-        r=r,
-    )
+    return PowerTransform(d, r)
 
 
 def load_samples(path: str | Path) -> list[float]:

@@ -307,14 +307,14 @@ def classify_phi_prime_shape(
     probe_grid_size: int = 32,
     window: SupportInterval | tuple[float, float] | None = None,
 ) -> Shape:
-    """Midpoint-convexity test of phi' over a finite probe window.
+    """Advisory midpoint-convexity test of phi' over a finite probe window.
 
-    Every pair of probe points is tested: convexity demands
-    ``phi'((u+v)/2) <= (phi'(u)+phi'(v))/2`` up to a slack of 1e-9 times the
-    local magnitude of phi' (pure midpoint tests are brittle in floating
-    point), concavity the mirror.  Linear phi' passes both and is reported
-    convex.  When no window is given one is derived from the natural domain,
-    clamping infinite sides to an 8-unit reach around a finite anchor.
+    The bounds engine never consults it, and a finite window proves no shape:
+    tagging a custom phi from its answer can make the endpoint path unsound.
+    Every pair of probes is tested: convexity demands ``phi'((u+v)/2) <=
+    (phi'(u)+phi'(v))/2`` up to a slack of 1e-9 max(1, |phi'|), concavity the
+    mirror; a linear phi' passes both and counts as convex.  With no window the
+    domain gives one: itself if bounded, 16 units from its one finite end, or (-8, 8).
     """
     probe_grid_size = int(probe_grid_size)
     if probe_grid_size < 8:

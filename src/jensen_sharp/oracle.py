@@ -16,18 +16,17 @@ from enum import Enum
 import numpy as np
 
 from .distributions import (
-    CustomPdf,
     Discrete,
     DistributionSpec,
     Empirical,
     SupportInterval,
+    _apply,
     _check_mass_in_domain,
     _mask,
 )
 from .errors import NumericError, ParameterError
 from .extreal import encode
-from .functions import FunctionSpec, guarded
-from .quadrature import expectation
+from .functions import FunctionSpec
 
 __all__ = [
     "OracleMethod",
@@ -79,39 +78,28 @@ class GapEstimate:
         return {"value": encode(self.value), "error_bound": self.error_bound, "method": method}
 
 
-def _apply(fn, xs: np.ndarray) -> np.ndarray:
-    """Vectorised application with a scalar fallback for plain-Python callables."""
-    try:
-        with np.errstate(all="ignore"):
-            out = np.asarray(fn(xs), dtype=float)
-        if out.shape == xs.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    return np.array([guarded(fn, x) for x in xs])
+def _exact_sum(f: FunctionSpec, d: Empirical | Discrete) -> GapEstimate:
+    e_phi, err = d.expect(f.func)
+    phimu = float(f.func(d.mean()))
+    # the final subtraction rounds at the scale of phi(mu) too
+    return GapEstimate(e_phi - phimu, max(err, 16.0 * _EPS * abs(phimu)), OracleMethod.EXACT_SUM)
 
 
-def _exact_sum(f: FunctionSpec, points: np.ndarray, weights: np.ndarray, mu: float) -> GapEstimate:
-    phivals = _apply(f.func, points)
-    if not np.all(np.isfinite(phivals)):
-        raise NumericError("phi is not finite at a mass point of the law")
-    terms = weights * phivals
-    e_phi = math.fsum(terms)
-    phimu = float(f.func(mu))
-    scale = max(1.0, math.fsum(np.abs(terms)), abs(phimu))
-    # fsum is exactly rounded; the products and the final subtraction dominate
-    err = 16.0 * _EPS * scale
-    return GapEstimate(e_phi - phimu, err, OracleMethod.EXACT_SUM)
+def _cell_mean(d: DistributionSpec, cell: SupportInterval | None, p: float) -> float:
+    """E[X | X in cell] integrated on d, checking its mass p to 1e-6; d's mean if cell is None.
+    A conditional integral takes g / p, so that QUADPACK's absolute tolerance stays at the
+    scale of g however small p is."""
+    if cell is None:
+        return d.mean()
+    mass, _ = d.expect(lambda x: 1.0 / p, cell)
+    if not abs(mass - 1.0) <= 1e-6:
+        raise NumericError(f"the mass {p!r} of {cell} integrates to {mass!r} of itself, not 1")
+    return d.expect(lambda x: x / p, cell)[0]
 
 
-def _quadrature(f: FunctionSpec, d) -> GapEstimate:
-    mu = d.mean()
-    sd = math.sqrt(d.variance())
-
-    def integrand(x: float) -> float:
-        return float(f.func(x)) * d.pdf(x)
-
-    value, err = expectation(integrand, d.support, mu, sd)
+def _quadrature(f: FunctionSpec, d, cell: SupportInterval | None, p: float) -> GapEstimate:
+    mu = _cell_mean(d, cell, p)
+    value, err = d.expect(f.func if cell is None else lambda x: f.func(x) / p, cell)
     if math.isinf(value):
         return GapEstimate(value, 0.0, OracleMethod.QUADRATURE)
     phimu = float(f.func(mu))
@@ -119,24 +107,24 @@ def _quadrature(f: FunctionSpec, d) -> GapEstimate:
     return GapEstimate(value - phimu, err, OracleMethod.QUADRATURE)
 
 
-def _monte_carlo(f: FunctionSpec, d, budget: int, seed: int) -> GapEstimate:
+def _monte_carlo(f: FunctionSpec, d, budget: int, seed: int, cell, p: float) -> GapEstimate:
+    """Mean of phi over budget draws of d (those that land in the cell, when given)."""
     n = int(budget)
     if n < 2:
         raise ParameterError(f"monte carlo needs at least 2 samples, got {n}")
-    rng = np.random.default_rng(seed)
-    xs = np.asarray(d.sample(rng, n), dtype=float)
+    xs = np.asarray(d.sample(np.random.default_rng(seed), n), dtype=float)
+    if cell is not None:
+        xs = xs[_mask(xs, cell)]
+        if xs.size < 2:
+            raise ParameterError(f"monte carlo needs 2 draws in {cell}, got {xs.size} of {n}")
     vals = _apply(f.func, xs)
     if not np.all(np.isfinite(vals)):
-        raise NumericError(
-            "monte carlo hit non-finite phi values; the gap likely diverges "
-            "(use the quadrature oracle for a classified verdict)"
-        )
+        raise NumericError("monte carlo hit non-finite phi values; the gap likely diverges "
+                           "(use the quadrature oracle for a classified verdict)")
     e_phi = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1)) / math.sqrt(n)
-    phimu = float(f.func(d.mean()))
-    return GapEstimate(
-        e_phi - phimu, 3.0 * se, OracleMethod.MONTE_CARLO, mc_seed=seed, mc_samples=n
-    )
+    se = float(np.std(vals, ddof=1)) / math.sqrt(xs.size)
+    phimu = float(f.func(_cell_mean(d, cell, p)))
+    return GapEstimate(e_phi - phimu, 3.0 * se, OracleMethod.MONTE_CARLO, seed, xs.size)
 
 
 def estimate_gap(
@@ -153,52 +141,37 @@ def estimate_gap(
     the Monte Carlo sample count; the other methods ignore it.
     A divergent integral comes back as value +/-inf rather than an error.
     """
-    _check_mass_in_domain(f, d)
+    return _estimate(f, d, budget, method, seed)
+
+
+def _estimate(f, d, budget, method, seed, cell=None, p=1.0) -> GapEstimate:
+    """The gap of d, or of d given X in cell when cell (of mass p) is given."""
+    _check_mass_in_domain(f, d, cell)
     seed = DEFAULT_SEED if seed is None else int(seed)
     method = method.lower()
     if method not in ("auto", "quad", "mc", "exact"):
         raise ParameterError(f"unknown oracle method {method!r}; expected auto, quad, mc, or exact")
 
     if method == "mc":
-        return _monte_carlo(f, d, budget, seed)
+        return _monte_carlo(f, d, budget, seed, cell, p)
     # a law with atoms is summed exactly, also when quad is asked for: that is the honest answer
-    if isinstance(d, Empirical):
-        n = d.samples.size
-        return _exact_sum(f, d.samples, np.full(n, 1.0 / n), d.mean())
-    if isinstance(d, Discrete):
-        return _exact_sum(f, d.points, d.probs, d.mean())
+    if isinstance(d, (Empirical, Discrete)):
+        return _exact_sum(f, d)
     if method == "exact":
         raise ParameterError(f"exact summation needs a law with atoms, got {d!r}")
-    return _quadrature(f, d)
+    return _quadrature(f, d, cell, p)
 
 
-def _conditional(d: DistributionSpec, cell: SupportInterval) -> DistributionSpec:
-    """The law of X given X in cell, built without the closed-form moments."""
-    ts = d.truncated_stats(cell)  # raises EmptyCellError on a massless cell
-    p = ts.prob
+def _restricted(d: Empirical | Discrete, cell: SupportInterval) -> Empirical | Discrete:
+    """The law of X given X in cell for a law with atoms: its atoms in the cell."""
     if isinstance(d, Empirical):
         sub = d.samples[_mask(d.samples, cell)]
+        d._require_prob(cell, sub.size / d.samples.size)
         values = np.unique(sub)
-        if values.size == 1:
-            return Discrete(values, np.array([1.0]))
-        return Empirical(sub)
-    if isinstance(d, Discrete):
-        mask = _mask(d.points, cell)
-        return Discrete(d.points[mask], d.probs[mask] / p)
-    lo, hi, *_ = d.mass_bounds()
-    window = SupportInterval(max(lo, cell.lower), min(hi, cell.upper))
-    sd = math.sqrt(d.variance())
-
-    def cond_pdf(x: float) -> float:
-        return d.pdf(x) / p
-
-    return CustomPdf(
-        pdf=cond_pdf,
-        support_interval=window,
-        anchor=ts.mean,
-        scale_hint=min(math.sqrt(ts.variance), sd) if ts.variance else sd,
-        label=f"conditional({d!r} | {cell})",
-    )
+        return Discrete(values, np.array([1.0])) if values.size == 1 else Empirical(sub)
+    mask = _mask(d.points, cell)
+    p = d._require_prob(cell, math.fsum(d.probs[mask]))
+    return Discrete(d.points[mask], d.probs[mask] / p)
 
 
 def estimate_conditional_gap(
@@ -211,8 +184,12 @@ def estimate_conditional_gap(
 ) -> GapEstimate:
     """Gap estimate for the truncated law X | X in cell.
 
-    The conditional law is rebuilt from the density (or the restricted
-    sample), so the estimate stays independent of the closed-form truncated
-    moments it is used to check.
+    A law with atoms is restricted to its atoms in the cell.  A continuous law
+    is integrated on itself, as E[g(X) / p; X in cell] with p the cell's mass;
+    Monte Carlo keeps the draws of X that land in the cell.  Neither uses the
+    closed-form truncated moments that the estimate is meant to check.
     """
-    return estimate_gap(f, _conditional(d, cell), budget, method, seed)
+    if isinstance(d, (Empirical, Discrete)):
+        return estimate_gap(f, _restricted(d, cell), budget, method, seed)
+    p = d._require_prob(cell, d.interval_prob(cell))
+    return _estimate(f, d, budget, method, seed, cell, p)

@@ -6,7 +6,8 @@ When the direct pass is not trusted, the integral is re-accumulated over a
 core window and one walk of geometric windows toward each endpoint (doubling
 reach toward an infinite end, halving gaps toward a finite one).  A walk
 converges once its increments fall below tolerance.  Toward an infinite end,
-GROWTH_RUN + 1 same-signed increments that never shrink call it divergent.
+GROWTH_RUN + 1 same-signed increments that never shrink call it divergent, and
+at either end so does a window whose integral overflows past HUGE.
 A walk that stops any other way (at an untrusted window, or with no windows
 left) gets one verdict: geometrically contracting increments converge, with
 the series remainder added and charged to the error; a same-signed run that
@@ -100,6 +101,8 @@ def _walk(
                 return total + v, err + tol, 0
             if small_run >= 1:
                 return total, err + tol, 0
+            if abs(v) > HUGE:  # the window alone overflows, as a HUGE total diverges
+                return total, err, int(math.copysign(1.0, v))
             return _verdict(total, err, increments)
         increments.append(v)
         total += v

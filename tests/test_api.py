@@ -62,7 +62,13 @@ PINNED_FIELDS = {
         "cell_extrema",
     ),
     "CustomPdf": ("pdf", "support_interval", "anchor", "scale_hint", "label"),
+    "PowerTransform": ("source", "r"),
 }
+
+EXPECT_SIGNATURE = (
+    "(self, g: 'Callable[[float], float]', cell: 'SupportInterval | None' = None)"
+    " -> 'tuple[float, float]'"
+)
 
 
 def _public_functions() -> dict[str, object]:
@@ -95,3 +101,14 @@ def test_public_signature_is_pinned(name):
 def test_result_and_law_fields_are_pinned(cls):
     fields = tuple(f.name for f in dataclasses.fields(getattr(jensen_sharp, cls)))
     assert fields == PINNED_FIELDS[cls]
+
+
+def test_expect_signature_is_pinned():
+    assert str(inspect.signature(jensen_sharp.DistributionSpec.expect)) == EXPECT_SIGNATURE
+
+
+@pytest.mark.parametrize("cls", ["Normal", "CustomPdf", "Empirical", "Discrete", "PowerTransform"])
+def test_every_law_takes_the_same_expect_arguments(cls):
+    params = inspect.signature(getattr(jensen_sharp, cls).expect).parameters
+    assert list(params) == ["self", "g", "cell"]
+    assert params["cell"].default is None

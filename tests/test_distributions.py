@@ -16,7 +16,9 @@ from jensen_sharp import (
     EmptyCellError,
     Exponential,
     Normal,
+    NumericError,
     ParameterError,
+    PowerTransform,
     SupportInterval,
     TruncatedStats,
     Uniform,
@@ -30,6 +32,7 @@ from jensen_sharp import (
 )
 from jensen_sharp import distributions
 from jensen_sharp.distributions import _ndtr, _ndtri
+from jensen_sharp.quadrature import expectation
 from _support import population_stats
 
 
@@ -273,16 +276,68 @@ EVERY_LAW_KIND = [
     CustomPdf(pdf=lambda x: 1.0 / 3.0, support_interval=SupportInterval(1.0, 4.0)),
     transform_power(Exponential(1.0), 2.0),
 ]
+LAW_IDS = ["normal", "exponential", "uniform", "empirical", "discrete", "custom-pdf", "power"]
 
 
 @pytest.mark.parametrize("q", [0.0, 1.0, -0.2, 1.5, math.nan])
-@pytest.mark.parametrize(
-    "law", EVERY_LAW_KIND,
-    ids=["normal", "exponential", "uniform", "empirical", "discrete", "custom-pdf", "power"],
-)
+@pytest.mark.parametrize("law", EVERY_LAW_KIND, ids=LAW_IDS)
 def test_every_law_rejects_a_quantile_level_outside_the_unit_interval(law, q):
     with pytest.raises(ParameterError, match="quantile level"):
         law.quantile(q)
+
+
+@pytest.mark.parametrize("law", EVERY_LAW_KIND, ids=LAW_IDS)
+def test_expect_integrates_against_the_law(law):
+    one, _ = law.expect(lambda x: 1.0)
+    first, _ = law.expect(lambda x: x)
+    assert one == pytest.approx(1.0, abs=1e-9)
+    assert first == pytest.approx(law.mean(), rel=1e-9)
+    # E[g; X in cell] is not divided by the cell's mass
+    cell = SupportInterval(law.quantile(0.2), law.quantile(0.7), True, True)
+    mass, _ = law.expect(lambda x: 1.0, cell)
+    cell_first, _ = law.expect(lambda x: x, cell)
+    assert mass == pytest.approx(law.interval_prob(cell), rel=1e-9)
+    assert cell_first / law.interval_prob(cell) == pytest.approx(
+        law.truncated_stats(cell).mean, rel=1e-9
+    )
+    if law.mass_bounds()[0] >= 0.0:  # a cell that misses the mass integrates to nothing
+        assert law.expect(lambda x: x, SupportInterval(-20.0, -10.0))[0] == 0.0
+
+
+def test_atom_expect_is_an_exact_sum_that_refuses_a_non_finite_term():
+    d = Discrete([1.0, 2.0, 4.0], [0.5, 0.25, 0.25])
+    assert d.expect(lambda x: x * x) == (math.fsum([0.5, 1.0, 4.0]), 16.0 * 2.0**-52 * 5.5)
+    assert d.expect(np.log, SupportInterval(1.0, 4.0))[0] == 0.25 * math.log(2.0)
+    with pytest.raises(NumericError, match="mass point"):
+        Empirical([0.0, 1.0]).expect(lambda x: 1.0 / x)
+
+
+@pytest.mark.parametrize("law", [Normal(0.3, 1.7), Exponential(0.6), Uniform(1.0, 4.0)],
+                         ids=["normal", "exponential", "uniform"])
+def test_expect_over_the_support_is_the_quadrature_of_g_times_pdf(law):
+    # bit for bit: the oracle's full-law integrals keep their values and layout
+    def g(x):
+        return math.exp(0.3 * x)
+
+    direct = expectation(lambda x: g(x) * law.pdf(x), law.support, law.mean(),
+                         math.sqrt(law.variance()))
+    assert law.expect(g) == direct
+
+
+def test_power_transform_integrates_on_its_source_law():
+    # E[Y**k] of Y = X**4, X ~ Exponential(0.3), is (4k)!/0.3**(4k); the old
+    # change-of-variables density refused this law's variance
+    y = transform_power(Exponential(0.3), 4.0)
+    assert y.mean() == pytest.approx(math.factorial(4) / 0.3**4, rel=1e-12)
+    assert y.variance() == pytest.approx(
+        math.factorial(8) / 0.3**8 - (math.factorial(4) / 0.3**4) ** 2, rel=1e-10
+    )
+    # a cell of Y is the cell of X that x -> x**r maps onto it, ends swapped for r < 0
+    inv = transform_power(Uniform(1.0, 4.0), -2.0)
+    x_cell = SupportInterval(0.5**-0.5, 2.0)
+    assert inv.interval_prob(SupportInterval(0.25, 0.5)) == Uniform(1.0, 4.0).interval_prob(x_cell)
+    assert inv.interval_prob(SupportInterval(-3.0, 0.0)) == 0.0
+    assert inv.support == SupportInterval(4.0**-2, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +372,7 @@ def test_transform_power_empirical_mean_matches_direct_sum(r, xs):
 def test_transform_power_continuous_matches_closed_form():
     # Y = X**2 for X ~ uniform(1, 2): E[Y] = (2**3 - 1) / 3, E[Y**2] = (2**5 - 1) / 5
     y = transform_power(Uniform(1.0, 2.0), 2.0)
-    assert isinstance(y, CustomPdf)
+    assert isinstance(y, PowerTransform)
     ey = (2.0**3 - 1.0) / 3.0
     ey2 = (2.0**5 - 1.0) / 5.0
     assert y.mean() == pytest.approx(ey, rel=1e-8)
@@ -329,9 +384,24 @@ def test_transform_power_continuous_matches_closed_form():
     assert inv.support.lower == pytest.approx(0.01) and inv.support.upper == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize("a", [100.0, 900.0, 2500.0])
+def test_power_transform_tail_cell_keeps_its_digits(a):
+    # Y = X**2, X ~ Exponential(1): Y > a is X > s = sqrt(a), of mass e**-s, and
+    # X - s is again Exponential(1), so E[Y | Y > a] = s**2 + 2s + 2 and
+    # E[Y**2 | Y > a] = s**4 + 4s**3 + 12s**2 + 24s + 24.  The change-of-variables
+    # density missed the mean at a = 900 by 3% and the variance by 31%.
+    s = math.sqrt(a)
+    m2 = s**2 + 2 * s + 2
+    var = s**4 + 4 * s**3 + 12 * s**2 + 24 * s + 24 - m2**2
+    ts = transform_power(Exponential(1.0), 2.0).truncated_stats(SupportInterval(a, math.inf))
+    assert ts.prob == pytest.approx(math.exp(-s), rel=1e-12)
+    assert ts.mean == pytest.approx(m2, rel=1e-12)
+    assert ts.variance == pytest.approx(var, rel=1e-10)
+
+
 def test_power_transform_quantile_and_draws_come_from_the_source_law():
     y = transform_power(Exponential(1.0), 2.0)
-    assert isinstance(y, CustomPdf)
+    assert isinstance(y, PowerTransform)
     assert abs(y.quantile(0.3) - math.log(0.7) ** 2) <= 1e-12
     # a negative exponent reverses the order of the levels
     inv = transform_power(Uniform(1.0, 4.0), -0.5)
@@ -539,3 +609,23 @@ def test_normal_right_tail_cell_mirrors_left_tail():
     assert right.mean == pytest.approx(-left.mean, rel=1e-12)
     assert right.variance == pytest.approx(left.variance, rel=1e-12)
     assert interval_prob(d, SupportInterval(9.0, 10.0)) > 0.0
+
+
+@pytest.mark.parametrize("a", [9.0, 20.0, 37.0])
+def test_far_normal_tail_moments_match_mpmath(a):
+    # the closed-form variance 1 + (a phi(a) - b phi(b))/Z - shift**2 cancels
+    # terms of size a**2; the Mills-ratio continued fraction does not
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        x = mpmath.mpf(a)
+        lam = mpmath.npdf(x) / mpmath.ncdf(-x)
+        mean_ref, var_ref = float(lam), float(1 + x * lam - lam * lam)
+    d = Normal(0.0, 1.0)
+    right = truncated_stats(d, SupportInterval(a, math.inf))
+    left = truncated_stats(d, SupportInterval(-math.inf, -a))
+    for ts, sign in ((right, 1.0), (left, -1.0)):
+        assert abs(ts.mean - sign * mean_ref) <= 1e-12 * mean_ref
+        assert abs(ts.variance - var_ref) <= 1e-12 * var_ref
+    scaled = truncated_stats(Normal(2.0, 3.0), SupportInterval(2.0 + 3.0 * a, math.inf))
+    assert scaled.mean == pytest.approx(2.0 + 3.0 * mean_ref, rel=1e-12)
+    assert scaled.variance == pytest.approx(9.0 * var_ref, rel=1e-12)

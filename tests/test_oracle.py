@@ -161,19 +161,52 @@ def test_conditional_full_support_matches_full_gap():
     assert cond.value == pytest.approx(full.value, abs=1e-7)
 
 
+def _right_normal_cell_gap(z: float) -> float:
+    """Closed form of E[e^X | X > z] - e^{E[X | X > z]} for a standard normal X."""
+    from scipy.stats import norm
+
+    eta = 1.0 - norm.cdf(z)
+    e_phi = math.exp(0.5) * (1.0 - norm.cdf(z - 1.0)) / eta
+    return e_phi - math.exp(norm.pdf(z) / eta)
+
+
 def test_conditional_gap_right_normal_cell_exceeds_its_lower_bound():
     # cell (0.431, inf): published per-cell h infimum 1.209, variance 0.280
     f, d = exp_scaled(1.0), Normal(0.0, 1.0)
     est = estimate_conditional_gap(f, d, SupportInterval(0.431, math.inf))
     assert est.value >= 1.209 * 0.280 - 2e-3
-    # closed form: E[e^X | X > z] - e^{mu_cell}
-    z = 0.431
-    from scipy.stats import norm
+    assert est.value == pytest.approx(_right_normal_cell_gap(0.431), abs=1e-7)
 
-    eta = 1.0 - norm.cdf(z)
-    e_phi = math.exp(0.5) * (1.0 - norm.cdf(z - 1.0)) / eta
-    mu_cell = norm.pdf(z) / eta
-    assert est.value == pytest.approx(e_phi - math.exp(mu_cell), abs=1e-7)
+
+@pytest.mark.parametrize("a", [5.0, 7.0, 9.0])
+def test_conditional_gap_on_a_far_normal_tail_keeps_a_tight_bound(a):
+    # the cell's mass is 3e-7 to 1e-19: integrating g / p keeps QUADPACK's absolute
+    # tolerance at the scale of E[X**2 | X > a], about a**2; integrating g alone
+    # left error bounds of 6e-5 at a = 5 and 0.08 at a = 7
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        lam = mpmath.npdf(a) / mpmath.ncdf(-a)
+        var = float(1 + a * lam - lam * lam)
+    est = estimate_conditional_gap(quadratic(1.0), Normal(0.0, 1.0), SupportInterval(a, math.inf))
+    assert est.error_bound < 1e-7 * a * a
+    assert abs(est.value - var) <= 3.0 * est.error_bound + 1e-14
+
+
+def test_conditional_monte_carlo_keeps_the_draws_in_the_cell():
+    cell = SupportInterval(0.431, math.inf)
+    est = estimate_conditional_gap(exp_scaled(1.0), Normal(0.0, 1.0), cell, method="mc", seed=3)
+    assert est.method is OracleMethod.MONTE_CARLO
+    # about a third of the million draws of X land in the cell
+    assert 320_000 < est.mc_samples < 346_000
+    assert abs(est.value - _right_normal_cell_gap(0.431)) <= est.error_bound
+
+
+def test_conditional_monte_carlo_needs_two_draws_in_the_cell():
+    with pytest.raises(ParameterError, match="2 draws"):
+        estimate_conditional_gap(
+            exp_scaled(1.0), Normal(0.0, 1.0), SupportInterval(6.0, math.inf),
+            budget=1000, method="mc",
+        )
 
 
 def test_conditional_neglog_uniform_cell_matches_antiderivative():
