@@ -36,12 +36,8 @@ from .distributions import (
     Uniform,
     empirical_from_file,
     equal_probability_cuts,
-    interval_prob,
     load_samples,
-    mean,
     transform_power,
-    truncated_stats,
-    variance,
 )
 from .errors import (
     DomainError,
@@ -56,7 +52,6 @@ from .functions import (
     FunctionSpec,
     Shape,
     SupportInterval,
-    classify_phi_prime_shape,
     exp_scaled,
     make_catalog_function,
     neg_log,
@@ -113,7 +108,6 @@ __all__ = [
     "Uniform",
     "build_partition",
     "cell_h_extrema",
-    "classify_phi_prime_shape",
     "curvature_bounds",
     "empirical_from_file",
     "equal_probability_cuts",
@@ -124,11 +118,9 @@ __all__ = [
     "h_endpoint_limit",
     "h_eval",
     "h_extrema",
-    "interval_prob",
     "jensen_bounds",
     "load_samples",
     "make_catalog_function",
-    "mean",
     "neg_log",
     "partition_bounds",
     "positivity_certificate",
@@ -138,6 +130,4 @@ __all__ = [
     "sample_bounds",
     "switch_radius",
     "transform_power",
-    "truncated_stats",
-    "variance",
 ]

@@ -73,7 +73,7 @@ class CliParseError(JensenSharpError, ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully parsed invocation; formatting it back reproduces the parse."""
+    """A fully parsed invocation."""
 
     command: str
     phi: str | None = None
@@ -85,25 +85,6 @@ class RunConfig:
     oracle: str | None = None
     output_format: str = "text"
     seed: int = DEFAULT_SEED
-
-    def to_argv(self) -> list[str]:
-        argv = [self.command]
-        if self.phi is not None:
-            argv += ["--phi", self.phi]
-        if self.dist is not None:
-            argv += ["--dist", self.dist]
-        if self.cells is not None:
-            argv += ["--cells", str(self.cells)]
-        if self.cuts is not None:
-            argv += ["--cuts", ",".join(repr(c) for c in self.cuts)]
-        if self.r is not None:
-            argv += ["--r", repr(self.r)]
-        if self.s is not None:
-            argv += ["--s", repr(self.s)]
-        if self.oracle is not None:
-            argv += ["--oracle", self.oracle]
-        argv += ["--format", self.output_format, "--seed", str(self.seed)]
-        return argv
 
 
 # ---------------------------------------------------------------------------

@@ -38,14 +38,11 @@ __all__ = [
     "Discrete",
     "CustomPdf",
     "TruncatedStats",
-    "mean",
-    "variance",
-    "interval_prob",
-    "truncated_stats",
     "equal_probability_cuts",
     "transform_power",
     "PowerTransform",
     "load_samples",
+    "empirical_from_file",
 ]
 
 _EPS = float(np.finfo(float).eps)
@@ -223,7 +220,7 @@ class DistributionSpec:
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        raise NotImplementedError
+        raise ParameterError(f"{self!r} has no exact sampler; use the quadrature oracle")
 
     def mass_bounds(self) -> tuple[float, float, bool, bool]:
         """(lo, hi, lo_attained, hi_attained) of the mass-carrying range.
@@ -599,7 +596,6 @@ class CustomPdf(DistributionSpec):
         m, v = _moments_by(integrate, norm)
         object.__setattr__(self, "_mean", m)
         object.__setattr__(self, "_variance", v)
-        object.__setattr__(self, "_cdf_grid", None)
 
     def __repr__(self) -> str:
         return f"CustomPdf({self.label!r}, support={self.support_interval})"
@@ -632,24 +628,6 @@ class CustomPdf(DistributionSpec):
         from scipy.optimize import brentq
 
         return float(brentq(lambda x: self._cdf(x) - q, lo, hi, xtol=1e-12, rtol=1e-12))
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Inverse-CDF sampling off a cached dense grid (fallback-grade)."""
-        grid = getattr(self, "_cdf_grid")
-        if grid is None:
-            sup = self.support_interval
-            sd = self._scale()
-            a = sup.lower if math.isfinite(sup.lower) else self._mean - 40.0 * sd
-            b = sup.upper if math.isfinite(sup.upper) else self._mean + 40.0 * sd
-            xs = np.linspace(a, b, 65537)
-            ys = np.array([float(self.pdf(x)) for x in xs])
-            cdf = np.concatenate([[0.0], np.cumsum(0.5 * (ys[1:] + ys[:-1]) * np.diff(xs))])
-            cdf /= cdf[-1]
-            grid = (xs, cdf)
-            object.__setattr__(self, "_cdf_grid", grid)
-        xs, cdf = grid
-        u = rng.uniform(0.0, 1.0, n)
-        return np.interp(u, cdf, xs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -726,22 +704,6 @@ def _check_mass_in_domain(f: FunctionSpec, d: DistributionSpec, cell=None) -> No
             f"support [{lo}, {hi}] of {d!r} is not inside the natural domain "
             f"{dom} of {f.label}"
         )
-
-
-def mean(d: DistributionSpec) -> float:
-    return d.mean()
-
-
-def variance(d: DistributionSpec) -> float:
-    return d.variance()
-
-
-def interval_prob(d: DistributionSpec, cell: SupportInterval) -> float:
-    return d.interval_prob(cell)
-
-
-def truncated_stats(d: DistributionSpec, cell: SupportInterval) -> TruncatedStats:
-    return d.truncated_stats(cell)
 
 
 def equal_probability_cuts(d: DistributionSpec, m: int) -> list[float]:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .errors import NumericError, ParameterError
+from .errors import NumericError
+
+__all__ = ["ext_mul", "ext_sum", "encode"]
 
 INF = math.inf
 
@@ -45,14 +47,3 @@ def encode(x: float) -> float | str:
         return "-inf"
     return float(x)
 
-
-def decode(v: float | str) -> float:
-    """Inverse of :func:`encode`; also accepts the text forms 'inf'/'-inf'."""
-    if isinstance(v, str):
-        s = v.strip().lower()
-        if s == "inf" or s == "+inf":
-            return INF
-        if s == "-inf":
-            return -INF
-        raise ParameterError(f"not an extended real: {v!r}")
-    return float(v)

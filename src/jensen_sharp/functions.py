@@ -29,7 +29,6 @@ __all__ = [
     "neg_log",
     "quadratic",
     "make_catalog_function",
-    "classify_phi_prime_shape",
 ]
 
 
@@ -301,70 +300,3 @@ def _no_extras(kind: str, params: dict) -> None:
     if params:
         raise ParameterError(f"unexpected parameter(s) for {kind!r}: {sorted(params)}")
 
-
-def classify_phi_prime_shape(
-    f: FunctionSpec,
-    probe_grid_size: int = 32,
-    window: SupportInterval | tuple[float, float] | None = None,
-) -> Shape:
-    """Advisory midpoint-convexity test of phi' over a finite probe window.
-
-    The bounds engine never consults it, and a finite window proves no shape:
-    tagging a custom phi from its answer can make the endpoint path unsound.
-    Every pair of probes is tested: convexity demands ``phi'((u+v)/2) <=
-    (phi'(u)+phi'(v))/2`` up to a slack of 1e-9 max(1, |phi'|), concavity the
-    mirror; a linear phi' passes both and counts as convex.  With no window the
-    domain gives one: itself if bounded, 16 units from its one finite end, or (-8, 8).
-    """
-    probe_grid_size = int(probe_grid_size)
-    if probe_grid_size < 8:
-        raise ParameterError(f"probe_grid_size must be >= 8, got {probe_grid_size}")
-    lo, hi = _probe_window(f.natural_domain, window)
-    # interior probes only, so open endpoints and singular edges stay untouched
-    xs = np.linspace(lo, hi, probe_grid_size + 2)[1:-1]
-    d1 = np.array([finite_value(f.deriv1, x, "phi'") for x in xs])
-    scale = max(1.0, float(np.max(np.abs(d1))))
-    slack = 1e-9 * scale
-    convex = concave = True
-    n = len(xs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            mid = finite_value(f.deriv1, 0.5 * (xs[i] + xs[j]), "phi'")
-            chord = 0.5 * (d1[i] + d1[j])
-            if mid > chord + slack:
-                convex = False
-            if mid < chord - slack:
-                concave = False
-        if not (convex or concave):
-            break
-    if convex:
-        return Shape.CONVEX
-    if concave:
-        return Shape.CONCAVE
-    return Shape.UNKNOWN
-
-
-def _probe_window(
-    domain: SupportInterval,
-    window: SupportInterval | tuple[float, float] | None,
-) -> tuple[float, float]:
-    if window is not None:
-        if isinstance(window, SupportInterval):
-            lo, hi = window.lower, window.upper
-        else:
-            lo, hi = float(window[0]), float(window[1])
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ParameterError(f"probe window must be finite with lo < hi, got ({lo}, {hi})")
-        if lo < domain.lower or hi > domain.upper:
-            raise ParameterError(
-                f"probe window ({lo}, {hi}) is not inside the natural domain {domain}"
-            )
-        return lo, hi
-    a, b = domain.lower, domain.upper
-    if math.isfinite(a) and math.isfinite(b):
-        return a, b
-    if math.isfinite(a):
-        return a, a + 16.0
-    if math.isfinite(b):
-        return b - 16.0, b
-    return -8.0, 8.0

@@ -5,9 +5,10 @@ by the first integral, so code that never integrates does not load scipy.
 When the direct pass is not trusted, the integral is re-accumulated over a
 core window and one walk of geometric windows toward each endpoint (doubling
 reach toward an infinite end, halving gaps toward a finite one).  A walk
-converges once its increments fall below tolerance.  Toward an infinite end,
+converges once its increments fall below tolerance; at a finite end the
+remainder of its contracting series is added.  Toward an infinite end,
 GROWTH_RUN + 1 same-signed increments that never shrink call it divergent, and
-at either end so does a window whose integral overflows past HUGE.
+so does a window, at either end or in the core, whose integral overflows past HUGE.
 A walk that stops any other way (at an untrusted window, or with no windows
 left) gets one verdict: geometrically contracting increments converge, with
 the series remainder added and charged to the error; a same-signed run that
@@ -65,14 +66,21 @@ def _trend_sign(increments: list[float]) -> int:
     return signs.pop() if len(signs) == 1 else 0
 
 
+def _remainder(total: float, err: float, increments: list[float]) -> tuple[float, float] | None:
+    """(sum, error) with the geometric series' remainder added and charged to the error,
+    or None when the last two increments do not contract."""
+    before, last = increments[-2:] if len(increments) >= 2 else (0.0, 0.0)
+    ratio = last / before if before != 0.0 else 1.0
+    if abs(ratio) > CONTRACTION:
+        return None
+    rest = last * ratio / (1.0 - ratio)
+    return total + rest, err + max(2.0 * abs(last), abs(rest))
+
+
 def _verdict(total: float, err: float, increments: list[float]) -> tuple[float, float, int]:
     """(partial_sum, error, diverged_sign) of a walk that stopped unsettled."""
-    if len(increments) >= 2 and increments[-2] != 0.0:
-        last = increments[-1]
-        ratio = last / increments[-2]
-        if abs(ratio) <= CONTRACTION:
-            rest = last * ratio / (1.0 - ratio)
-            return total + rest, err + max(2.0 * abs(last), abs(rest)), 0
+    if settled := _remainder(total, err, increments):
+        return *settled, 0
     sign = _trend_sign(increments)
     if sign:
         return total, err, sign
@@ -110,7 +118,8 @@ def _walk(
         if abs(v) <= tol:
             small_run += 1
             if small_run >= 2:
-                return total, err + abs(v), 0
+                settled = not infinite_end and _remainder(total, err, increments)
+                return (*settled, 0) if settled else (total, err + abs(v), 0)
         else:
             small_run = 0
         if abs(total) > HUGE:
@@ -177,12 +186,11 @@ def expectation(
     core_hi = b - off if math.isfinite(hi) else b
 
     total, err, ok = _quad(fn, core_lo, core_hi)
-    if not ok:
-        raise NumericError(
-            f"quadrature failed on the interior window [{core_lo}, {core_hi}]"
-        )
+    # the core overflows as a walk's window does, and both walks still run
+    diverged = int(math.copysign(1.0, total)) if abs(total) > HUGE else 0
+    if not (ok or diverged):
+        raise NumericError(f"quadrature failed on the interior window [{core_lo}, {core_hi}]")
 
-    diverged = 0
     for side, end, origin in ((-1, lo, a), (1, hi, b)):
         infinite_end = math.isinf(end)
         step = 8.0 * scale if infinite_end else off

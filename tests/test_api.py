@@ -1,18 +1,56 @@
-"""The public surface: every exported name resolves and the signatures stay put.
+"""The public surface: the exported names and the signatures stay put.
 
-A change to a pinned signature is a change to the public API; it must come
+A change to a pinned name or signature is a change to the public API; it must come
 with the README, the tests and CHANGES.md updated in the same change.
 """
 
 import dataclasses
 import inspect
+import math
 
 import pytest
 
 import jensen_sharp
-from jensen_sharp import bounds, oracle, partition, quadrature
+from jensen_sharp import (
+    NumericError,
+    bounds,
+    cli,
+    distributions,
+    extreal,
+    functions,
+    oracle,
+    partition,
+    quadrature,
+)
+
+PINNED_EXPORTS = [
+    "BoundMethod", "CustomPdf", "DEFAULT_MC_BUDGET", "DEFAULT_SEED", "Discrete",
+    "DistributionSpec", "DomainError", "Empirical", "EmptyCellError", "EvaluationError",
+    "Exponential", "FunctionSpec", "GapBounds", "GapEstimate", "HEvaluation", "HMethod",
+    "JensenSharpError", "LimitUndeterminedError", "Normal", "NumericError", "OracleMethod",
+    "ParameterError", "PartitionPlan", "PowerMeanBounds", "PowerTransform", "Shape",
+    "SupportInterval", "TruncatedStats", "Uniform", "build_partition", "cell_h_extrema",
+    "curvature_bounds", "empirical_from_file", "equal_probability_cuts",
+    "estimate_conditional_gap", "estimate_gap", "exp_scaled", "generalized_mean_bounds",
+    "h_endpoint_limit", "h_eval", "h_extrema", "jensen_bounds", "load_samples",
+    "make_catalog_function", "neg_log", "partition_bounds", "positivity_certificate", "power",
+    "power_mean_bounds", "quadratic", "sample_bounds", "switch_radius", "transform_power",
+]
 
 PINNED_SIGNATURES = {
+    "functions.exp_scaled": "(t: 'float') -> 'FunctionSpec'",
+    "functions.power": "(p: 'float') -> 'FunctionSpec'",
+    "functions.neg_log": "() -> 'FunctionSpec'",
+    "functions.quadratic": "(a: 'float', b: 'float' = 0.0, c: 'float' = 0.0) -> 'FunctionSpec'",
+    "functions.make_catalog_function": "(kind: 'str', **params: 'float') -> 'FunctionSpec'",
+    "distributions.equal_probability_cuts": (
+        "(d: 'DistributionSpec', m: 'int') -> 'list[float]'"
+    ),
+    "distributions.transform_power": (
+        "(d: 'DistributionSpec', r: 'float') -> 'DistributionSpec'"
+    ),
+    "distributions.load_samples": "(path: 'str | Path') -> 'list[float]'",
+    "distributions.empirical_from_file": "(path: 'str | Path') -> 'Empirical'",
     "bounds.h_eval": "(f: 'FunctionSpec', nu: 'float', x: 'float') -> 'HEvaluation'",
     "bounds.h_endpoint_limit": "(f: 'FunctionSpec', nu: 'float', endpoint: 'float') -> 'float'",
     "bounds.h_extrema": (
@@ -54,6 +92,13 @@ PINNED_SIGNATURES = {
         "(integrand: 'Callable[[float], float]', support: 'SupportInterval',"
         " anchor: 'float', scale: 'float') -> 'tuple[float, float]'"
     ),
+    "cli.parse_args": "(argv: 'list[str] | None' = None) -> 'RunConfig'",
+    "cli.run": "(config: 'RunConfig') -> 'tuple[int, dict]'",
+    "cli.paper_report": "() -> 'dict'",
+    "cli.main": "(argv: 'list[str] | None' = None) -> 'int'",
+    "extreal.ext_mul": "(a: 'float', b: 'float') -> 'float'",
+    "extreal.ext_sum": "(terms: 'Iterable[float]') -> 'float'",
+    "extreal.encode": "(x: 'float') -> 'float | str'",
 }
 
 PINNED_FIELDS = {
@@ -73,7 +118,7 @@ EXPECT_SIGNATURE = (
 
 def _public_functions() -> dict[str, object]:
     found = {}
-    for mod in (bounds, partition, oracle, quadrature):
+    for mod in (functions, distributions, bounds, partition, oracle, quadrature, cli, extreal):
         short = mod.__name__.rsplit(".", 1)[1]
         for name in mod.__all__:
             obj = getattr(mod, name)
@@ -86,6 +131,10 @@ def test_every_exported_name_resolves():
     for name in jensen_sharp.__all__:
         assert getattr(jensen_sharp, name) is not None, name
     assert len(set(jensen_sharp.__all__)) == len(jensen_sharp.__all__)
+
+
+def test_package_exports_are_exactly_the_pinned_ones():
+    assert sorted(jensen_sharp.__all__) == PINNED_EXPORTS
 
 
 def test_public_functions_are_exactly_the_pinned_ones():
@@ -112,3 +161,12 @@ def test_every_law_takes_the_same_expect_arguments(cls):
     params = inspect.signature(getattr(jensen_sharp, cls).expect).parameters
     assert list(params) == ["self", "g", "cell"]
     assert params["cell"].default is None
+
+
+def test_encode_passes_finite_values_and_spells_out_infinities():
+    assert extreal.encode(-2.5) == -2.5
+    assert extreal.encode(0.0) == 0.0
+    assert extreal.encode(math.inf) == "inf"
+    assert extreal.encode(-math.inf) == "-inf"
+    with pytest.raises(NumericError):
+        extreal.encode(math.nan)

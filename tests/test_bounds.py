@@ -42,7 +42,7 @@ from jensen_sharp import (
     switch_radius,
 )
 from jensen_sharp.bounds import BoundMethod
-from jensen_sharp.extreal import decode, encode, ext_mul, ext_sum
+from jensen_sharp.extreal import ext_mul, ext_sum
 from jensen_sharp.functions import FunctionSpec
 from _support import assert_brackets, ext_close, population_stats
 
@@ -557,15 +557,3 @@ def test_ext_mul_and_sum_conventions():
     with pytest.raises(NumericError):
         ext_sum([math.inf, -math.inf])
 
-
-@given(st.floats(allow_nan=False, allow_infinity=True, width=64))
-@settings(max_examples=200, deadline=None)
-def test_encode_decode_roundtrip(x):
-    assert decode(encode(x)) == x or (x != x)
-
-
-def test_decode_text_forms():
-    assert decode("inf") == math.inf
-    assert decode("-inf") == -math.inf
-    with pytest.raises(ParameterError):
-        decode("wide")

@@ -14,6 +14,7 @@ import jensen_sharp
 from jensen_sharp import NumericError
 from jensen_sharp.cli import (
     CliParseError,
+    RunConfig,
     main,
     paper_report,
     parse_args,
@@ -95,18 +96,21 @@ def test_parse_oracle_text():
         parse_oracle_text("quad:n=5", 42)
 
 
-def test_config_roundtrip():
-    argvs = [
-        ["bound", "--phi", "exp:t=0.5", "--dist", "exp:rate=1", "--oracle", "quad"],
-        ["partition", "--phi", "exp:t=1", "--dist", "normal:mu=0,sigma=1", "--cells", "3"],
-        ["partition", "--phi", "neglog", "--dist", "uniform:lo=1,hi=9", "--cuts", "2.5,5.0"],
-        ["power-mean", "--dist", "uniform:lo=10,hi=100", "--r", "1", "--s", "-1"],
-        ["paper", "--format", "json"],
+def test_parse_args_builds_the_config(monkeypatch):
+    monkeypatch.delenv("JENSEN_SHARP_SEED", raising=False)
+    cases = [
+        (["bound", "--phi", "exp:t=0.5", "--dist", "exp:rate=1", "--oracle", "quad"],
+         RunConfig("bound", phi="exp:t=0.5", dist="exp:rate=1", oracle="quad")),
+        (["partition", "--phi", "exp:t=1", "--dist", "normal:mu=0,sigma=1", "--cells", "3"],
+         RunConfig("partition", phi="exp:t=1", dist="normal:mu=0,sigma=1", cells=3)),
+        (["partition", "--phi", "neglog", "--dist", "uniform:lo=1,hi=9", "--cuts", "2.5,5.0"],
+         RunConfig("partition", phi="neglog", dist="uniform:lo=1,hi=9", cuts=(2.5, 5.0))),
+        (["power-mean", "--dist", "uniform:lo=10,hi=100", "--r", "1", "--s", "-1"],
+         RunConfig("power-mean", dist="uniform:lo=10,hi=100", r=1.0, s=-1.0)),
+        (["paper", "--format", "json"], RunConfig("paper", output_format="json")),
     ]
-    for argv in argvs:
-        cfg = parse_args(argv)
-        again = parse_args(cfg.to_argv())
-        assert again == cfg
+    for argv, expected in cases:
+        assert parse_args(argv) == expected
 
 
 def test_env_seed_override(monkeypatch):

@@ -23,12 +23,11 @@ from jensen_sharp import (
     TruncatedStats,
     Uniform,
     equal_probability_cuts,
-    interval_prob,
+    estimate_conditional_gap,
+    estimate_gap,
     load_samples,
-    mean,
+    quadratic,
     transform_power,
-    truncated_stats,
-    variance,
 )
 from jensen_sharp import distributions
 from jensen_sharp.distributions import _ndtr, _ndtri
@@ -42,17 +41,17 @@ from _support import population_stats
 
 
 def test_means():
-    assert mean(Exponential(1.0)) == 1.0
-    assert mean(Uniform(10.0, 100.0)) == 55.0
-    assert mean(Empirical([1.0, 2.0, 3.0])) == 2.0
-    assert mean(Normal(-1.5, 2.0)) == -1.5
+    assert Exponential(1.0).mean() == 1.0
+    assert Uniform(10.0, 100.0).mean() == 55.0
+    assert Empirical([1.0, 2.0, 3.0]).mean() == 2.0
+    assert Normal(-1.5, 2.0).mean() == -1.5
 
 
 def test_variances():
-    assert variance(Exponential(1.0)) == 1.0
-    assert variance(Empirical([1.0, 2.0, 3.0])) == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert variance(Normal(0.0, 1.0)) == 1.0
-    assert variance(Uniform(0.0, 1.0)) == pytest.approx(1.0 / 12.0, rel=1e-15)
+    assert Exponential(1.0).variance() == 1.0
+    assert Empirical([1.0, 2.0, 3.0]).variance() == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert Normal(0.0, 1.0).variance() == 1.0
+    assert Uniform(0.0, 1.0).variance() == pytest.approx(1.0 / 12.0, rel=1e-15)
 
 
 def test_law_parameter_validation():
@@ -75,11 +74,11 @@ def test_law_parameter_validation():
 
 def test_interval_prob_examples():
     tail = SupportInterval(-math.inf, -0.431)
-    assert interval_prob(Normal(0.0, 1.0), tail) == pytest.approx(1.0 / 3.0, abs=1e-3)
+    assert Normal(0.0, 1.0).interval_prob(tail) == pytest.approx(1.0 / 3.0, abs=1e-3)
     half = SupportInterval(0.0, 0.5, lower_closed=True)
-    assert interval_prob(Uniform(0.0, 1.0), half) == 0.5
+    assert Uniform(0.0, 1.0).interval_prob(half) == 0.5
     cell = SupportInterval(1.0, 3.0, lower_closed=True)
-    assert interval_prob(Empirical([1.0, 2.0, 3.0, 4.0]), cell) == 0.5
+    assert Empirical([1.0, 2.0, 3.0, 4.0]).interval_prob(cell) == 0.5
 
 
 def test_empirical_interval_prob_honours_flags():
@@ -97,16 +96,16 @@ def test_empirical_interval_prob_honours_flags():
 
 def test_truncated_normal_reference_cells():
     d = Normal(0.0, 1.0)
-    ts = truncated_stats(d, SupportInterval(0.431, math.inf))
+    ts = d.truncated_stats(SupportInterval(0.431, math.inf))
     assert ts.mean == pytest.approx(1.091, abs=1e-3)
     assert ts.variance == pytest.approx(0.280, abs=1e-3)
-    mid = truncated_stats(d, SupportInterval(-0.431, 0.431))
+    mid = d.truncated_stats(SupportInterval(-0.431, 0.431))
     assert mid.mean == pytest.approx(0.0, abs=1e-3)
     assert mid.variance == pytest.approx(0.060, abs=1e-3)
 
 
 def test_truncated_uniform_half_cell():
-    ts = truncated_stats(Uniform(0.0, 1.0), SupportInterval(0.0, 0.5, lower_closed=True))
+    ts = Uniform(0.0, 1.0).truncated_stats(SupportInterval(0.0, 0.5, lower_closed=True))
     assert ts.mean == pytest.approx(0.25, rel=1e-14)
     assert ts.variance == pytest.approx(1.0 / 48.0, rel=1e-14)
 
@@ -119,12 +118,12 @@ def test_truncated_exponential_against_quadrature_oracle():
     z, _ = quad(lambda x: 0.7 * math.exp(-0.7 * x), 0.5, 2.5, epsabs=1e-13)
     m, _ = quad(lambda x: x * 0.7 * math.exp(-0.7 * x), 0.5, 2.5, epsabs=1e-13)
     m2, _ = quad(lambda x: x * x * 0.7 * math.exp(-0.7 * x), 0.5, 2.5, epsabs=1e-13)
-    ts = truncated_stats(d, cell)
+    ts = d.truncated_stats(cell)
     assert ts.prob == pytest.approx(z, rel=1e-10)
     assert ts.mean == pytest.approx(m / z, rel=1e-10)
     assert ts.variance == pytest.approx(m2 / z - (m / z) ** 2, rel=1e-8)
     # unbounded cell: memorylessness
-    up = truncated_stats(d, SupportInterval(1.3, math.inf))
+    up = d.truncated_stats(SupportInterval(1.3, math.inf))
     assert up.mean == pytest.approx(1.3 + 1.0 / 0.7, rel=1e-14)
     assert up.variance == pytest.approx(1.0 / 0.49, rel=1e-14)
 
@@ -140,9 +139,9 @@ def test_truncated_full_support_recovers_moments():
 
 def test_truncated_empty_cell_raises():
     with pytest.raises(EmptyCellError):
-        truncated_stats(Uniform(0.0, 1.0), SupportInterval(2.0, 3.0))
+        Uniform(0.0, 1.0).truncated_stats(SupportInterval(2.0, 3.0))
     with pytest.raises(EmptyCellError):
-        truncated_stats(Empirical([1.0, 2.0]), SupportInterval(5.0, 6.0))
+        Empirical([1.0, 2.0]).truncated_stats(SupportInterval(5.0, 6.0))
 
 
 def test_truncated_stats_type_guards():
@@ -484,11 +483,24 @@ def test_custom_pdf_rejects_unnormalised_density():
         CustomPdf(pdf=lambda x: 2.0, support_interval=SupportInterval(0.0, 1.0))
 
 
-def test_custom_pdf_sampling_roughly_matches_law():
-    d = CustomPdf(pdf=lambda x: 0.5, support_interval=SupportInterval(0.0, 2.0))
-    xs = d.sample(np.random.default_rng(7), 4000)
-    assert xs.min() >= 0.0 and xs.max() <= 2.0
-    assert float(np.mean(xs)) == pytest.approx(1.0, abs=0.05)
+def test_custom_pdf_monte_carlo_is_refused():
+    # 0.999 Exp(1) + 0.001 Exp(0.001): a sampler on a grid 40 sd wide gave its
+    # variance as 465 +- 81; the quadrature oracle has it right
+    d = CustomPdf(
+        pdf=lambda x: 0.999 * math.exp(-x) + 1e-6 * math.exp(-1e-3 * x),
+        support_interval=SupportInterval(0.0, math.inf),
+    )
+    f, cell = quadratic(1.0), SupportInterval(0.0, 1.0)
+    refused = [
+        lambda: estimate_gap(f, d, budget=100, method="mc"),
+        lambda: estimate_conditional_gap(f, d, cell, budget=100, method="mc"),
+        lambda: estimate_gap(f, transform_power(d, 0.5), budget=100, method="mc"),
+    ]
+    for call in refused:
+        with pytest.raises(ParameterError, match="no exact sampler"):
+            call()
+    est = estimate_gap(f, d, method="quad")
+    assert abs(est.value - 1998.001999) <= 3.0 * est.error_bound, (est.value, est.error_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -595,20 +607,20 @@ def test_ndtri_edge_values():
 def test_subnormal_normal_cell_mass_counts_as_empty():
     d = Normal(0.0, 1.0)
     for cell in (SupportInterval(-math.inf, -38.0), SupportInterval(38.0, math.inf)):
-        assert interval_prob(d, cell) == 0.0
+        assert d.interval_prob(cell) == 0.0
         with pytest.raises(EmptyCellError):
-            truncated_stats(d, cell)
+            d.truncated_stats(cell)
 
 
 def test_normal_right_tail_cell_mirrors_left_tail():
     d = Normal(0.0, 1.0)
-    right = truncated_stats(d, SupportInterval(9.0, math.inf))
-    left = truncated_stats(d, SupportInterval(-math.inf, -9.0))
+    right = d.truncated_stats(SupportInterval(9.0, math.inf))
+    left = d.truncated_stats(SupportInterval(-math.inf, -9.0))
     assert right.prob == pytest.approx(0.5 * math.erfc(9.0 / math.sqrt(2.0)), rel=1e-12)
     assert right.prob == pytest.approx(left.prob, rel=1e-12)
     assert right.mean == pytest.approx(-left.mean, rel=1e-12)
     assert right.variance == pytest.approx(left.variance, rel=1e-12)
-    assert interval_prob(d, SupportInterval(9.0, 10.0)) > 0.0
+    assert d.interval_prob(SupportInterval(9.0, 10.0)) > 0.0
 
 
 @pytest.mark.parametrize("a", [9.0, 20.0, 37.0])
@@ -621,11 +633,11 @@ def test_far_normal_tail_moments_match_mpmath(a):
         lam = mpmath.npdf(x) / mpmath.ncdf(-x)
         mean_ref, var_ref = float(lam), float(1 + x * lam - lam * lam)
     d = Normal(0.0, 1.0)
-    right = truncated_stats(d, SupportInterval(a, math.inf))
-    left = truncated_stats(d, SupportInterval(-math.inf, -a))
+    right = d.truncated_stats(SupportInterval(a, math.inf))
+    left = d.truncated_stats(SupportInterval(-math.inf, -a))
     for ts, sign in ((right, 1.0), (left, -1.0)):
         assert abs(ts.mean - sign * mean_ref) <= 1e-12 * mean_ref
         assert abs(ts.variance - var_ref) <= 1e-12 * var_ref
-    scaled = truncated_stats(Normal(2.0, 3.0), SupportInterval(2.0 + 3.0 * a, math.inf))
+    scaled = Normal(2.0, 3.0).truncated_stats(SupportInterval(2.0 + 3.0 * a, math.inf))
     assert scaled.mean == pytest.approx(2.0 + 3.0 * mean_ref, rel=1e-12)
     assert scaled.variance == pytest.approx(9.0 * var_ref, rel=1e-12)

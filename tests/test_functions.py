@@ -1,4 +1,4 @@
-"""Function catalog: derivatives, shape tags, hints, and classification."""
+"""Function catalog: derivatives, shape tags, and hints."""
 
 import math
 
@@ -8,12 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jensen_sharp import (
-    EvaluationError,
     Exponential,
     ParameterError,
     Shape,
     SupportInterval,
-    classify_phi_prime_shape,
     exp_scaled,
     h_endpoint_limit,
     make_catalog_function,
@@ -22,7 +20,7 @@ from jensen_sharp import (
     power_mean_bounds,
     quadratic,
 )
-from jensen_sharp.functions import FunctionSpec, _probe_window
+from jensen_sharp.functions import FunctionSpec
 
 EPS_CBRT = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -61,12 +59,24 @@ def test_derivatives_match_finite_differences(f, window):
         assert abs(fd2 - d2) <= 1e-5 * max(1.0, abs(d2)), f"phi'' off at x={x} for {f.label}"
 
 
+def assert_tag_matches_deriv2(f, window):
+    """phi' is convex exactly when phi'' is nondecreasing: check the tag on 32 interior
+    points of the window."""
+    xs = np.linspace(window[0], window[1], 34)[1:-1]
+    steps = np.diff([float(f.deriv2(x)) for x in xs])
+    if f.phi_prime_shape is Shape.CONVEX:
+        assert np.all(steps >= 0.0), f.label
+    else:
+        assert f.phi_prime_shape is Shape.CONCAVE
+        assert np.all(steps <= 0.0), f.label
+
+
 @pytest.mark.parametrize("t", T_GRID)
 def test_exp_shape_tag_and_classification_agree(t):
     f = exp_scaled(t)
     expected = Shape.CONVEX if t > 0 else Shape.CONCAVE
     assert f.phi_prime_shape is expected
-    assert classify_phi_prime_shape(f, 32) is expected
+    assert_tag_matches_deriv2(f, (-8.0, 8.0))
 
 
 @pytest.mark.parametrize(
@@ -84,44 +94,14 @@ def test_exp_shape_tag_and_classification_agree(t):
 def test_power_shape_tag_and_classification_agree(p, expected):
     f = power(p)
     assert f.phi_prime_shape is expected
-    assert classify_phi_prime_shape(f, 32) is expected
+    assert_tag_matches_deriv2(f, (0.0, 16.0))
 
 
 def test_neglog_and_quadratic_classification():
-    assert classify_phi_prime_shape(neg_log(), 32, window=(0.1, 10.0)) is Shape.CONCAVE
-    assert classify_phi_prime_shape(quadratic(2.0, -1.0, 5.0), 32) is Shape.CONVEX
-
-
-def test_classify_examples():
-    assert classify_phi_prime_shape(exp_scaled(0.5), 32, window=(-5.0, 5.0)) is Shape.CONVEX
-    # phi with phi'(x) = sin(x): neither convex nor concave over (0, 6)
-    wavy = FunctionSpec(
-        func=lambda x: -np.cos(x),
-        deriv1=lambda x: np.sin(x),
-        deriv2=lambda x: np.cos(x),
-        natural_domain=SupportInterval(-math.inf, math.inf),
-        label="wavy",
-    )
-    assert classify_phi_prime_shape(wavy, 32, window=(0.0, 6.0)) is Shape.UNKNOWN
-
-
-def test_classify_rejects_small_grid_and_bad_window():
-    with pytest.raises(ParameterError):
-        classify_phi_prime_shape(exp_scaled(1.0), 7)
-    with pytest.raises(ParameterError):
-        classify_phi_prime_shape(power(2.0), 16, window=(-1.0, 1.0))
-
-
-def test_classify_raises_on_nonfinite_phi_prime():
-    bad = FunctionSpec(
-        func=lambda x: x,
-        deriv1=lambda x: 1.0 / (x - 1.0),
-        deriv2=lambda x: -1.0 / (x - 1.0) ** 2,
-        natural_domain=SupportInterval(-math.inf, math.inf),
-        label="pole",
-    )
-    with pytest.raises(EvaluationError):
-        classify_phi_prime_shape(bad, 16, window=(0.0, 2.0))
+    assert neg_log().phi_prime_shape is Shape.CONCAVE
+    assert_tag_matches_deriv2(neg_log(), window=(0.1, 10.0))
+    assert quadratic(2.0, -1.0, 5.0).phi_prime_shape is Shape.CONVEX
+    assert_tag_matches_deriv2(quadratic(2.0, -1.0, 5.0), (-8.0, 8.0))
 
 
 def test_exp_scaled_values_and_hint():
@@ -230,10 +210,3 @@ def test_contains_respects_ordering(lo, width, x):
         assert iv.lower <= x <= iv.upper
     else:
         assert x < iv.lower or x > iv.upper or math.isnan(x)
-
-
-def test_default_probe_window_derivation():
-    assert _probe_window(SupportInterval(2.0, 9.0), None) == (2.0, 9.0)
-    assert _probe_window(SupportInterval(0.0, math.inf), None) == (0.0, 16.0)
-    assert _probe_window(SupportInterval(-math.inf, 3.0), None) == (-13.0, 3.0)
-    assert _probe_window(SupportInterval(-math.inf, math.inf), None) == (-8.0, 8.0)

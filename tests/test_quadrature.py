@@ -14,8 +14,10 @@ import pytest
 from jensen_sharp import (
     CustomPdf,
     Exponential,
+    Normal,
     NumericError,
     SupportInterval,
+    estimate_conditional_gap,
     estimate_gap,
     exp_scaled,
     neg_log,
@@ -71,15 +73,44 @@ def test_mgf_of_a_squared_exponential_diverges():
     assert est.value == math.inf
 
 
-@pytest.mark.parametrize(
-    "t, rate, r", [(0.5, 0.3, 2.0), (0.5, 1.0, 2.0), (1.0, 3.0, 4.0), (2.0, 3.0, 2.0)]
-)
+MGF_POWER_CASES = [(0.5, 0.3, 2.0), (0.5, 1.0, 2.0), (1.0, 3.0, 4.0), (2.0, 3.0, 2.0)]
+MGF_POWER_CASES += [
+    (t, rate, r) for t in (0.5, 1.0, 2.0) for rate in (0.3, 1.0) for r in (2.0, 4.0)
+    if (t, rate, r) not in MGF_POWER_CASES
+]
+
+
+@pytest.mark.parametrize("t, rate, r", MGF_POWER_CASES)
 def test_mgf_of_an_exponential_power_diverges(t, rate, r):
     # E[exp(t X**r)] = inf for r > 1: exp(t x**r) overflows two windows past the
-    # core, and a window whose integral overflows diverges as a HUGE total does
+    # core, or already inside it, and a window whose integral overflows, the core
+    # included, diverges as a HUGE total does
     est = estimate_gap(exp_scaled(t), transform_power(Exponential(rate), r), method="quad")
     assert est.value == math.inf
     assert est.error_bound == 0.0
+
+
+def _normal_tail_mgf_gap(mpmath, a: float) -> float:
+    """E[e**X | X > a] - e**E[X | X > a] for a standard normal X."""
+    with mpmath.workdps(40):
+        tail = mpmath.ncdf(-a)
+        return float(mpmath.e**0.5 * mpmath.ncdf(1 - a) / tail - mpmath.e ** (mpmath.npdf(a) / tail))
+
+
+def test_a_converged_finite_end_walk_adds_its_series_remainder():
+    # halving windows toward a finite end shrink by about 1/2 each, so the walk's
+    # last two small increments leave about one more behind; without it each
+    # value missed its closed form by one whole error bound
+    mpmath = pytest.importorskip("mpmath")
+    cases = [
+        (estimate_conditional_gap(exp_scaled(1.0), Normal(0.0, 1.0), SupportInterval(a, math.inf)),
+         _normal_tail_mgf_gap(mpmath, a))
+        for a in (3.0, 5.0, 7.0)
+    ]
+    cases.append((estimate_gap(exp_scaled(0.5), Exponential(1.0), method="quad"),
+                  2.0 - math.sqrt(math.e)))
+    for est, truth in cases:
+        assert abs(est.value - truth) <= 0.1 * est.error_bound, (est.value, est.error_bound, truth)
 
 
 def test_half_cauchy_law_is_refused_for_its_divergent_mean():
