@@ -26,7 +26,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -57,7 +57,7 @@ from .errors import (
     ParameterError,
 )
 from .extreal import encode
-from .functions import FunctionSpec, make_catalog_function, power
+from .functions import FunctionSpec, _build_named, make_catalog_function, power
 from .oracle import DEFAULT_MC_BUDGET, DEFAULT_SEED, GapEstimate, estimate_gap
 from .partition import build_partition, partition_bounds
 
@@ -140,22 +140,23 @@ def parse_distribution_text(text: str) -> DistributionSpec:
     if name == "file":
         if not sep or not body:
             raise CliParseError(f"bad distribution spec {text!r}: file needs a path")
-        return empirical_from_file(body)
+        try:
+            return empirical_from_file(body)
+        except (OSError, UnicodeError) as exc:
+            raise CliParseError(f"bad distribution spec {text!r}: {exc}") from exc
+    law = _LAWS.get(name)
+    if law is None:
+        raise CliParseError(
+            f"unknown distribution {name!r}; expected normal, exp, uniform, or file"
+        )
     params = _parse_kv(body, "distribution") if sep else {}
     try:
-        if name == "normal":
-            return Normal(mu=params.pop("mu"), sigma=params.pop("sigma"))
-        if name == "exp":
-            return Exponential(rate=params.pop("rate"))
-        if name == "uniform":
-            return Uniform(lo=params.pop("lo"), hi=params.pop("hi"))
-    except KeyError as exc:
-        raise CliParseError(f"bad distribution spec {text!r}: missing parameter {exc}") from exc
+        return _build_named(law, name, params)
     except ParameterError as exc:
         raise CliParseError(f"bad distribution spec {text!r}: {exc}") from exc
-    raise CliParseError(
-        f"unknown distribution {name!r}; expected normal, exp, uniform, or file"
-    )
+
+
+_LAWS = {"normal": Normal, "exp": Exponential, "uniform": Uniform}
 
 
 def parse_oracle_text(text: str, default_seed: int) -> tuple[str, int, int]:
@@ -211,13 +212,15 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, phi: bool = True, oracle: bool = True) -> None:
+    def output_format(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--format", dest="output_format", choices=("text", "json"), default="text")
+
+    def common(p: argparse.ArgumentParser, phi: bool = True) -> None:
         if phi:
             p.add_argument("--phi", required=True, help="function spec, e.g. exp:t=0.5")
         p.add_argument("--dist", required=True, help="distribution spec, e.g. exp:rate=1")
-        if oracle:
-            p.add_argument("--oracle", default=None, help="oracle spec: quad | exact | auto | mc:n=..,seed=..")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--oracle", default=None, help="oracle spec: quad | exact | auto | mc:n=..,seed=..")
+        output_format(p)
         p.add_argument("--seed", type=int, default=None)
 
     common(sub.add_parser("bound", help="gap bounds over the full support"))
@@ -234,27 +237,19 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
     p_pm.add_argument("--r", type=str, required=True)
     p_pm.add_argument("--s", type=str, required=True)
 
-    p_or = sub.add_parser("oracle", help="ground-truth gap estimate only")
-    common(p_or)
+    common(sub.add_parser("oracle", help="ground-truth gap estimate only"))
+    output_format(sub.add_parser("paper", help="regression report against published reference values"))
 
-    p_paper = sub.add_parser("paper", help="regression report against published reference values")
-    p_paper.add_argument("--format", choices=("text", "json"), default="text")
-    p_paper.add_argument("--seed", type=int, default=None)  # accepted for uniformity; unused
-
-    ns = parser.parse_args(argv)
-    seed = _default_seed() if ns.seed is None else _whole_number(ns.seed, "--seed")
-    return RunConfig(
-        command=ns.command,
-        phi=getattr(ns, "phi", None),
-        dist=getattr(ns, "dist", None),
-        cells=getattr(ns, "cells", None),
-        cuts=_parse_cuts(ns.cuts) if getattr(ns, "cuts", None) else None,
-        r=_parse_number(ns.r) if getattr(ns, "r", None) is not None else None,
-        s=_parse_number(ns.s) if getattr(ns, "s", None) is not None else None,
-        oracle=getattr(ns, "oracle", None),
-        output_format=ns.format,
-        seed=seed,
-    )
+    fields = vars(parser.parse_args(argv))
+    if fields.get("cuts") is not None:
+        fields["cuts"] = _parse_cuts(fields["cuts"])
+    for key in ("r", "s"):
+        if key in fields:
+            fields[key] = _parse_number(fields[key])
+    if "seed" in fields:
+        seed = fields["seed"]
+        fields["seed"] = _default_seed() if seed is None else _whole_number(seed, "--seed")
+    return RunConfig(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -269,52 +264,37 @@ def _bracket_check(est: GapEstimate, lower: float, upper: float) -> dict:
     return {"pass": bool(lo_ok and hi_ok), "lower_ok": bool(lo_ok), "upper_ok": bool(hi_ok)}
 
 
-def _maybe_oracle(
-    config: RunConfig, f: FunctionSpec, d: DistributionSpec, gb: GapBounds
-) -> tuple[dict | None, dict | None]:
-    if config.oracle is None:
-        return None, None
+def _estimate(config: RunConfig, f: FunctionSpec, d: DistributionSpec) -> GapEstimate:
     method, budget, seed = parse_oracle_text(config.oracle, config.seed)
-    est = estimate_gap(f, d, budget=budget, method=method, seed=seed)
-    return est.to_json_dict(), _bracket_check(est, gb.lower, gb.upper)
+    return estimate_gap(f, d, budget=budget, method=method, seed=seed)
 
 
-def _run_bound(config: RunConfig) -> dict:
-    f = parse_function_text(config.phi)
-    d = parse_distribution_text(config.dist)
-    gb = jensen_bounds(f, d)
-    oracle_dict, bracket = _maybe_oracle(config, f, d, gb)
+def _bounds_blocks(config: RunConfig, f: FunctionSpec, d: DistributionSpec, gb: GapBounds) -> dict:
+    """The bounds, with the oracle and its bracket when an oracle is asked for."""
+    est = _estimate(config, f, d) if config.oracle is not None else None
     return {
-        "command": "bound",
-        "inputs": {"phi": config.phi, "dist": config.dist, "oracle": config.oracle, "seed": config.seed},
         "bounds": gb.to_json_dict(),
-        "oracle": oracle_dict,
-        "bracket": bracket,
+        "oracle": est.to_json_dict() if est is not None else None,
+        "bracket": _bracket_check(est, gb.lower, gb.upper) if est is not None else None,
     }
 
 
-def _run_sample_bound(config: RunConfig) -> dict:
-    f = parse_function_text(config.phi)
-    d = parse_distribution_text(config.dist)
+def _run_bound(config: RunConfig, f: FunctionSpec, d: DistributionSpec) -> dict:
+    return _bounds_blocks(config, f, d, jensen_bounds(f, d))
+
+
+def _run_sample_bound(config: RunConfig, f: FunctionSpec, d: DistributionSpec) -> dict:
     if not isinstance(d, Empirical):
         raise CliParseError(
             f"sample-bound needs a sample file distribution (file:PATH), got {config.dist!r}"
         )
-    gb = sample_bounds(f, d)
-    oracle_dict, bracket = _maybe_oracle(config, f, d, gb)
     return {
-        "command": "sample-bound",
-        "inputs": {"phi": config.phi, "dist": config.dist, "oracle": config.oracle, "seed": config.seed},
         "sample": {"n": int(d.samples.size), "mean": d.mean(), "variance": d.variance()},
-        "bounds": gb.to_json_dict(),
-        "oracle": oracle_dict,
-        "bracket": bracket,
+        **_bounds_blocks(config, f, d, sample_bounds(f, d)),
     }
 
 
-def _run_partition(config: RunConfig) -> dict:
-    f = parse_function_text(config.phi)
-    d = parse_distribution_text(config.dist)
+def _run_partition(config: RunConfig, f: FunctionSpec, d: DistributionSpec) -> dict:
     if config.cells is not None:
         cuts = equal_probability_cuts(d, config.cells)
     else:
@@ -335,79 +315,56 @@ def _run_partition(config: RunConfig) -> dict:
                 "sup_h": encode(sup_ev.value),
             }
         )
-    oracle_dict, bracket = _maybe_oracle(config, f, d, gb)
-    return {
-        "command": "partition",
-        "inputs": {
-            "phi": config.phi,
-            "dist": config.dist,
-            "cells": config.cells,
-            "cuts": list(config.cuts) if config.cuts else None,
-            "oracle": config.oracle,
-            "seed": config.seed,
-        },
-        "cells": rows,
-        "bounds": gb.to_json_dict(),
-        "oracle": oracle_dict,
-        "bracket": bracket,
-    }
+    return {"cells": rows, **_bounds_blocks(config, f, d, gb)}
 
 
-def _run_power_mean(config: RunConfig) -> dict:
-    d = parse_distribution_text(config.dist)
+def _run_power_mean(config: RunConfig, _: None, d: DistributionSpec) -> dict:
     pm = power_mean_bounds(d, config.r, config.s)
-    oracle_dict = bracket = oracle_moment = None
+    report = {"power_mean": pm.to_json_dict(), "oracle": None, "oracle_moment": None, "bracket": None}
     if config.oracle is not None:
-        method, budget, seed = parse_oracle_text(config.oracle, config.seed)
         # E[Y**p] = E[X**s] for Y = X**r, p = s/r, so the gap is taken on X's own law
-        est = estimate_gap(power(config.s), d, budget=budget, method=method, seed=seed)
-        oracle_dict = est.to_json_dict()
+        est = _estimate(config, power(config.s), d)
         base = d.mean() ** config.s
-        oracle_moment = base + est.value
-        bracket = _bracket_check(est, pm.moment_lower - base, pm.moment_upper - base)
-    return {
-        "command": "power-mean",
-        "inputs": {
-            "dist": config.dist,
-            "r": config.r,
-            "s": config.s,
-            "oracle": config.oracle,
-            "seed": config.seed,
-        },
-        "power_mean": pm.to_json_dict(),
-        "oracle": oracle_dict,
-        "oracle_moment": encode(oracle_moment) if oracle_moment is not None else None,
-        "bracket": bracket,
-    }
+        report["oracle"] = est.to_json_dict()
+        report["oracle_moment"] = encode(base + est.value)
+        report["bracket"] = _bracket_check(est, pm.moment_lower - base, pm.moment_upper - base)
+    return report
 
 
-def _run_oracle(config: RunConfig) -> dict:
-    f = parse_function_text(config.phi)
+def _run_oracle(config: RunConfig, f: FunctionSpec, d: DistributionSpec) -> dict:
+    return {"oracle": _estimate(config, f, d).to_json_dict()}
+
+
+# each command's handler and the inputs its report echoes, in the order the text report prints them
+_COMMANDS = {
+    "bound": (_run_bound, ("phi", "dist", "oracle", "seed")),
+    "sample-bound": (_run_sample_bound, ("phi", "dist", "oracle", "seed")),
+    "partition": (_run_partition, ("phi", "dist", "cells", "cuts", "oracle", "seed")),
+    "power-mean": (_run_power_mean, ("dist", "r", "s", "oracle", "seed")),
+    "oracle": (_run_oracle, ("phi", "dist", "oracle", "seed")),
+}
+
+
+def _report(config: RunConfig) -> dict:
+    if config.command == "paper":
+        return paper_report()
+    if config.command not in _COMMANDS:
+        raise CliParseError(f"unknown command {config.command!r}")
+    if config.command == "oracle" and config.oracle is None:
+        config = replace(config, oracle="auto")  # the oracle command always estimates
+    handler, keys = _COMMANDS[config.command]
+    f = parse_function_text(config.phi) if "phi" in keys else None
     d = parse_distribution_text(config.dist)
-    method, budget, seed = parse_oracle_text(config.oracle or "auto", config.seed)
-    est = estimate_gap(f, d, budget=budget, method=method, seed=seed)
-    return {
-        "command": "oracle",
-        "inputs": {"phi": config.phi, "dist": config.dist, "oracle": config.oracle or "auto", "seed": config.seed},
-        "oracle": est.to_json_dict(),
-    }
+    inputs = {key: getattr(config, key) for key in keys}
+    if inputs.get("cuts"):
+        inputs["cuts"] = list(inputs["cuts"])
+    return {"command": config.command, "inputs": inputs, **handler(config, f, d)}
 
 
 def run(config: RunConfig) -> tuple[int, dict]:
     """Execute a parsed invocation; returns (exit status, report dict)."""
-    handlers = {
-        "bound": _run_bound,
-        "sample-bound": _run_sample_bound,
-        "partition": _run_partition,
-        "power-mean": _run_power_mean,
-        "oracle": _run_oracle,
-        "paper": lambda cfg: paper_report(),
-    }
-    handler = handlers.get(config.command)
-    if handler is None:
-        return 2, {"command": config.command, "error": f"unknown command {config.command!r}"}
     try:
-        report = handler(config)
+        report = _report(config)
     except (CliParseError, *_USAGE_ERRORS) as exc:
         return 2, {"command": config.command, "error": str(exc)}
     except _NUMERIC_ERRORS as exc:

@@ -301,8 +301,12 @@ class Normal(DistributionSpec):
         return p if p >= sys.float_info.min else 0.0
 
     def truncated_stats(self, cell: SupportInterval) -> TruncatedStats:
-        z = self._require_prob(cell, self.interval_prob(cell))
         alpha, beta = self._standardize(cell)
+        # the closed form below cancels terms of size 1 + a**2 against a variance of about
+        # width**2/12: a bounded cell that is narrow or far out in a tail is integrated instead
+        if cell.bounded and (beta - alpha < 0.1 or alpha >= _FAR_TAIL or beta <= -_FAR_TAIL):
+            return super().truncated_stats(cell)
+        z = self._require_prob(cell, self.interval_prob(cell))
         # a one-sided tail from a: the closed form below cancels terms of size a**2
         a = alpha if beta == math.inf else -beta if alpha == -math.inf else 0.0
         if a >= _FAR_TAIL:

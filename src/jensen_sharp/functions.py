@@ -9,6 +9,7 @@ known in closed form, so the engine does not need to probe for them.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -269,34 +270,24 @@ def make_catalog_function(kind: str, **params: float) -> FunctionSpec:
       * ``quad``    with ``a`` and optional ``b``, ``c``
     """
     kind = kind.strip().lower()
-    if kind == "exp":
-        return exp_scaled(_take(params, "t"))
-    if kind == "power":
-        return power(_take(params, "p"))
-    if kind == "neglog":
-        _no_extras(kind, params)
-        return neg_log()
-    if kind == "quad":
-        a = _take(params, "a", consume_only=True)
-        b = params.pop("b", 0.0)
-        c = params.pop("c", 0.0)
-        _no_extras(kind, params)
-        return quadratic(a, b, c)
-    raise ParameterError(
-        f"unknown function kind {kind!r}; expected exp, power, neglog, or quad"
-    )
+    build = _CATALOG.get(kind)
+    if build is None:
+        raise ParameterError(
+            f"unknown function kind {kind!r}; expected exp, power, neglog, or quad"
+        )
+    return _build_named(build, kind, params)
 
 
-def _take(params: dict, key: str, consume_only: bool = False) -> float:
-    if key not in params:
-        raise ParameterError(f"missing required parameter {key!r}")
-    value = params.pop(key)
-    if not consume_only:
-        _no_extras(key, params)
-    return float(value)
+_CATALOG = {"exp": exp_scaled, "power": power, "neglog": neg_log, "quad": quadratic}
 
 
-def _no_extras(kind: str, params: dict) -> None:
-    if params:
-        raise ParameterError(f"unexpected parameter(s) for {kind!r}: {sorted(params)}")
-
+def _build_named(build: Callable, kind: str, params: dict):
+    """build(**params) once params names every required parameter of build and no other."""
+    accepted = inspect.signature(build).parameters
+    for key, param in accepted.items():
+        if param.default is param.empty and key not in params:
+            raise ParameterError(f"missing required parameter {key!r}")
+    extras = sorted(set(params) - set(accepted))
+    if extras:
+        raise ParameterError(f"unexpected parameter(s) for {kind!r}: {extras}")
+    return build(**params)

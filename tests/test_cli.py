@@ -54,6 +54,7 @@ def test_parse_function_texts():
         ("power", "p"),
         ("quad:a=1,a=2", "duplicate"),
         ("exp:t", "t"),
+        ("exp:t=1,x=2", r"for 'exp': \['x'\]"),
     ],
 )
 def test_parse_function_errors_name_the_bad_token(text, needle):
@@ -79,11 +80,31 @@ def test_parse_distribution_texts(tmp_path):
         ("normal:mu=0,sigma=-1", "sigma"),
         ("file:", "path"),
         ("uniform:lo=2,hi=1", "lo"),
+        ("normal:mu=0,sigma=1,foo=3", r"for 'normal': \['foo'\]"),
+        ("exp:rate=1,sigma=3", r"for 'exp': \['sigma'\]"),
+        ("uniform:lo=1,hi=2,sigma=9", r"for 'uniform': \['sigma'\]"),
     ],
 )
 def test_parse_distribution_errors(text, needle):
     with pytest.raises(CliParseError, match=needle):
         parse_distribution_text(text)
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+def test_unreadable_sample_file_is_a_usage_error(tmp_path, capsys, kind):
+    path = tmp_path / "xs.txt"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf8":
+        path.write_bytes(b"\xff\xfe1.0\n2.0\n")
+    argv = ["sample-bound", "--phi", "neglog", "--dist", f"file:{path}"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: bad distribution spec")
+    assert main(argv + ["--format", "json"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    validate_report(report)
+    assert report["error"].startswith("bad distribution spec")
 
 
 def test_parse_oracle_text():
@@ -301,6 +322,8 @@ def test_partition_rejects_bad_cuts():
     )
     assert status == 2
     assert "cut" in report["error"]
+    with pytest.raises(CliParseError, match="no cut points"):
+        parse_args(["partition", "--phi", "exp:t=1", "--dist", "uniform:lo=0,hi=1", "--cuts", ""])
 
 
 def test_power_mean_command(pinned_sample):
@@ -377,6 +400,13 @@ def test_oracle_command_mc_reproducible():
     assert a["oracle"]["method"] == "monte-carlo(n=5000,seed=3)"
 
 
+def test_oracle_command_defaults_to_auto():
+    status, report = run(parse_args(["oracle", "--phi", "neglog", "--dist", f"file:{_SAMPLE}"]))
+    assert status == 0
+    assert report["inputs"]["oracle"] == "auto"
+    assert report["oracle"]["method"] == "exact-sum"
+
+
 def test_paper_command_reports_known_discrepancy(capsys):
     status = main(["paper"])
     out = capsys.readouterr().out
@@ -392,11 +422,55 @@ def test_paper_command_json_schema():
     status, report = run(parse_args(["paper", "--format", "json"]))
     assert status == 1
     validate_report(report)
+    assert sorted(report) == ["command", "pass", "rows"]
     rows = report["rows"]
     assert sum(1 for r in rows if not r["pass"]) == 1
     [bad] = [r for r in rows if not r["pass"]]
     assert bad["reference"] == 0.409
     assert bad["computed"] == pytest.approx(0.40604, abs=1e-4)
+
+
+def test_paper_takes_no_seed(monkeypatch, capsys):
+    monkeypatch.setenv("JENSEN_SHARP_SEED", "abc")
+    assert main(["paper"]) == 1  # the 0.409 row, not the unused seed
+    assert "refined lower bound" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        parse_args(["paper", "--seed", "3"])
+    assert exc.value.code == 2
+
+
+_SAMPLE = Path(__file__).parent.parent / "src/jensen_sharp/data/uniform_10_100_seed42.txt"
+_BOUNDS_KEYS = ["bounds", "bracket", "command", "inputs", "oracle"]
+
+
+@pytest.mark.parametrize(
+    "argv,top_keys,input_keys",
+    [
+        (["bound", "--phi", "exp:t=0.5", "--dist", "exp:rate=1"],
+         _BOUNDS_KEYS, ["phi", "dist", "oracle", "seed"]),
+        (["sample-bound", "--phi", "neglog", "--dist", f"file:{_SAMPLE}"],
+         sorted(_BOUNDS_KEYS + ["sample"]), ["phi", "dist", "oracle", "seed"]),
+        (["partition", "--phi", "exp:t=1", "--dist", "normal:mu=0,sigma=1", "--cells", "2"],
+         sorted(_BOUNDS_KEYS + ["cells"]), ["phi", "dist", "cells", "cuts", "oracle", "seed"]),
+        (["partition", "--phi", "exp:t=1", "--dist", "normal:mu=0,sigma=1", "--cuts", "0"],
+         sorted(_BOUNDS_KEYS + ["cells"]), ["phi", "dist", "cells", "cuts", "oracle", "seed"]),
+        (["power-mean", "--dist", "uniform:lo=1,hi=3", "--r", "1", "--s", "2"],
+         ["bracket", "command", "inputs", "oracle", "oracle_moment", "power_mean"],
+         ["dist", "r", "s", "oracle", "seed"]),
+        (["oracle", "--phi", "exp:t=0.5", "--dist", "exp:rate=1"],
+         ["command", "inputs", "oracle"], ["phi", "dist", "oracle", "seed"]),
+    ],
+    ids=["bound", "sample-bound", "partition-cells", "partition-cuts", "power-mean", "oracle"],
+)
+def test_report_layout_is_pinned(argv, top_keys, input_keys):
+    status, report = run(parse_args(argv + ["--oracle", "mc:n=1000,seed=1"]))
+    assert status == 0
+    validate_report(report)
+    assert sorted(report) == top_keys
+    assert list(report["inputs"]) == input_keys
+    printed = [key for key in input_keys if report["inputs"][key] is not None]
+    lines = render(report, "text").splitlines()[1 : 1 + len(printed)]
+    assert [line.split(":")[0] for line in lines] == printed
 
 
 def test_numeric_errors_exit_three(monkeypatch):

@@ -641,3 +641,32 @@ def test_far_normal_tail_moments_match_mpmath(a):
     scaled = Normal(2.0, 3.0).truncated_stats(SupportInterval(2.0 + 3.0 * a, math.inf))
     assert scaled.mean == pytest.approx(2.0 + 3.0 * mean_ref, rel=1e-12)
     assert scaled.variance == pytest.approx(9.0 * var_ref, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "mu,sigma,lo,hi",
+    [
+        (0.0, 1.0, 1.0, 1.0001),
+        (0.0, 1.0, 0.5, 0.5001),
+        (0.0, 1.0, 9.0, 9.001),
+        (3.0, 2.0, 5.0, 5.0002),
+        (0.0, 1.0, 5.0, 5.01),
+        (0.0, 1.0, 12.0, 12.3),
+        (0.0, 1.0, 20.0, 20.5),
+        (0.0, 1.0, -9.001, -9.0),
+        (100.0, 0.5, 100.2, 100.2001),
+    ],
+)
+def test_narrow_or_far_bounded_normal_cell_moments_match_mpmath(mu, sigma, lo, hi):
+    # the closed form 1 + (alpha phi(alpha) - beta phi(beta))/Z - shift**2 cancels terms of
+    # size 1 + alpha**2 against a variance of about width**2/12; at 80 digits it does not
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(80):
+        alpha, beta = ((mpmath.mpf(x) - mpmath.mpf(mu)) / mpmath.mpf(sigma) for x in (lo, hi))
+        z = (mpmath.erfc(alpha / mpmath.sqrt(2)) - mpmath.erfc(beta / mpmath.sqrt(2))) / 2
+        shift = (mpmath.npdf(alpha) - mpmath.npdf(beta)) / z
+        v = 1 + (alpha * mpmath.npdf(alpha) - beta * mpmath.npdf(beta)) / z - shift * shift
+        mean_ref, var_ref = float(mu + sigma * shift), float(sigma**2 * v)
+    ts = Normal(mu, sigma).truncated_stats(SupportInterval(lo, hi))
+    assert abs(ts.mean - mean_ref) <= 1e-9 * abs(mean_ref)
+    assert abs(ts.variance - var_ref) <= 1e-9 * var_ref

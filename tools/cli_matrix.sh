@@ -1,0 +1,49 @@
+#!/bin/sh
+# Run a fixed matrix of CLI commands, each in text and in JSON, and print every
+# command with its output (stdout and stderr) and its exit status.  Diff the
+# output of two checkouts to show which bytes a change moves:
+#
+#     sh tools/cli_matrix.sh SAMPLE_FILE > after.txt
+#
+# SAMPLE_FILE is a sample file in the file:PATH grammar, one decimal per line
+# (src/jensen_sharp/data/uniform_10_100_seed42.txt is the pinned one).  The
+# package is run from the checkout that holds this script; PYTHON picks the
+# interpreter (default python3).  The last six commands are error cases.
+set -u
+if [ $# -ne 1 ]; then
+    echo "usage: sh tools/cli_matrix.sh SAMPLE_FILE" >&2
+    exit 2
+fi
+sample=$1
+root=$(cd "$(dirname "$0")/.." && pwd)
+
+run() {
+    for format in text json; do
+        echo "\$ jensen-sharp $* --format $format"
+        PYTHONPATH="$root/src" "${PYTHON:-python3}" -m jensen_sharp "$@" --format "$format" 2>&1
+        echo "exit: $?"
+        echo
+    done
+}
+
+run bound --phi exp:t=0.5 --dist exp:rate=1 --oracle quad
+run bound --phi neglog --dist exp:rate=1 --oracle quad
+run bound --phi power:p=3 --dist uniform:lo=1,hi=3 --oracle quad
+run bound --phi exp:t=1 --dist normal:mu=0,sigma=1
+run sample-bound --phi neglog --dist "file:$sample" --oracle exact
+run partition --phi exp:t=1 --dist normal:mu=0,sigma=1 --cells 3 --oracle quad
+run partition --phi neglog --dist exp:rate=1 --cells 4
+run partition --phi power:p=3 --dist uniform:lo=1,hi=3 --cuts 1.5,2.5 --oracle quad
+run partition --phi exp:t=1 --dist normal:mu=0,sigma=1 --cuts 1,1.0001
+run power-mean --dist "file:$sample" --r 1 --s -1 --oracle exact
+run power-mean --dist exp:rate=1 --r 2 --s 0.5 --oracle quad
+run power-mean --dist uniform:lo=1,hi=3 --r -1 --s 2 --oracle mc:n=10000,seed=1
+run oracle --phi exp:t=0.5 --dist exp:rate=1 --oracle mc:n=100000,seed=42
+run oracle --phi exp:t=2 --dist exp:rate=1 --oracle quad
+run paper
+run bound --phi exp:t=1,x=2 --dist exp:rate=1
+run bound --phi exp:t=1 --dist exp:rate=1,sigma=3
+run bound --phi exp:t=1 --dist normal:mu=0
+run sample-bound --phi neglog --dist "file:$sample.missing"
+run partition --phi exp:t=1 --dist uniform:lo=0,hi=1 --cuts 2.0
+run paper --seed 3
