@@ -57,7 +57,7 @@ from .errors import (
     ParameterError,
 )
 from .extreal import encode
-from .functions import FunctionSpec, _build_named, make_catalog_function, power
+from .functions import FunctionSpec, build_named, make_catalog_function, power
 from .oracle import DEFAULT_MC_BUDGET, DEFAULT_SEED, GapEstimate, estimate_gap
 from .partition import build_partition, partition_bounds
 
@@ -151,7 +151,7 @@ def parse_distribution_text(text: str) -> DistributionSpec:
         )
     params = _parse_kv(body, "distribution") if sep else {}
     try:
-        return _build_named(law, name, params)
+        return build_named(law, name, params)
     except ParameterError as exc:
         raise CliParseError(f"bad distribution spec {text!r}: {exc}") from exc
 

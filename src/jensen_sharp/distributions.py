@@ -47,13 +47,14 @@ __all__ = [
 
 _EPS = float(np.finfo(float).eps)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT2 = math.sqrt(2.0)
 _STD_NORMAL = statistics.NormalDist()
 _FAR_TAIL = 3.0  # a normal tail from here on takes 60 terms of the Mills-ratio continued fraction
 
 
 def _ndtr(z: float) -> float:
     """Standard normal CDF."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+    return 0.5 * math.erfc(-z / _SQRT2)
 
 
 def _ndtri(q: float) -> float:
@@ -295,16 +296,23 @@ class Normal(DistributionSpec):
         """
         alpha, beta = self._standardize(cell)
         if alpha >= 0.0:
-            p = 0.5 * (math.erfc(alpha / math.sqrt(2.0)) - math.erfc(beta / math.sqrt(2.0)))
+            p = 0.5 * (math.erfc(alpha / _SQRT2) - math.erfc(beta / _SQRT2))
         else:
             p = _ndtr(beta) - _ndtr(alpha)
         return p if p >= sys.float_info.min else 0.0
 
     def truncated_stats(self, cell: SupportInterval) -> TruncatedStats:
         alpha, beta = self._standardize(cell)
+        # an end whose tail carries under eps of the other end's tail is dropped: a wide cell on
+        # one side of the mean is a one-sided tail, and one left bounded spans under 8.5 sd
+        if alpha >= 0.0 and math.erfc(beta / _SQRT2) < _EPS * math.erfc(alpha / _SQRT2):
+            beta = math.inf
+        elif beta <= 0.0 and math.erfc(-alpha / _SQRT2) < _EPS * math.erfc(-beta / _SQRT2):
+            alpha = -math.inf
         # the closed form below cancels terms of size 1 + a**2 against a variance of about
         # width**2/12: a bounded cell that is narrow or far out in a tail is integrated instead
-        if cell.bounded and (beta - alpha < 0.1 or alpha >= _FAR_TAIL or beta <= -_FAR_TAIL):
+        bounded = math.isfinite(alpha) and math.isfinite(beta)
+        if bounded and (beta - alpha < 0.1 or alpha >= _FAR_TAIL or beta <= -_FAR_TAIL):
             return super().truncated_stats(cell)
         z = self._require_prob(cell, self.interval_prob(cell))
         # a one-sided tail from a: the closed form below cancels terms of size a**2

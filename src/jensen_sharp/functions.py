@@ -275,13 +275,13 @@ def make_catalog_function(kind: str, **params: float) -> FunctionSpec:
         raise ParameterError(
             f"unknown function kind {kind!r}; expected exp, power, neglog, or quad"
         )
-    return _build_named(build, kind, params)
+    return build_named(build, kind, params)
 
 
 _CATALOG = {"exp": exp_scaled, "power": power, "neglog": neg_log, "quad": quadratic}
 
 
-def _build_named(build: Callable, kind: str, params: dict):
+def build_named(build: Callable, kind: str, params: dict):
     """build(**params) once params names every required parameter of build and no other."""
     accepted = inspect.signature(build).parameters
     for key, param in accepted.items():

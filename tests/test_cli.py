@@ -549,8 +549,12 @@ def test_import_leaves_scipy_unloaded():
         ),
         (["oracle", "--phi", "exp:t=0.5", "--dist", "exp:rate=1", "--oracle", "mc:n=1000,seed=1"], False),
         (["bound", "--phi", "exp:t=0.5", "--dist", "exp:rate=1", "--oracle", "quad"], True),
+        # interior cells of an equal-probability normal partition are narrower than 0.1 sd,
+        # and integrated, from about 25 cells on
+        (["partition", "--phi", "exp:t=1", "--dist", "normal:mu=0,sigma=1", "--cells", "16"], False),
+        (["partition", "--phi", "exp:t=1", "--dist", "normal:mu=0,sigma=1", "--cells", "50"], True),
     ],
-    ids=["bound", "sample-bound-exact", "oracle-mc", "bound-quad"],
+    ids=["bound", "sample-bound-exact", "oracle-mc", "bound-quad", "partition-16", "partition-50"],
 )
 def test_scipy_loads_only_for_quadrature(argv, loads_scipy):
     assert _fresh_python(_RUN_MAIN, *argv) == ["0", str(loads_scipy)]

@@ -655,6 +655,10 @@ def test_far_normal_tail_moments_match_mpmath(a):
         (0.0, 1.0, 20.0, 20.5),
         (0.0, 1.0, -9.001, -9.0),
         (100.0, 0.5, 100.2, 100.2001),
+        (0.0, 1.0, 3.0, 9.0),
+        (0.0, 1.0, 4.0, 1e4),
+        (0.0, 1.0, 4.0, 1e6),
+        (0.0, 1.0, -1e4, -4.0),
     ],
 )
 def test_narrow_or_far_bounded_normal_cell_moments_match_mpmath(mu, sigma, lo, hi):
