@@ -13,22 +13,27 @@ with the extrema taken over the support of X and mu = E[X].  When phi' is
 convex, h and phi''/2 are nondecreasing, so their extrema sit at the support
 endpoints (mirrored for concave phi'); otherwise a grid scan refined by
 golden-section search locates them.  Endpoint extrema may be genuine limits
-(possibly infinite); evaluation, probing and hint lookup are layered accordingly.
+(possibly infinite).
 
 Numerical policy:
 
-* h switches to its Taylor value phi''(nu)/2 within a radius of
-  eps**(1/3) * max(1, |nu|) of nu, balancing truncation against the
-  catastrophic cancellation of the direct formula.
+* Within a radius of eps**(1/4) * max(1, |nu|) of nu, h switches from the
+  direct formula to the second-order rule (2 phi''(nu) + phi''(x)) / 6 for
+  h = int_0^1 (1 - s) phi''(nu + s (x - nu)) ds (phi''(nu)/2 at x = nu).
+  At that radius the rule's truncation and the direct formula's
+  cancellation both fall near 1e-8.
 * The scan grid has 480-512 points (geometric toward finite endpoints,
   log-spaced into infinite tails).  Golden-section refinement starts at the
   grid's best point and at any point no worse than both neighbours and
   better than one of them by more than the evaluation noise (mirrored for
   maxima), so the ties of a flat h start no search.
-* Endpoint limits are probed along geometric sequences: convergence is
-  declared when successive values agree to 1e-8 of their magnitude,
-  divergence when values exceed 1e12 or keep drifting monotonically after
-  the probe budget; oscillation raises LimitUndeterminedError.
+* Every end of h and of phi''/2 is read one way: the closed-form hint when
+  it gives a value, else the value at a finite end inside phi's domain,
+  else a probe along a geometric sequence from nu (or the anchor).  A probe
+  converges when successive values agree to 1e-8 of their magnitude and
+  diverges when values exceed 1e12; a run that stops without either, at a
+  failed evaluation or at the end of its budget, diverges if it kept
+  drifting one way and raises LimitUndeterminedError if not.
 * All products with variances use the 0 * inf = 0 convention, so a
   degenerate law yields the exact bounds [0, 0].
 """
@@ -67,12 +72,11 @@ __all__ = [
     "curvature_bounds",
     "power_mean_bounds",
     "generalized_mean_bounds",
-    "EPS_CBRT",
     "switch_radius",
 ]
 
 _EPS = float(np.finfo(float).eps)
-EPS_CBRT = _EPS ** (1.0 / 3.0)
+SWITCH_RTOL = _EPS**0.25
 DIVERGENCE_CUTOFF = 1e12
 LIMIT_RTOL = 1e-8
 LIMIT_PROBES = 60
@@ -166,12 +170,12 @@ class GapBounds:
 
 
 def switch_radius(nu: float) -> float:
-    """|x - nu| below which h is evaluated by its Taylor value."""
-    return EPS_CBRT * max(1.0, abs(nu))
+    """|x - nu| below which h is evaluated by its second-order rule."""
+    return SWITCH_RTOL * max(1.0, abs(nu))
 
 
 def h_eval(f: FunctionSpec, nu: float, x: float) -> HEvaluation:
-    """Evaluate h(x; nu), switching to phi''(nu)/2 near the removable singularity."""
+    """Evaluate h(x; nu), switching to its second-order rule near the removable singularity."""
     dom = f.natural_domain
     if not dom.contains(x):
         raise DomainError(f"x={x} is outside the natural domain {dom} of {f.label}")
@@ -203,12 +207,7 @@ def _probe_limit(value_fn: Callable[[float], float], endpoint: float, ref: float
     for x in probes:
         v = value_fn(x)
         if math.isnan(v):
-            sign = _monotone_sign(vals)
-            if sign:
-                return math.copysign(math.inf, sign)
-            raise LimitUndeterminedError(
-                f"evaluation broke down near endpoint {endpoint} with no trend to follow"
-            )
+            break
         if math.isinf(v) or abs(v) > DIVERGENCE_CUTOFF:
             return math.copysign(math.inf, v)
         vals.append(v)
@@ -220,8 +219,8 @@ def _probe_limit(value_fn: Callable[[float], float], endpoint: float, ref: float
     if sign:
         return math.copysign(math.inf, sign)
     raise LimitUndeterminedError(
-        f"no monotone trend over {LIMIT_PROBES} probes toward endpoint {endpoint}; "
-        "the limit is undetermined"
+        f"{len(vals)} probes toward endpoint {endpoint} neither settled nor kept "
+        "one trend; the limit is undetermined"
     )
 
 
@@ -243,7 +242,7 @@ def h_endpoint_limit(f: FunctionSpec, nu: float, endpoint: float) -> float:
     Resolution order: catalog hint, direct evaluation (finite endpoints inside
     the natural domain), then geometric probing with divergence detection.
     """
-    return _h_objective(f, float(nu)).limit(float(endpoint))
+    return _endpoint(_h_objective(f, float(nu)), float(endpoint), False).value
 
 
 # ---------------------------------------------------------------------------
@@ -256,40 +255,32 @@ class _Objective:
     """A scalar field to be minimised/maximised over an interval."""
 
     value: Callable[[float], float]  # tolerant: NaN on failure
-    limit: Callable[[float], float]  # endpoint limit; may raise
     domain: SupportInterval  # where value() may be called
+    anchor: float  # where endpoint probes start
+    hint: Callable[[float, float], float | None] | None = None  # (endpoint, anchor) -> value
     noise: Callable[[float], float] | None = None  # evaluation-noise bound at x
 
 
 def _h_objective(f: FunctionSpec, nu: float) -> _Objective:
-    """The one evaluator of h(.; nu): phi(nu), phi'(nu), phi''(nu)/2 are taken once.
+    """The one evaluator of h(.; nu): phi(nu), phi'(nu), phi''(nu) are taken once.
 
-    ``value`` costs one guarded phi call.  It takes Python floats, whose
-    arithmetic overflows to inf without a numpy warning.
+    ``value`` costs one guarded call of phi (of phi'' within the switch
+    radius).  It takes Python floats, whose arithmetic overflows to inf
+    without a numpy warning.
     """
     nu = float(nu)
     phi_nu = guarded(f.func, nu)
     d1_nu = guarded(f.deriv1, nu)
-    half_d2_nu = 0.5 * guarded(f.deriv2, nu)
+    d2_nu = guarded(f.deriv2, nu)
     radius = switch_radius(nu)
 
     def value(x: float) -> float:
         dx = x - nu
+        if dx == 0.0:
+            return 0.5 * d2_nu
         if abs(dx) <= radius:
-            return half_d2_nu
+            return (2.0 * d2_nu + guarded(f.deriv2, x)) / 6.0
         return (guarded(f.func, x) - phi_nu) / (dx * dx) - d1_nu / dx
-
-    def limit(e: float) -> float:
-        if f.h_limit_hint is not None:
-            hinted = f.h_limit_hint(e, nu)
-            if hinted is not None:
-                return float(hinted)
-        if math.isfinite(e) and f.natural_domain.contains(e):
-            v = value(e)
-            if math.isnan(v):
-                raise EvaluationError(f"h is not evaluable at endpoint {e} for {f.label}")
-            return v
-        return _probe_limit(value, e, nu)
 
     def noise(x: float) -> float:
         # rounding of phi is amplified by 1/dx^2 in the direct formula
@@ -299,34 +290,30 @@ def _h_objective(f: FunctionSpec, nu: float) -> _Objective:
             phi_x = 0.0
         return 8.0 * _EPS * (phi_x + abs(phi_nu)) / (dx * dx) + 4.0 * _EPS * abs(d1_nu) / dx
 
-    return _Objective(value=value, limit=limit, domain=f.natural_domain, noise=noise)
+    return _Objective(value, f.natural_domain, nu, hint=f.h_limit_hint, noise=noise)
 
 
 def _curvature_objective(f: FunctionSpec, anchor: float) -> _Objective:
     """phi''/2; an endpoint outside the domain is probed from the anchor, as h probes from nu."""
-
-    def value(x: float) -> float:
-        return 0.5 * guarded(f.deriv2, x)
-
-    def limit(e: float) -> float:
-        return _probe_limit(value, e, anchor)
-
-    return _Objective(value=value, limit=limit, domain=f.natural_domain)
+    return _Objective(lambda x: 0.5 * guarded(f.deriv2, x), f.natural_domain, anchor)
 
 
-def _endpoint_evaluation(obj: _Objective, interval: SupportInterval, side: str) -> HEvaluation:
-    if side == "lower":
-        e, closed = interval.lower, interval.lower_closed
-    else:
-        e, closed = interval.upper, interval.upper_closed
-    if math.isfinite(e) and obj.domain.contains(e):
+def _endpoint(obj: _Objective, e: float, closed: bool) -> HEvaluation:
+    """The objective at an end: its hint, else its value there, else its probed limit.
+
+    A finite value hinted or taken at a closed end inside the domain is
+    attained there (DIRECT); every other end is a limit.
+    """
+    v = obj.hint(e, obj.anchor) if obj.hint is not None else None
+    inside = obj.domain.contains(e)
+    if v is None and inside:
         v = obj.value(e)
         if math.isnan(v):
             raise EvaluationError(f"objective is not evaluable at endpoint {e}")
-        if math.isinf(v):
-            return HEvaluation(v, e, HMethod.ENDPOINT_LIMIT)
-        return HEvaluation(v, e, HMethod.DIRECT if closed else HMethod.ENDPOINT_LIMIT)
-    return HEvaluation(obj.limit(e), e, HMethod.ENDPOINT_LIMIT)
+    if v is None:
+        v = _probe_limit(obj.value, e, obj.anchor)
+    attained = closed and inside and math.isfinite(v)
+    return HEvaluation(v, e, HMethod.DIRECT if attained else HMethod.ENDPOINT_LIMIT)
 
 
 def _golden_section(fn: Callable[[float], float], a: float, b: float, tol: float) -> tuple[float, float]:
@@ -380,9 +367,9 @@ def _scan_grid(interval: SupportInterval, anchor: float, domain: SupportInterval
 
 
 def _scan_extrema(
-    obj: _Objective, interval: SupportInterval, anchor: float
+    obj: _Objective, interval: SupportInterval, anchor: float, ends: tuple[HEvaluation, HEvaluation]
 ) -> tuple[HEvaluation, HEvaluation]:
-    """Dense grid + golden-section refinement of standout extrema + endpoint limits."""
+    """Dense grid + golden-section refinement of standout extrema, set against the two ends."""
     xs = _scan_grid(interval, anchor, obj.domain)
     vs = np.array([obj.value(x) for x in xs.tolist()])
     finite = np.isfinite(vs)
@@ -412,13 +399,10 @@ def _scan_extrema(
         min_candidates.append((vs_f[i_min], xs_f[i_min]))
         max_candidates.append((vs_f[i_max], xs_f[i_max]))
 
-    lo_end = _endpoint_evaluation(obj, interval, "lower")
-    hi_end = _endpoint_evaluation(obj, interval, "upper")
-
     def as_eval(v: float, x: float) -> HEvaluation:
         if math.isinf(v):
             # overflow at an interior grid point: charge it to the nearer endpoint
-            nearer = lo_end if abs(x - interval.lower) < abs(x - interval.upper) else hi_end
+            nearer = ends[0] if abs(x - interval.lower) < abs(x - interval.upper) else ends[1]
             return HEvaluation(v, nearer.attained_at, HMethod.ENDPOINT_LIMIT)
         return HEvaluation(v, x, HMethod.DIRECT)
 
@@ -439,8 +423,8 @@ def _scan_extrema(
                 return as_eval(v, x)
         return end_best
 
-    inf_ev = pick(min_candidates, 1.0, (lo_end, hi_end))
-    sup_ev = pick(max_candidates, -1.0, (lo_end, hi_end))
+    inf_ev = pick(min_candidates, 1.0, ends)
+    sup_ev = pick(max_candidates, -1.0, ends)
     return inf_ev, sup_ev
 
 
@@ -458,10 +442,10 @@ def _extrema(
             f"interval {interval} is not inside the natural domain "
             f"{f.natural_domain} of {f.label}"
         )
+    inf_ev = _endpoint(obj, interval.lower, interval.lower_closed)
+    sup_ev = _endpoint(obj, interval.upper, interval.upper_closed)
     if f.phi_prime_shape is Shape.UNKNOWN:
-        return _scan_extrema(obj, interval, anchor)
-    inf_ev = _endpoint_evaluation(obj, interval, "lower")
-    sup_ev = _endpoint_evaluation(obj, interval, "upper")
+        return _scan_extrema(obj, interval, anchor, (inf_ev, sup_ev))
     if f.phi_prime_shape is Shape.CONCAVE:
         inf_ev, sup_ev = sup_ev, inf_ev
     # the shape tag guarantees inf <= sup mathematically; a flipped pair can

@@ -103,6 +103,20 @@ def test_h_eval_taylor_value_at_center():
     assert near.method is HMethod.TAYLOR_NEAR_CENTER
 
 
+@pytest.mark.parametrize("t", [-2.0, -1.3, -0.7, -0.1, 0.1, 0.55, 1.2, 2.0])
+def test_h_of_exp_near_its_centre_matches_mpmath(t):
+    """Inside and just outside the switch radius, h lands within 1e-7 of scale."""
+    mpmath = pytest.importorskip("mpmath")
+    f = exp_scaled(t)
+    with mpmath.workdps(50):
+        for nu in (-3.0, -1.7, -0.4, 0.0, 1e-5, 0.9, 2.2, 3.0):
+            for step in (1e-9, 1e-7, 1e-5, 1e-4, -1e-9, -1e-7, -1e-5, -1e-4):
+                x = nu + step * max(1.0, abs(nu))
+                d = mpmath.mpf(x) - mpmath.mpf(nu)
+                h = float(mpmath.exp(t * mpmath.mpf(nu)) * (mpmath.expm1(t * d) - t * d) / (d * d))
+                assert abs(h_eval(f, nu, x).value - h) <= 1e-7 * max(1.0, abs(h)), (nu, x)
+
+
 def test_h_eval_domain_errors():
     with pytest.raises(DomainError):
         h_eval(neg_log(), 1.0, -2.0)
@@ -180,6 +194,58 @@ def test_h_limit_oscillation_raises():
     )
     with pytest.raises(LimitUndeterminedError):
         h_endpoint_limit(wavy, 0.5, math.inf)
+
+
+def _quartic_failing_below(cutoff: float) -> FunctionSpec:
+    """x**4 with no hint, whose phi raises (so evaluates to NaN) below the cutoff."""
+
+    def func(x):
+        if x < cutoff:
+            raise ValueError("below the cutoff")
+        return x**4
+
+    return FunctionSpec(
+        func=func,
+        deriv1=lambda x: 4.0 * x**3,
+        deriv2=lambda x: 12.0 * x * x,
+        natural_domain=SupportInterval(-math.inf, math.inf),
+        label="quartic",
+    )
+
+
+def test_h_limit_follows_the_trend_when_evaluation_breaks_down():
+    # h(x; 0) = x**2 over the probes -1, -2, ..., -512; -1024 fails
+    assert h_endpoint_limit(_quartic_failing_below(-1000.0), 0.0, -math.inf) == math.inf
+
+
+def test_h_limit_with_no_probe_to_follow_is_undetermined():
+    # the first probe, -1, already fails
+    with pytest.raises(LimitUndeterminedError):
+        h_endpoint_limit(_quartic_failing_below(-0.5), 0.0, -math.inf)
+
+
+def test_extrema_endpoints_are_the_endpoint_limits_of_quadratics():
+    """Every end of a quadratic's h extrema is read as h_endpoint_limit reads it."""
+    rng = np.random.default_rng(20170727)
+    for _ in range(300):
+        a, b, c = rng.normal(size=3)
+        lo = rng.uniform(-5.0, 5.0)
+        hi = lo + rng.uniform(0.1, 10.0)
+        nu = rng.uniform(lo, hi)
+        f = quadratic(a, b, c)
+        for ev in h_extrema(f, SupportInterval(lo, hi, True, True), nu):
+            assert ev.value == h_endpoint_limit(f, nu, ev.attained_at)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [Uniform(0.3, 2.7), Empirical(np.random.default_rng(42).uniform(10.0, 100.0, 200))],
+    ids=["uniform", "empirical"],
+)
+def test_quadratic_bounds_are_a_times_the_variance(d):
+    a = 0.871
+    gb = jensen_bounds(quadratic(a, -0.145, -0.328), d)
+    assert gb.lower == gb.upper == ext_mul(a, d.variance())
 
 
 # ---------------------------------------------------------------------------

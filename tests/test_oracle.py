@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from jensen_sharp import (
@@ -9,6 +10,7 @@ from jensen_sharp import (
     DomainError,
     Empirical,
     Exponential,
+    FunctionSpec,
     GapEstimate,
     Normal,
     NumericError,
@@ -228,6 +230,39 @@ def test_conditional_on_empirical_restricts_sample(pinned_sample):
         math.fsum(sub) / sub.size
     )
     assert est.value == pytest.approx(direct, rel=1e-12)
+
+
+def test_conditional_on_discrete_keeps_the_atoms_in_the_cell():
+    # atoms 2 and 4 with weights 4/7 and 3/7: variance 64/7 - (20/7)**2 = 48/49
+    d = Discrete([1.0, 2.0, 4.0, 7.0], [0.1, 0.4, 0.3, 0.2])
+    est = estimate_conditional_gap(quadratic(1.0), d, SupportInterval(1.5, 5.0, lower_closed=True))
+    assert est.method is OracleMethod.EXACT_SUM
+    assert abs(est.value - 48.0 / 49.0) <= est.error_bound
+
+
+def test_monte_carlo_on_discrete_lands_within_its_error_bound():
+    d = Discrete([1.0, 2.0, 4.0, 7.0], [0.1, 0.4, 0.3, 0.2])  # variance 16.3 - 3.5**2 = 4.05
+    est = estimate_gap(quadratic(1.0), d, budget=200_000, method="mc", seed=1)
+    assert est.method is OracleMethod.MONTE_CARLO
+    assert abs(est.value - 4.05) <= est.error_bound
+
+
+def test_scalar_only_phi_takes_the_scalar_fallback():
+    """A phi written with math functions does not broadcast and is applied point by point."""
+    scalar = FunctionSpec(
+        func=lambda x: math.exp(0.5 * x),
+        deriv1=lambda x: 0.5 * math.exp(0.5 * x),
+        deriv2=lambda x: 0.25 * math.exp(0.5 * x),
+        natural_domain=SupportInterval(-math.inf, math.inf),
+    )
+    with pytest.raises(TypeError):
+        scalar.func(np.array([0.0, 1.0]))
+    atoms = Empirical(np.random.default_rng(3).normal(size=500))
+    for d, kwargs in ((atoms, {}), (atoms, {"method": "mc", "budget": 5000, "seed": 2}),
+                      (Normal(0.0, 1.0), {"method": "mc", "budget": 5000, "seed": 2})):
+        assert estimate_gap(scalar, d, **kwargs) == estimate_gap(exp_scaled(0.5), d, **kwargs)
+    est = estimate_gap(scalar, Normal(0.0, 1.0), method="quad")
+    assert abs(est.value - math.expm1(0.125)) <= est.error_bound
 
 
 def test_conditional_single_sample_cell():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jensen_sharp import (
@@ -37,6 +37,7 @@ from _support import assert_brackets, population_stats
 
 @given(t=st.floats(-2.0, 2.0), nu=st.floats(-3.0, 3.0), x=st.floats(-6.0, 6.0))
 @settings(max_examples=300, deadline=None)
+@example(t=0.5625, nu=1e-05, x=0.0)  # just outside the old eps**(1/3) switch radius
 def test_h_of_exp_lies_between_curvature_extremes(t, nu, x):
     """h(x; nu) = phi''(g)/2 for some g between x and nu."""
     assume(abs(t) > 1e-3)

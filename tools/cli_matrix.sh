@@ -8,7 +8,9 @@
 # SAMPLE_FILE is a sample file in the file:PATH grammar, one decimal per line
 # (src/jensen_sharp/data/uniform_10_100_seed42.txt is the pinned one).  The
 # package is run from the checkout that holds this script; PYTHON picks the
-# interpreter (default python3).  The last six commands are error cases.
+# interpreter (default python3).  The last six commands are error cases; the
+# three before them run a quadratic, whose h is identically its coefficient a,
+# so h must read a at every end they report.
 set -u
 if [ $# -ne 1 ]; then
     echo "usage: sh tools/cli_matrix.sh SAMPLE_FILE" >&2
@@ -41,6 +43,9 @@ run power-mean --dist uniform:lo=1,hi=3 --r -1 --s 2 --oracle mc:n=10000,seed=1
 run oracle --phi exp:t=0.5 --dist exp:rate=1 --oracle mc:n=100000,seed=42
 run oracle --phi exp:t=2 --dist exp:rate=1 --oracle quad
 run paper
+run bound --phi quad:a=0.871,b=-0.145,c=-0.328 --dist uniform:lo=0.3,hi=2.7 --oracle quad
+run partition --phi quad:a=0.871,b=-0.145,c=-0.328 --dist uniform:lo=0.3,hi=2.7 --cells 3
+run sample-bound --phi quad:a=0.871,b=-0.145,c=-0.328 --dist "file:$sample"
 run bound --phi exp:t=1,x=2 --dist exp:rate=1
 run bound --phi exp:t=1 --dist exp:rate=1,sigma=3
 run bound --phi exp:t=1 --dist normal:mu=0
