@@ -225,10 +225,12 @@ def _probe_limit(value_fn: Callable[[float], float], endpoint: float, ref: float
 
 
 def _monotone_sign(vals: list[float], run: int = 8) -> int:
-    """Sign of a sustained drift in the probe tail, 0 when none."""
+    """Sign of a sustained drift over the last run + 1 probe values (all of them,
+    if 4 to run), 0 when none."""
     if len(vals) < 4:
         return 0
-    diffs = [b - a for a, b in zip(vals[-run - 1:], vals[-run:])]
+    tail = vals[-(run + 1):]
+    diffs = [b - a for a, b in zip(tail, tail[1:])]
     if all(d > 0 for d in diffs):
         return 1
     if all(d < 0 for d in diffs):

@@ -1,7 +1,11 @@
 """Expectation integrals with divergence classification.
 
-scipy's adaptive quadrature (QUADPACK) does the heavy lifting; it is imported
-by the first integral, so code that never integrates does not load scipy.
+QUADPACK's adaptive routines (QAGSE on a finite range, QAGIE on an infinite
+one) do the heavy lifting.  They are called straight from scipy's compiled
+extension ``scipy.integrate._quadpack``, loaded by the first integral without
+running ``scipy.integrate``'s ``__init__``, so integrating loads none of
+scipy.integrate, scipy.optimize, scipy.special, scipy.sparse or scipy.linalg,
+and code that never integrates loads no scipy at all.
 When the direct pass is not trusted, the integral is re-accumulated over a
 core window and one walk of geometric windows toward each endpoint (doubling
 reach toward an infinite end, halving gaps toward a finite one).  A walk
@@ -20,8 +24,11 @@ y**-0.75 * log(1/y) grows for several halvings before it decays.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
-import warnings
+import os
+import sys
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -41,19 +48,42 @@ HUGE = 1e300
 _EPS = float(np.finfo(float).eps)
 
 
+@functools.cache
+def _quadpack():
+    """scipy's compiled QUADPACK extension, loaded without ``scipy.integrate``'s ``__init__``.
+
+    An entry already in ``sys.modules`` is used as it is.  Loading registers one, so a
+    later ``import scipy.integrate`` reuses this module object, though it then lacks the
+    private attribute ``scipy.integrate._quadpack``.
+    """
+    name = "scipy.integrate._quadpack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.FileFinder(
+        os.path.join(scipy.submodule_search_locations[0], "integrate"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES),
+    ).find_spec(name)
+    if spec is None:
+        raise ImportError(f"integration needs scipy's compiled extension {name}, not found")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _quad(fn, lo: float, hi: float) -> tuple[float, float, bool]:
-    """One adaptive pass; trusted only when QUADPACK reports a clean run."""
+    """One adaptive pass; trusted only when QUADPACK reports a clean run (ier 0)."""
     if lo == hi:
         return 0.0, 0.0, True
-    from scipy import integrate
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        out = integrate.quad(
-            fn, lo, hi, epsabs=QUAD_ABS, epsrel=QUAD_REL, limit=QUAD_LIMIT, full_output=1
-        )
-    value, abserr = float(out[0]), float(out[1])
-    trusted = len(out) == 3 and math.isfinite(value) and math.isfinite(abserr)
+    assert lo < hi, (lo, hi)
+    if math.isfinite(lo) and math.isfinite(hi):
+        out = _quadpack()._qagse(fn, lo, hi, (), 0, QUAD_ABS, QUAD_REL, QUAD_LIMIT)
+    else:
+        # scipy's coding: 1 is (bound, +inf), -1 is (-inf, bound), 2 the whole line
+        bound, inf = (lo, 1) if math.isfinite(lo) else (hi, -1) if math.isfinite(hi) else (0.0, 2)
+        out = _quadpack()._qagie(fn, bound, inf, (), 0, QUAD_ABS, QUAD_REL, QUAD_LIMIT)
+    value, abserr, ier = float(out[0]), float(out[1]), out[2]
+    trusted = ier == 0 and math.isfinite(value) and math.isfinite(abserr)
     return value, abserr, trusted
 
 

@@ -218,6 +218,18 @@ def test_h_limit_follows_the_trend_when_evaluation_breaks_down():
     assert h_endpoint_limit(_quartic_failing_below(-1000.0), 0.0, -math.inf) == math.inf
 
 
+@pytest.mark.parametrize("cutoff", [-20.0, -200.0])
+def test_h_limit_follows_a_short_trend_when_evaluation_breaks_down(cutoff):
+    # 5 (cutoff -20) or 8 (cutoff -200) rising probes before the first failure
+    assert h_endpoint_limit(_quartic_failing_below(cutoff), 0.0, -math.inf) == math.inf
+
+
+def test_h_limit_with_three_probes_to_follow_is_undetermined():
+    # the probes -1, -2, -4 rise, and -8 fails: too short a run to call a trend
+    with pytest.raises(LimitUndeterminedError):
+        h_endpoint_limit(_quartic_failing_below(-5.0), 0.0, -math.inf)
+
+
 def test_h_limit_with_no_probe_to_follow_is_undetermined():
     # the first probe, -1, already fails
     with pytest.raises(LimitUndeterminedError):

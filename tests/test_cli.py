@@ -509,17 +509,19 @@ def test_divergent_oracle_reports_infinite_value():
 
 
 # ---------------------------------------------------------------------------
-# scipy loads only when a command integrates
+# scipy loads only when a command integrates, and then only QUADPACK's extension
 # ---------------------------------------------------------------------------
 
 _PACKAGE_DIR = Path(jensen_sharp.__file__).resolve().parent
 
+# prints the exit status, whether any scipy is loaded, then each heavy subpackage loaded
 _RUN_MAIN = """
 import contextlib, io, sys
 from jensen_sharp.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     status = main(sys.argv[1:])
-print(status, "scipy" in sys.modules)
+heavy = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse", "scipy.linalg")
+print(status, "scipy" in sys.modules, *(name for name in heavy if name in sys.modules))
 """
 
 
@@ -539,22 +541,32 @@ def test_import_leaves_scipy_unloaded():
 
 
 @pytest.mark.parametrize(
-    "argv,loads_scipy",
+    "argv,status,loads_scipy",
     [
-        (["bound", "--phi", "exp:t=0.5", "--dist", "exp:rate=1"], False),
+        (["bound", "--phi", "exp:t=0.5", "--dist", "exp:rate=1"], 0, False),
         (
             ["sample-bound", "--phi", "neglog", "--oracle", "exact",
              "--dist", f"file:{_PACKAGE_DIR / 'data/uniform_10_100_seed42.txt'}"],
+            0,
             False,
         ),
-        (["oracle", "--phi", "exp:t=0.5", "--dist", "exp:rate=1", "--oracle", "mc:n=1000,seed=1"], False),
-        (["bound", "--phi", "exp:t=0.5", "--dist", "exp:rate=1", "--oracle", "quad"], True),
+        (["oracle", "--phi", "exp:t=0.5", "--dist", "exp:rate=1", "--oracle", "mc:n=1000,seed=1"],
+         0, False),
+        (["bound", "--phi", "exp:t=0.5", "--dist", "exp:rate=1", "--oracle", "quad"], 0, True),
         # interior cells of an equal-probability normal partition are narrower than 0.1 sd,
         # and integrated, from about 25 cells on
-        (["partition", "--phi", "exp:t=1", "--dist", "normal:mu=0,sigma=1", "--cells", "16"], False),
-        (["partition", "--phi", "exp:t=1", "--dist", "normal:mu=0,sigma=1", "--cells", "50"], True),
+        (["partition", "--phi", "exp:t=1", "--dist", "normal:mu=0,sigma=1", "--cells", "16"],
+         0, False),
+        (["partition", "--phi", "exp:t=1", "--dist", "normal:mu=0,sigma=1", "--cells", "50"],
+         0, True),
+        # the moments of X**0.5 integrate on the law of X
+        (["power-mean", "--dist", "exp:rate=1", "--r", "0.5", "--s", "1.5"], 0, True),
+        # exit status 1 is the acceptance-2 0.409 row, red by design
+        (["paper"], 1, True),
     ],
-    ids=["bound", "sample-bound-exact", "oracle-mc", "bound-quad", "partition-16", "partition-50"],
+    ids=["bound", "sample-bound-exact", "oracle-mc", "bound-quad", "partition-16", "partition-50",
+         "power-mean-r-half", "paper"],
 )
-def test_scipy_loads_only_for_quadrature(argv, loads_scipy):
-    assert _fresh_python(_RUN_MAIN, *argv) == ["0", str(loads_scipy)]
+def test_scipy_loads_only_for_quadrature(argv, status, loads_scipy):
+    # no row loads scipy.integrate, .optimize, .special, .sparse or .linalg
+    assert _fresh_python(_RUN_MAIN, *argv) == [str(status), str(loads_scipy)]

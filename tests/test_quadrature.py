@@ -8,6 +8,11 @@ overflows, stops the walk early as divergent.
 """
 
 import math
+import os
+import subprocess
+import sys
+from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +29,8 @@ from jensen_sharp import (
     power,
     transform_power,
 )
-from jensen_sharp.quadrature import expectation
+from jensen_sharp.functions import guarded
+from jensen_sharp.quadrature import QUAD_ABS, QUAD_LIMIT, QUAD_REL, _quad, expectation
 
 EULER_GAMMA = 0.5772156649015329
 RATES = (0.3, 0.5, 0.8, 1.0, 1.3, 2.0, 3.0, 5.0, 10.0)
@@ -135,3 +141,80 @@ def test_log_divergent_tail_integrates_to_infinity(integrand):
     value, err = expectation(integrand, SupportInterval(0.0, math.inf), 1.0, 1.0)
     assert value == math.inf
     assert err == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the direct QUADPACK pass is scipy's own quad, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _nan_past_two(x):
+    if x > 2.0:
+        raise OverflowError("past two")
+    return x * x
+
+
+PASSES = {
+    "finite": (math.exp, 0.0, 1.0),
+    "finite-oscillating": (lambda x: math.sin(30.0 * x) * math.exp(-x), -1.0, 4.0),
+    "to-plus-inf": (lambda x: math.exp(-x), 0.5, math.inf),
+    "from-minus-inf": (lambda x: math.exp(x - 0.3 * x * x), -math.inf, 1.5),
+    "whole-line": (lambda x: math.exp(-0.5 * (x - 0.7) ** 2), -math.inf, math.inf),
+    "empty": (math.exp, 1.25, 1.25),
+    # QUADPACK runs out of subdivisions (ier 1) and returns 145.6489...
+    "untrusted-1/x": (lambda x: 1.0 / x, 0.0, 1.0),
+    "guarded-nan": (partial(guarded, _nan_past_two), 0.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("fn,lo,hi", PASSES.values(), ids=PASSES.keys())
+def test_direct_pass_equals_scipy_quad(fn, lo, hi):
+    from scipy import integrate
+
+    out = integrate.quad(
+        fn, lo, hi, epsabs=QUAD_ABS, epsrel=QUAD_REL, limit=QUAD_LIMIT, full_output=1
+    )
+    value, abserr, trusted = _quad(fn, lo, hi)
+    for ours, theirs in ((value, out[0]), (abserr, out[1])):
+        assert ours == theirs or (math.isnan(ours) and math.isnan(theirs)), (ours, theirs)
+    assert trusted == (len(out) == 3 and math.isfinite(out[0]) and math.isfinite(out[1]))
+
+
+def test_integrand_errors_propagate():
+    with pytest.raises(TypeError):
+        _quad(lambda x: None + x, 0.0, 1.0)
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+_IMPORT_ORDERS = {
+    "package-first": """
+import math, sys
+from jensen_sharp.quadrature import _quad, _quadpack
+_quad(math.exp, 0.0, 1.0)
+assert "scipy.integrate" not in sys.modules
+from scipy import integrate
+""",
+    "scipy-first": """
+import math, sys
+from scipy import integrate
+from jensen_sharp.quadrature import _quad, _quadpack
+_quad(math.exp, 0.0, 1.0)
+""",
+}
+
+
+@pytest.mark.parametrize("code", _IMPORT_ORDERS.values(), ids=_IMPORT_ORDERS.keys())
+def test_scipy_quad_works_in_either_import_order(code):
+    code += """
+assert sys.modules["scipy.integrate._quadpack"] is _quadpack()
+value = integrate.quad(math.exp, 0, 1)[0]
+print(math.isclose(value, math.e - 1.0, rel_tol=1e-14), value == _quad(math.exp, 0.0, 1.0)[0])
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (_SRC, os.environ.get("PYTHONPATH", "")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "True"]
