@@ -225,12 +225,17 @@ def _probe_limit(value_fn: Callable[[float], float], endpoint: float, ref: float
 
 
 def _monotone_sign(vals: list[float], run: int = 8) -> int:
-    """Sign of a sustained drift over the last run + 1 probe values (all of them,
-    if 4 to run), 0 when none."""
+    """Sign of a sustained drift over the last run + 1 probe values, 0 when none.
+
+    A shorter run, of 4 to run values, counts only when its steps never shrink:
+    values still settling toward a finite limit keep one sign too.
+    """
     if len(vals) < 4:
         return 0
     tail = vals[-(run + 1):]
     diffs = [b - a for a, b in zip(tail, tail[1:])]
+    if len(tail) <= run and any(abs(b) < abs(a) for a, b in zip(diffs, diffs[1:])):
+        return 0
     if all(d > 0 for d in diffs):
         return 1
     if all(d < 0 for d in diffs):

@@ -48,13 +48,12 @@ HUGE = 1e300
 _EPS = float(np.finfo(float).eps)
 
 
-@functools.cache
 def _quadpack():
     """scipy's compiled QUADPACK extension, loaded without ``scipy.integrate``'s ``__init__``.
 
-    An entry already in ``sys.modules`` is used as it is.  Loading registers one, so a
-    later ``import scipy.integrate`` reuses this module object, though it then lacks the
-    private attribute ``scipy.integrate._quadpack``.
+    ``sys.modules`` is the one cache: an entry there is used as it is, and a fresh load
+    is registered, so a later ``import scipy.integrate`` reuses this module object,
+    though it then lacks the private attribute ``scipy.integrate._quadpack``.
     """
     name = "scipy.integrate._quadpack"
     if name in sys.modules:
@@ -68,7 +67,7 @@ def _quadpack():
         raise ImportError(f"integration needs scipy's compiled extension {name}, not found")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module
+    return sys.modules.setdefault(name, module)
 
 
 def _quad(fn, lo: float, hi: float) -> tuple[float, float, bool]:

@@ -224,6 +224,27 @@ def test_h_limit_follows_a_short_trend_when_evaluation_breaks_down(cutoff):
     assert h_endpoint_limit(_quartic_failing_below(cutoff), 0.0, -math.inf) == math.inf
 
 
+@pytest.mark.parametrize("cutoff", [-20.0, -200.0])
+@pytest.mark.parametrize("s", [1.0, -1.0])
+def test_h_limit_of_a_short_settling_run_is_undetermined(cutoff, s):
+    # phi = x**2 + s*(1/(1 - x) - 1 - x), so h(x; 0) = 1 + s/(1 - x): over the probes
+    # -1, -2, -4, ... the values move toward 1 by ever smaller steps, then phi fails
+    def func(x):
+        if x < cutoff:
+            raise ValueError("below the cutoff")
+        return x * x + s * (1.0 / (1.0 - x) - 1.0 - x)
+
+    settling = FunctionSpec(
+        func=func,
+        deriv1=lambda x: 2.0 * x + s * (1.0 / (1.0 - x) ** 2 - 1.0),
+        deriv2=lambda x: 2.0 + 2.0 * s / (1.0 - x) ** 3,
+        natural_domain=SupportInterval(-math.inf, 1.0),
+        label="settling",
+    )
+    with pytest.raises(LimitUndeterminedError):
+        h_endpoint_limit(settling, 0.0, -math.inf)
+
+
 def test_h_limit_with_three_probes_to_follow_is_undetermined():
     # the probes -1, -2, -4 rise, and -8 fails: too short a run to call a trend
     with pytest.raises(LimitUndeterminedError):

@@ -4,14 +4,15 @@
 
 The parent's committed files are exported with ``git archive`` into a temporary
 directory, and each side runs its own ``bench/run.py`` against its own ``src/``
-(``--seed``, ``--seconds``; the benchmark itself must be the same on both sides).
-Pair k runs the parent first when k is even and this checkout first when k is odd.
-The JSON file written holds both commits, machine notes, every run's metrics and,
-per workload, each side's median and quartiles of every end-to-end metric, and the
-number of pairs in which this checkout read better, by the direction that
-BENCHMARK.json gives each metric, and whether that shows a gain: better in nine
-pairs of ten, with the medians further apart than the parent's quartiles.
-Workloads default to all of BENCHMARK.json's.
+(``--seed``, and BENCHMARK.json's ``run_seconds``; the benchmark itself must be the
+same on both sides).  Pair k runs the parent first when k is even and this checkout
+first when k is odd.  The JSON file written holds both commits, machine notes, every
+run's metrics and, per workload, each side's median and quartiles of every end-to-end
+metric, and the number of pairs in which this checkout read better, by the direction
+that BENCHMARK.json gives each metric, and whether that shows a gain: better in nine
+pairs of ten, the median better than the parent's by more than the parent's quartile
+spread, every run correct, and no run of this checkout failing more operations than
+the parent's worst.  Workloads default to all of BENCHMARK.json's; pairs to 10.
 """
 
 from __future__ import annotations
@@ -75,15 +76,20 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                for p, c in zip(side["parent"], side["change"]))
         for m, up in better.items()
     }
-    # a gain is shown when this checkout wins nine pairs in ten and its median beats
-    # the parent's by more than the parent's own spread between quartiles
-    summary["gain_shown"] = {
-        m: 10 * summary["change_better_pairs"][m] >= 9 * len(runs)
-        and abs(summary["change"][m]["median"] - summary["parent"][m]["median"])
-        > summary["parent"][m]["q3"] - summary["parent"][m]["q1"]
-        for m in better
-    }
     summary["failed"] = {s: sorted({r["failed"] for r in rs}) for s, rs in side.items()}
+    summary["all_correct"] = all(r["correct"] for rs in side.values() for r in rs)
+    # a gain is shown when this checkout wins nine pairs in ten, its median beats the
+    # parent's by more than the parent's own spread between quartiles, and it is no
+    # less correct: every run correct, no run failing more than the parent's worst
+    sound = summary["all_correct"] and max(summary["failed"]["change"]) <= max(
+        summary["failed"]["parent"])
+    summary["gain_shown"] = {}
+    for m, up in better.items():
+        gain = summary["change"][m]["median"] - summary["parent"][m]["median"]
+        summary["gain_shown"][m] = (
+            sound and 10 * summary["change_better_pairs"][m] >= 9 * len(runs)
+            and (gain if up == "higher" else -gain)
+            > summary["parent"][m]["q3"] - summary["parent"][m]["q1"])
     return summary
 
 
@@ -106,9 +112,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent_ref")
     parser.add_argument("--workload", action="append",
                         choices=[w["name"] for w in spec["workloads"]])
-    parser.add_argument("--pairs", type=int, default=3)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
@@ -121,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         "parent": {"ref": args.parent_ref, "sha": git("rev-parse", args.parent_ref)},
         "change": {"sha": git("rev-parse", "HEAD"),
                    "uncommitted_changes": bool(git("status", "--porcelain", "--untracked-files=no"))},
-        "settings": {"seed": args.seed, "seconds": args.seconds, "pairs": args.pairs},
+        "settings": {"seed": args.seed, "seconds": spec["run_seconds"], "pairs": args.pairs},
         "machine": machine(),
         "workloads": {},
     }
@@ -136,7 +141,8 @@ def main(argv: list[str] | None = None) -> int:
                 pair = {"first": order[0]}
                 for side in order:
                     t0 = time.monotonic()
-                    pair[side] = run_bench(roots[side], workload, args.seed, args.seconds)
+                    pair[side] = run_bench(roots[side], workload, args.seed,
+                                           spec["run_seconds"])
                     print(f"{workload} pair {k + 1}/{args.pairs} {side}: "
                           f"{pair[side]['metrics']} ({time.monotonic() - t0:.0f} s)",
                           file=sys.stderr)
