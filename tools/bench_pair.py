@@ -11,8 +11,8 @@ run's metrics and, per workload, each side's median and quartiles of every end-t
 metric, and the number of pairs in which this checkout read better, by the direction
 that BENCHMARK.json gives each metric, and whether that shows a gain: better in nine
 pairs of ten, the median better than the parent's by more than the parent's quartile
-spread, every run correct, and no run of this checkout failing more operations than
-the parent's worst.  Workloads default to all of BENCHMARK.json's; pairs to 10.
+spread, every run correct, and no more operations failed over all of this checkout's
+runs than over the parent's.  Workloads default to all of BENCHMARK.json's; pairs to 10.
 """
 
 from __future__ import annotations
@@ -80,9 +80,9 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     summary["all_correct"] = all(r["correct"] for rs in side.values() for r in rs)
     # a gain is shown when this checkout wins nine pairs in ten, its median beats the
     # parent's by more than the parent's own spread between quartiles, and it is no
-    # less correct: every run correct, no run failing more than the parent's worst
-    sound = summary["all_correct"] and max(summary["failed"]["change"]) <= max(
-        summary["failed"]["parent"])
+    # less correct: every run correct, no more operations failed than at the parent
+    sound = summary["all_correct"] and sum(r["failed"] for r in side["change"]) <= sum(
+        r["failed"] for r in side["parent"])
     summary["gain_shown"] = {}
     for m, up in better.items():
         gain = summary["change"][m]["median"] - summary["parent"][m]["median"]
