@@ -15,8 +15,8 @@ Grammars: functions are ``exp:t=0.5``, ``power:p=-1``, ``neglog``,
 ``quad``, ``exact``, ``auto``, or ``mc:n=1000000,seed=42``.
 
 Exit statuses: 0 success, 1 failed regression report, 2 usage or parse
-error, 3 numeric failure.  The environment variable ``JENSEN_SHARP_SEED``
-overrides the default seed when ``--seed`` is not given.
+error, 3 numeric failure.  The Monte Carlo seed is set only by the ``seed``
+key of the ``mc`` spec; it defaults to 42.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 from importlib import resources
@@ -84,7 +83,6 @@ class RunConfig:
     s: float | None = None
     oracle: str | None = None
     output_format: str = "text"
-    seed: int = DEFAULT_SEED
 
 
 # ---------------------------------------------------------------------------
@@ -159,18 +157,18 @@ def parse_distribution_text(text: str) -> DistributionSpec:
 _LAWS = {"normal": Normal, "exp": Exponential, "uniform": Uniform}
 
 
-def parse_oracle_text(text: str, default_seed: int) -> tuple[str, int, int]:
+def parse_oracle_text(text: str) -> tuple[str, int, int]:
     """Parse an oracle spec into (method, budget, seed)."""
     name, sep, body = text.strip().partition(":")
     name = name.strip().lower()
     if name in ("quad", "exact", "auto"):
         if sep and body:
             raise CliParseError(f"oracle {name!r} takes no parameters, got {body!r}")
-        return name, DEFAULT_MC_BUDGET, default_seed
+        return name, DEFAULT_MC_BUDGET, DEFAULT_SEED
     if name == "mc":
         params = _parse_kv(body, "oracle") if sep else {}
         budget = _whole_number(params.pop("n", DEFAULT_MC_BUDGET), "monte carlo n")
-        seed = _whole_number(params.pop("seed", default_seed), "monte carlo seed")
+        seed = _whole_number(params.pop("seed", DEFAULT_SEED), "monte carlo seed")
         if params:
             raise CliParseError(f"unexpected oracle parameter(s): {sorted(params)}")
         return "mc", budget, seed
@@ -194,17 +192,6 @@ def _whole_number(value: float, what: str) -> int:
     return int(value)
 
 
-def _default_seed() -> int:
-    raw = os.environ.get("JENSEN_SHARP_SEED")
-    if raw is None:
-        return DEFAULT_SEED
-    try:
-        seed = int(raw)
-    except ValueError:
-        raise CliParseError(f"JENSEN_SHARP_SEED must be an integer, got {raw!r}") from None
-    return _whole_number(seed, "JENSEN_SHARP_SEED")
-
-
 def parse_args(argv: list[str] | None = None) -> RunConfig:
     parser = argparse.ArgumentParser(
         prog="jensen-sharp",
@@ -221,7 +208,6 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
         p.add_argument("--dist", required=True, help="distribution spec, e.g. exp:rate=1")
         p.add_argument("--oracle", default=None, help="oracle spec: quad | exact | auto | mc:n=..,seed=..")
         output_format(p)
-        p.add_argument("--seed", type=int, default=None)
 
     common(sub.add_parser("bound", help="gap bounds over the full support"))
     common(sub.add_parser("sample-bound", help="gap bounds over the closed sample range"))
@@ -246,9 +232,6 @@ def parse_args(argv: list[str] | None = None) -> RunConfig:
     for key in ("r", "s"):
         if key in fields:
             fields[key] = _parse_number(fields[key])
-    if "seed" in fields:
-        seed = fields["seed"]
-        fields["seed"] = _default_seed() if seed is None else _whole_number(seed, "--seed")
     return RunConfig(**fields)
 
 
@@ -265,7 +248,7 @@ def _bracket_check(est: GapEstimate, lower: float, upper: float) -> dict:
 
 
 def _estimate(config: RunConfig, f: FunctionSpec, d: DistributionSpec) -> GapEstimate:
-    method, budget, seed = parse_oracle_text(config.oracle, config.seed)
+    method, budget, seed = parse_oracle_text(config.oracle)
     return estimate_gap(f, d, budget=budget, method=method, seed=seed)
 
 
@@ -337,11 +320,11 @@ def _run_oracle(config: RunConfig, f: FunctionSpec, d: DistributionSpec) -> dict
 
 # each command's handler and the inputs its report echoes, in the order the text report prints them
 _COMMANDS = {
-    "bound": (_run_bound, ("phi", "dist", "oracle", "seed")),
-    "sample-bound": (_run_sample_bound, ("phi", "dist", "oracle", "seed")),
-    "partition": (_run_partition, ("phi", "dist", "cells", "cuts", "oracle", "seed")),
-    "power-mean": (_run_power_mean, ("dist", "r", "s", "oracle", "seed")),
-    "oracle": (_run_oracle, ("phi", "dist", "oracle", "seed")),
+    "bound": (_run_bound, ("phi", "dist", "oracle")),
+    "sample-bound": (_run_sample_bound, ("phi", "dist", "oracle")),
+    "partition": (_run_partition, ("phi", "dist", "cells", "cuts", "oracle")),
+    "power-mean": (_run_power_mean, ("dist", "r", "s", "oracle")),
+    "oracle": (_run_oracle, ("phi", "dist", "oracle")),
 }
 
 

@@ -631,15 +631,37 @@ class CustomPdf(DistributionSpec):
         lo = sup.lower if math.isfinite(sup.lower) else self._mean - step
         hi = sup.upper if math.isfinite(sup.upper) else self._mean + step
         while not math.isfinite(sup.lower) and self._cdf(lo) > q:
-            lo -= step
-            step *= 2.0
+            lo, step = lo - step, 2.0 * step
         step = max(self._scale(), 1e-6)
         while not math.isfinite(sup.upper) and self._cdf(hi) < q:
-            hi += step
-            step *= 2.0
-        from scipy.optimize import brentq
+            hi, step = hi + step, 2.0 * step
+        return _increasing_root(lambda x: self._cdf(x) - q, lo, hi)
 
-        return float(brentq(lambda x: self._cdf(x) - q, lo, hi, xtol=1e-12, rtol=1e-12))
+
+def _increasing_root(g: Callable[[float], float], a: float, b: float) -> float:
+    """The root in [a, b] of an increasing g with g(a) <= 0 <= g(b), to 1e-12 * (1 + |x|) as
+    brentq with xtol = rtol = 1e-12 has it.  False position in the Anderson-Bjorck form (BIT
+    12, 1972): b is the latest point, and g(a) shrinks whenever a is kept twice.  Each step lands
+    half a tolerance inside the bracket, and bisects it after three steps that did not halve it."""
+    ga, gb = g(a), g(b)
+    widths = [math.inf] * 3
+    while ga != 0.0 != gb:
+        lo, hi = min(a, b), max(a, b)
+        tol = 1e-12 * (1.0 + max(abs(lo), abs(hi)))
+        if hi - lo <= tol:
+            break
+        bisect = 2.0 * (hi - lo) > widths[-3]
+        widths.append(hi - lo)
+        x = 0.5 * (lo + hi) if bisect else b - gb * (b - a) / (gb - ga)
+        x = min(max(x, lo + 0.5 * tol), hi - 0.5 * tol)
+        gx = g(x)
+        if (gx < 0.0) != (gb < 0.0):
+            a, ga = b, gb
+        elif not bisect:
+            m = 1.0 - gx / gb
+            ga *= m if m > 0.0 else 0.5
+        b, gb = x, gx
+    return a if abs(ga) < abs(gb) else b
 
 
 @dataclass(frozen=True, eq=False)
@@ -702,9 +724,14 @@ def _power_image(lo, hi, lo_closed: bool, hi_closed: bool, s: float) -> SupportI
 
 
 def _check_mass_in_domain(f: FunctionSpec, d: DistributionSpec, cell=None) -> None:
-    """Raise DomainError unless the mass of d (in cell, if given) lies in the domain of f."""
+    """Raise DomainError unless the mass of d (in cell, a cell with mass, if given) lies in
+    the domain of f: on a law with atoms, its atoms in the cell."""
     lo, hi, lo_at, hi_at = d.mass_bounds()
-    if cell is not None:
+    if isinstance(d, (Empirical, Discrete)) and cell is not None:
+        xs = d.points if isinstance(d, Discrete) else d._sorted
+        xs = xs[_mask(xs, cell)]
+        lo, hi = float(xs[0]), float(xs[-1])
+    elif cell is not None:
         lo, hi, lo_at, hi_at = max(lo, cell.lower), min(hi, cell.upper), False, False
     dom = f.natural_domain
     if lo == hi:

@@ -25,7 +25,7 @@ from .distributions import (
     _mask,
 )
 from .errors import NumericError, ParameterError
-from .extreal import encode
+from .extreal import encode, ext_mul
 from .functions import FunctionSpec
 
 __all__ = [
@@ -78,33 +78,35 @@ class GapEstimate:
         return {"value": encode(self.value), "error_bound": self.error_bound, "method": method}
 
 
-def _exact_sum(f: FunctionSpec, d: Empirical | Discrete) -> GapEstimate:
-    e_phi, err = d.expect(f.func)
-    phimu = float(f.func(d.mean()))
-    # the final subtraction rounds at the scale of phi(mu) too
-    return GapEstimate(e_phi - phimu, max(err, 16.0 * _EPS * abs(phimu)), OracleMethod.EXACT_SUM)
+def _phi_of_mean(f: FunctionSpec, d, cell, p: float) -> tuple[float, float]:
+    """phi(E[X | X in cell]) by ``expect`` on d and the error that the mean's own error puts on
+    it (none on d's own mean).  The cell's mass p must integrate to 1 within 1e-6; integrals
+    take g / p, so that QUADPACK's absolute tolerance stays at g's scale however small p is."""
+    mu, charge = d.mean(), 0.0
+    if cell is not None:
+        # x ** 0 is 1 shaped like x, so that atoms take it in one vector pass
+        mass, _ = d.expect(lambda x: x**0 / p, cell)
+        if not abs(mass - 1.0) <= 1e-6:
+            raise NumericError(f"the mass {p!r} of {cell} integrates to {mass!r} of itself, not 1")
+        mu, err_mu = d.expect(lambda x: x / p, cell)
+        charge = ext_mul(abs(float(f.deriv1(mu))), err_mu)
+    return float(f.func(mu)), charge
 
 
-def _cell_mean(d: DistributionSpec, cell: SupportInterval | None, p: float) -> float:
-    """E[X | X in cell] integrated on d, checking its mass p to 1e-6; d's mean if cell is None.
-    A conditional integral takes g / p, so that QUADPACK's absolute tolerance stays at the
-    scale of g however small p is."""
-    if cell is None:
-        return d.mean()
-    mass, _ = d.expect(lambda x: 1.0 / p, cell)
-    if not abs(mass - 1.0) <= 1e-6:
-        raise NumericError(f"the mass {p!r} of {cell} integrates to {mass!r} of itself, not 1")
-    return d.expect(lambda x: x / p, cell)[0]
-
-
-def _quadrature(f: FunctionSpec, d, cell: SupportInterval | None, p: float) -> GapEstimate:
-    mu = _cell_mean(d, cell, p)
+def _integral(f: FunctionSpec, d, cell, p: float, atoms: bool) -> GapEstimate:
+    """E[phi(X) | X in cell] by ``expect`` on d, less phi of the cell's mean: an exact sum
+    on a law with atoms, a quadrature on a density."""
+    method = OracleMethod.EXACT_SUM if atoms else OracleMethod.QUADRATURE
     value, err = d.expect(f.func if cell is None else lambda x: f.func(x) / p, cell)
     if math.isinf(value):
-        return GapEstimate(value, 0.0, OracleMethod.QUADRATURE)
-    phimu = float(f.func(mu))
-    err += 4.0 * _EPS * max(1.0, abs(value), abs(phimu))
-    return GapEstimate(value - phimu, err, OracleMethod.QUADRATURE)
+        return GapEstimate(value, 0.0, method)
+    phimu, err_phimu = _phi_of_mean(f, d, cell, p)
+    # the final subtraction rounds at the scale of phi(mu) too
+    if atoms:
+        err = max(err, 16.0 * _EPS * abs(phimu))
+    else:
+        err += 4.0 * _EPS * max(1.0, abs(value), abs(phimu))
+    return GapEstimate(value - phimu, err + err_phimu, method)
 
 
 def _monte_carlo(f: FunctionSpec, d, budget: int, seed: int, cell, p: float) -> GapEstimate:
@@ -123,8 +125,10 @@ def _monte_carlo(f: FunctionSpec, d, budget: int, seed: int, cell, p: float) -> 
                            "(use the quadrature oracle for a classified verdict)")
     e_phi = float(np.mean(vals))
     se = float(np.std(vals, ddof=1)) / math.sqrt(xs.size)
-    phimu = float(f.func(_cell_mean(d, cell, p)))
-    return GapEstimate(e_phi - phimu, 3.0 * se, OracleMethod.MONTE_CARLO, seed, xs.size)
+    phimu, err_phimu = _phi_of_mean(f, d, cell, p)
+    # np.mean of n equal draws is off by a few eps of their size, which 3 se does not cover
+    err = 3.0 * se + 4.0 * _EPS * max(1.0, abs(e_phi), abs(phimu)) + err_phimu
+    return GapEstimate(e_phi - phimu, err, OracleMethod.MONTE_CARLO, seed, xs.size)
 
 
 def estimate_gap(
@@ -144,8 +148,9 @@ def estimate_gap(
     return _estimate(f, d, budget, method, seed)
 
 
-def _estimate(f, d, budget, method, seed, cell=None, p=1.0) -> GapEstimate:
-    """The gap of d, or of d given X in cell when cell (of mass p) is given."""
+def _estimate(f, d, budget, method, seed, cell=None) -> GapEstimate:
+    """The gap of d, or of d given X in cell when a cell is given."""
+    p = 1.0 if cell is None else d._require_prob(cell, d.interval_prob(cell))
     _check_mass_in_domain(f, d, cell)
     seed = DEFAULT_SEED if seed is None else int(seed)
     method = method.lower()
@@ -155,23 +160,10 @@ def _estimate(f, d, budget, method, seed, cell=None, p=1.0) -> GapEstimate:
     if method == "mc":
         return _monte_carlo(f, d, budget, seed, cell, p)
     # a law with atoms is summed exactly, also when quad is asked for: that is the honest answer
-    if isinstance(d, (Empirical, Discrete)):
-        return _exact_sum(f, d)
-    if method == "exact":
+    atoms = isinstance(d, (Empirical, Discrete))
+    if method == "exact" and not atoms:
         raise ParameterError(f"exact summation needs a law with atoms, got {d!r}")
-    return _quadrature(f, d, cell, p)
-
-
-def _restricted(d: Empirical | Discrete, cell: SupportInterval) -> Empirical | Discrete:
-    """The law of X given X in cell for a law with atoms: its atoms in the cell."""
-    if isinstance(d, Empirical):
-        sub = d.samples[_mask(d.samples, cell)]
-        d._require_prob(cell, sub.size / d.samples.size)
-        values = np.unique(sub)
-        return Discrete(values, np.array([1.0])) if values.size == 1 else Empirical(sub)
-    mask = _mask(d.points, cell)
-    p = d._require_prob(cell, math.fsum(d.probs[mask]))
-    return Discrete(d.points[mask], d.probs[mask] / p)
+    return _integral(f, d, cell, p, atoms)
 
 
 def estimate_conditional_gap(
@@ -184,12 +176,9 @@ def estimate_conditional_gap(
 ) -> GapEstimate:
     """Gap estimate for the truncated law X | X in cell.
 
-    A law with atoms is restricted to its atoms in the cell.  A continuous law
-    is integrated on itself, as E[g(X) / p; X in cell] with p the cell's mass;
+    Every law is integrated (or summed) on itself, as E[g(X) / p; X in cell] with
+    p the cell's mass, and the error of the cell's mean is charged to the bound;
     Monte Carlo keeps the draws of X that land in the cell.  Neither uses the
     closed-form truncated moments that the estimate is meant to check.
     """
-    if isinstance(d, (Empirical, Discrete)):
-        return estimate_gap(f, _restricted(d, cell), budget, method, seed)
-    p = d._require_prob(cell, d.interval_prob(cell))
-    return _estimate(f, d, budget, method, seed, cell, p)
+    return _estimate(f, d, budget, method, seed, cell)

@@ -108,17 +108,16 @@ def test_unreadable_sample_file_is_a_usage_error(tmp_path, capsys, kind):
 
 
 def test_parse_oracle_text():
-    assert parse_oracle_text("quad", 42) == ("quad", 1_000_000, 42)
-    assert parse_oracle_text("mc:n=1000,seed=7", 42) == ("mc", 1000, 7)
-    assert parse_oracle_text("mc", 11) == ("mc", 1_000_000, 11)
+    assert parse_oracle_text("quad") == ("quad", 1_000_000, 42)
+    assert parse_oracle_text("mc:n=1000,seed=7") == ("mc", 1000, 7)
+    assert parse_oracle_text("mc") == ("mc", 1_000_000, 42)
     with pytest.raises(CliParseError, match="dice"):
-        parse_oracle_text("dice", 42)
+        parse_oracle_text("dice")
     with pytest.raises(CliParseError):
-        parse_oracle_text("quad:n=5", 42)
+        parse_oracle_text("quad:n=5")
 
 
-def test_parse_args_builds_the_config(monkeypatch):
-    monkeypatch.delenv("JENSEN_SHARP_SEED", raising=False)
+def test_parse_args_builds_the_config():
     cases = [
         (["bound", "--phi", "exp:t=0.5", "--dist", "exp:rate=1", "--oracle", "quad"],
          RunConfig("bound", phi="exp:t=0.5", dist="exp:rate=1", oracle="quad")),
@@ -134,49 +133,37 @@ def test_parse_args_builds_the_config(monkeypatch):
         assert parse_args(argv) == expected
 
 
-def test_env_seed_override(monkeypatch):
-    monkeypatch.setenv("JENSEN_SHARP_SEED", "777")
-    cfg = parse_args(["bound", "--phi", "exp:t=1", "--dist", "exp:rate=2"])
-    assert cfg.seed == 777
-    cfg2 = parse_args(["bound", "--phi", "exp:t=1", "--dist", "exp:rate=2", "--seed", "5"])
-    assert cfg2.seed == 5
-    monkeypatch.setenv("JENSEN_SHARP_SEED", "not-a-number")
-    with pytest.raises(CliParseError, match="JENSEN_SHARP_SEED"):
-        parse_args(["bound", "--phi", "exp:t=1", "--dist", "exp:rate=2"])
-
-
 _MC = ["oracle", "--phi", "exp:t=0.5", "--dist", "exp:rate=1", "--oracle"]
 
 
 @pytest.mark.parametrize(
-    "argv,env_seed",
+    "argv",
     [
-        (_MC + ["mc:n=inf"], None),
-        (_MC + ["mc:n=nan"], None),
-        (_MC + ["mc:n=-5"], None),
-        (_MC + ["mc:n=2.7"], None),
-        (_MC + ["mc:n=1000,seed=-1"], None),
-        (_MC + ["mc:n=1000,seed=inf"], None),
-        (_MC + ["mc:n=1000,seed=2.5"], None),
-        (_MC + ["mc:n=1000", "--seed", "-1"], None),
-        (_MC + ["mc:n=1000"], "-3"),
+        _MC + ["mc:n=inf"],
+        _MC + ["mc:n=nan"],
+        _MC + ["mc:n=-5"],
+        _MC + ["mc:n=2.7"],
+        _MC + ["mc:n=1000,seed=-1"],
+        _MC + ["mc:n=1000,seed=inf"],
+        _MC + ["mc:n=1000,seed=2.5"],
     ],
     ids=["n-inf", "n-nan", "n-negative", "n-fraction", "seed-negative", "seed-inf",
-         "seed-fraction", "flag-seed-negative", "env-seed-negative"],
+         "seed-fraction"],
 )
-def test_bad_monte_carlo_specs_are_usage_errors(monkeypatch, capsys, argv, env_seed):
-    if env_seed is None:
-        monkeypatch.delenv("JENSEN_SHARP_SEED", raising=False)
-    else:
-        monkeypatch.setenv("JENSEN_SHARP_SEED", env_seed)
+def test_bad_monte_carlo_specs_are_usage_errors(capsys, argv):
     assert main(argv) == 2
     assert "must be a nonnegative integer" in capsys.readouterr().err
 
 
-def test_integral_monte_carlo_specs_still_parse(monkeypatch):
-    assert parse_oracle_text("mc:n=1e3,seed=0", 42) == ("mc", 1000, 0)
-    monkeypatch.setenv("JENSEN_SHARP_SEED", "0")
-    assert parse_args(_MC + ["mc:n=1000"]).seed == 0
+def test_integral_monte_carlo_specs_still_parse():
+    assert parse_oracle_text("mc:n=1e3,seed=0") == ("mc", 1000, 0)
+
+
+def test_seed_is_set_only_in_the_monte_carlo_spec(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", "--phi", "exp:t=1", "--dist", "exp:rate=2", "--seed", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +417,8 @@ def test_paper_command_json_schema():
     assert bad["computed"] == pytest.approx(0.40604, abs=1e-4)
 
 
-def test_paper_takes_no_seed(monkeypatch, capsys):
-    monkeypatch.setenv("JENSEN_SHARP_SEED", "abc")
-    assert main(["paper"]) == 1  # the 0.409 row, not the unused seed
+def test_paper_takes_no_seed(capsys):
+    assert main(["paper"]) == 1  # the 0.409 row
     assert "refined lower bound" in capsys.readouterr().out
     with pytest.raises(SystemExit) as exc:
         parse_args(["paper", "--seed", "3"])
@@ -447,18 +433,18 @@ _BOUNDS_KEYS = ["bounds", "bracket", "command", "inputs", "oracle"]
     "argv,top_keys,input_keys",
     [
         (["bound", "--phi", "exp:t=0.5", "--dist", "exp:rate=1"],
-         _BOUNDS_KEYS, ["phi", "dist", "oracle", "seed"]),
+         _BOUNDS_KEYS, ["phi", "dist", "oracle"]),
         (["sample-bound", "--phi", "neglog", "--dist", f"file:{_SAMPLE}"],
-         sorted(_BOUNDS_KEYS + ["sample"]), ["phi", "dist", "oracle", "seed"]),
+         sorted(_BOUNDS_KEYS + ["sample"]), ["phi", "dist", "oracle"]),
         (["partition", "--phi", "exp:t=1", "--dist", "normal:mu=0,sigma=1", "--cells", "2"],
-         sorted(_BOUNDS_KEYS + ["cells"]), ["phi", "dist", "cells", "cuts", "oracle", "seed"]),
+         sorted(_BOUNDS_KEYS + ["cells"]), ["phi", "dist", "cells", "cuts", "oracle"]),
         (["partition", "--phi", "exp:t=1", "--dist", "normal:mu=0,sigma=1", "--cuts", "0"],
-         sorted(_BOUNDS_KEYS + ["cells"]), ["phi", "dist", "cells", "cuts", "oracle", "seed"]),
+         sorted(_BOUNDS_KEYS + ["cells"]), ["phi", "dist", "cells", "cuts", "oracle"]),
         (["power-mean", "--dist", "uniform:lo=1,hi=3", "--r", "1", "--s", "2"],
          ["bracket", "command", "inputs", "oracle", "oracle_moment", "power_mean"],
-         ["dist", "r", "s", "oracle", "seed"]),
+         ["dist", "r", "s", "oracle"]),
         (["oracle", "--phi", "exp:t=0.5", "--dist", "exp:rate=1"],
-         ["command", "inputs", "oracle"], ["phi", "dist", "oracle", "seed"]),
+         ["command", "inputs", "oracle"], ["phi", "dist", "oracle"]),
     ],
     ids=["bound", "sample-bound", "partition-cells", "partition-cuts", "power-mean", "oracle"],
 )

@@ -1,6 +1,10 @@
 """Distribution layer: moments, cells, cuts, transforms, file ingestion."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -476,6 +480,54 @@ def test_custom_pdf_uniform_density():
     ts = d.truncated_stats(SupportInterval(2.0, 3.5))
     assert ts.mean == pytest.approx(2.75, rel=1e-9)
     assert d.quantile(0.5) == pytest.approx(3.5, abs=1e-9)
+
+
+_QUANTILE_DENSITIES = {
+    "exponential": (lambda x: math.exp(-x), SupportInterval(0.0, math.inf)),
+    "normal": (lambda x: math.exp(-0.5 * (x - 3.0) ** 2) / math.sqrt(2.0 * math.pi),
+               SupportInterval(-math.inf, math.inf)),
+    "beta-2-5": (lambda x: 30.0 * x * (1.0 - x) ** 4, SupportInterval(0.0, 1.0)),
+}
+_QUANTILE_LEVELS = (0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999)
+
+
+@pytest.mark.parametrize("name", _QUANTILE_DENSITIES)
+def test_custom_pdf_quantile_matches_brentq_in_few_cdf_calls(monkeypatch, name):
+    from scipy.optimize import brentq
+
+    d = CustomPdf(*_QUANTILE_DENSITIES[name])
+    calls = []
+    cdf = CustomPdf._cdf
+    monkeypatch.setattr(CustomPdf, "_cdf", lambda self, x: calls.append(x) or cdf(self, x))
+    roots = []
+    for q in _QUANTILE_LEVELS:
+        calls.clear()
+        roots.append(d.quantile(q))
+        assert len(calls) <= 30, (q, len(calls))
+    # brentq on the very bracket that quantile builds
+    monkeypatch.setattr(distributions, "_increasing_root",
+                        lambda g, a, b: brentq(g, a, b, xtol=1e-12, rtol=1e-12))
+    for q, x in zip(_QUANTILE_LEVELS, roots):
+        ref = d.quantile(q)
+        assert abs(x - ref) <= 2e-12 * max(1.0, abs(ref)), (q, x, ref)
+
+
+def test_custom_pdf_quantile_loads_no_scipy_optimize():
+    code = """
+import math, sys
+from jensen_sharp import CustomPdf, SupportInterval
+d = CustomPdf(lambda x: math.exp(-x), SupportInterval(0.0, math.inf))
+print(repr(d.quantile(0.5)), "scipy.optimize" in sys.modules)
+"""
+    src = str(Path(distributions.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    root, loaded = done.stdout.split()
+    assert abs(float(root) - math.log(2.0)) <= 1e-11 and loaded == "False"
 
 
 def test_custom_pdf_rejects_unnormalised_density():

@@ -9,9 +9,11 @@ from jensen_sharp import (
     Discrete,
     DomainError,
     Empirical,
+    EmptyCellError,
     Exponential,
     FunctionSpec,
     GapEstimate,
+    JensenSharpError,
     Normal,
     NumericError,
     OracleMethod,
@@ -292,3 +294,126 @@ def test_gap_decomposes_over_partition_cells():
             err += ts.prob * cond.error_bound
         recomposed = total - float(f.func(d.mean()))
         assert abs(recomposed - full.value) <= err + 1e-9 * max(1.0, abs(full.value))
+
+
+# ---------------------------------------------------------------------------
+# one estimate path for laws with atoms and for densities
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "d", [Empirical([-1.0, 0.5, 2.0]), Discrete([-1.0, 0.5, 2.0], [1 / 3, 1 / 3, 1 / 3])],
+    ids=["empirical", "discrete"],
+)
+def test_conditional_domain_check_sees_only_the_atoms_in_the_cell(d):
+    # the cell reaches below 0, where -log is undefined, but its atoms are 0.5 and 2
+    est = estimate_conditional_gap(neg_log(), d, SupportInterval(-0.5, 3.0))
+    assert abs(est.value - math.log(1.25)) <= est.error_bound
+    with pytest.raises(DomainError):
+        estimate_conditional_gap(neg_log(), d, SupportInterval(-1.5, 3.0))
+
+
+_ONE_ATOM_FUNCS = [exp_scaled(1.0), exp_scaled(3.0), neg_log(), power(-1.0), power(3.0)]
+
+
+def _one_atom_cells(n: int, seed: int):
+    """Laws with atoms and cells that hold one of their atoms, v, which may repeat."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        v = float(10.0 ** rng.uniform(-2.0, 1.5))
+        cell = SupportInterval(v * rng.uniform(0.2, 0.9), v * rng.uniform(1.1, 3.0))
+        out = [v * rng.uniform(0.01, 0.19), v * rng.uniform(3.1, 9.0)]
+        if rng.random() < 0.5:
+            yield Empirical([v] * int(rng.integers(1, 5)) + out), cell
+        else:
+            w = rng.dirichlet(np.ones(3))
+            yield Discrete([out[0], v, out[1]], w / math.fsum(w)), cell
+
+
+@pytest.mark.parametrize("method", ["exact", "mc"])
+def test_one_atom_cells_land_within_their_bound_of_zero(method):
+    # the gap of one atom is 0; the estimate's bound must cover the rounding of the
+    # cell's mass and mean and, for Monte Carlo, of the mean of equal draws
+    misses = []
+    for d, cell in _one_atom_cells(200, 11):
+        for f in _ONE_ATOM_FUNCS:
+            est = estimate_conditional_gap(f, d, cell, budget=500, method=method, seed=4)
+            if not abs(est.value) <= est.error_bound:
+                misses.append((f.label, d, cell, est))
+    assert misses == []
+
+
+@pytest.mark.parametrize(
+    "d", [Discrete([5.0], [1.0]), Empirical([5.0] * 3)], ids=["discrete", "empirical"]
+)
+@pytest.mark.parametrize("f", _ONE_ATOM_FUNCS, ids=lambda f: f.label)
+def test_monte_carlo_on_a_constant_law_lands_within_its_bound_of_zero(f, d):
+    est = estimate_gap(f, d, budget=1000, method="mc", seed=1)
+    assert abs(est.value) <= est.error_bound
+
+
+_AGREEMENT_FUNCS = [exp_scaled(1.0), neg_log(), power(-1.0), power(0.5), quadratic(1.0, -2.0, 0.5)]
+
+
+def _restricted_law_gap(f, d, cell):
+    """The conditional gap as an exact sum over a new law of the atoms in the cell."""
+    xs = d.samples if isinstance(d, Empirical) else d.points
+    inside = np.array([cell.contains(x) for x in xs], dtype=bool)
+    if isinstance(d, Empirical):
+        if not inside.any():
+            raise EmptyCellError(f"no atom in {cell}")
+        sub = xs[inside]
+        law = Discrete([sub[0]], [1.0]) if np.unique(sub).size == 1 else Empirical(sub)
+    else:
+        p = math.fsum(d.probs[inside])
+        if p <= 0.0:
+            raise EmptyCellError(f"no mass in {cell}")
+        law = Discrete(xs[inside], d.probs[inside] / p)
+    return estimate_gap(f, law, method="exact")
+
+
+def _atom_law_cells(n: int, seed: int):
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        k = int(rng.integers(2, 9))
+        xs = rng.normal(rng.uniform(-1.0, 4.0), rng.uniform(0.3, 3.0), k)
+        xs = np.round(xs, int(rng.integers(1, 4)))
+        if rng.random() < 0.5:
+            d = Empirical(np.concatenate([xs, xs[: int(rng.integers(0, 3))]]))
+        else:
+            xs = np.unique(xs)
+            w = rng.dirichlet(np.ones(xs.size))
+            d = Discrete(xs, w / math.fsum(w))
+        a, b = np.sort(rng.uniform(xs.min() - 1.0, xs.max() + 1.0, 2))
+        cell = SupportInterval(a, b, bool(rng.random() < 0.5), bool(rng.random() < 0.5))
+        yield _AGREEMENT_FUNCS[int(rng.integers(len(_AGREEMENT_FUNCS)))], d, cell
+
+
+def _outcome(estimate, *args):
+    try:
+        return estimate(*args)
+    except JensenSharpError as exc:
+        return type(exc)
+
+
+def test_conditional_gap_on_atoms_agrees_with_the_restricted_law():
+    compared = 0
+    for f, d, cell in _atom_law_cells(900, 5):
+        ref = _outcome(_restricted_law_gap, f, d, cell)
+        est = _outcome(estimate_conditional_gap, f, d, cell)
+        if isinstance(ref, type) or isinstance(est, type):
+            assert est is ref, (f.label, d, cell)  # both refuse, with the same error
+            continue
+        compared += 1
+        assert abs(est.value - ref.value) <= est.error_bound + ref.error_bound, (f.label, d, cell)
+    assert compared >= 500
+
+
+def test_conditional_monte_carlo_on_discrete_counts_the_draws_in_the_cell():
+    d = Discrete([1.0, 2.0, 4.0, 7.0], [0.1, 0.4, 0.3, 0.2])
+    cell = SupportInterval(1.5, 5.0, lower_closed=True)
+    est = estimate_conditional_gap(quadratic(1.0), d, cell, budget=10_000, method="mc", seed=1)
+    draws = d.sample(np.random.default_rng(1), 10_000)
+    assert est.mc_samples == np.count_nonzero((draws >= 1.5) & (draws < 5.0))
+    assert est.mc_samples < 10_000
+    assert abs(est.value - 48.0 / 49.0) <= est.error_bound

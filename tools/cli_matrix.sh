@@ -8,9 +8,11 @@
 # SAMPLE_FILE is a sample file in the file:PATH grammar, one decimal per line
 # (src/jensen_sharp/data/uniform_10_100_seed42.txt is the pinned one).  The
 # package is run from the checkout that holds this script; PYTHON picks the
-# interpreter (default python3).  The last six commands are error cases; the
+# interpreter (default python3).  The last seven commands are error cases; the
 # three before them run a quadratic, whose h is identically its coefficient a,
-# so h must read a at every end they report.
+# so h must read a at every end they report.  One command reads a sample of
+# three 5s, written to a temporary directory and named relative to it, so that
+# the output does not depend on where that directory is.
 set -u
 if [ $# -ne 1 ]; then
     echo "usage: sh tools/cli_matrix.sh SAMPLE_FILE" >&2
@@ -18,6 +20,9 @@ if [ $# -ne 1 ]; then
 fi
 sample=$1
 root=$(cd "$(dirname "$0")/.." && pwd)
+const=$(mktemp -d)
+trap 'rm -rf "$const"' EXIT
+printf '5\n5\n5\n' > "$const/three_fives.txt"
 
 run() {
     for format in text json; do
@@ -43,6 +48,10 @@ run power-mean --dist uniform:lo=1,hi=3 --r -1 --s 2 --oracle mc:n=10000,seed=1
 run oracle --phi exp:t=0.5 --dist exp:rate=1 --oracle mc:n=100000,seed=42
 run oracle --phi exp:t=2 --dist exp:rate=1 --oracle quad
 run paper
+run partition --phi neglog --dist "file:$sample" --cells 4 --oracle exact
+run bound --phi power:p=-1 --dist "file:$sample" --oracle mc:n=20000,seed=3
+run power-mean --dist "file:$sample" --r 2 --s 0.5 --oracle exact
+(cd "$const" && run bound --phi exp:t=3 --dist file:three_fives.txt --oracle mc:n=1000,seed=1)
 run bound --phi quad:a=0.871,b=-0.145,c=-0.328 --dist uniform:lo=0.3,hi=2.7 --oracle quad
 run partition --phi quad:a=0.871,b=-0.145,c=-0.328 --dist uniform:lo=0.3,hi=2.7 --cells 3
 run sample-bound --phi quad:a=0.871,b=-0.145,c=-0.328 --dist "file:$sample"
@@ -52,3 +61,4 @@ run bound --phi exp:t=1 --dist normal:mu=0
 run sample-bound --phi neglog --dist "file:$sample.missing"
 run partition --phi exp:t=1 --dist uniform:lo=0,hi=1 --cuts 2.0
 run paper --seed 3
+run bound --phi exp:t=1 --dist exp:rate=1 --seed 5
