@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from jensen_sharp import (
     CustomPdf,
@@ -448,6 +448,9 @@ def _random_discrete_laws():
         yield Discrete(pts, w / w.sum())
     # mean 0; libm's pow squares 29.07538533248004 one ulp away from x*x
     yield Discrete([-29.07538533248004, 29.07538533248004], [0.5, 0.5])
+    # enough atoms for the vector sums of distributions._fsum
+    w = rng.uniform(0.0, 1.0, 3000)
+    yield Discrete(rng.lognormal(0.0, 3.0, 3000), w / w.sum())
 
 
 def test_discrete_sums_match_scalar_fsum_bit_for_bit():
@@ -492,13 +495,11 @@ _QUANTILE_LEVELS = (0.001, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999)
 
 
 @pytest.mark.parametrize("name", _QUANTILE_DENSITIES)
-def test_custom_pdf_quantile_matches_brentq_in_few_cdf_calls(monkeypatch, name):
+def test_custom_pdf_quantile_matches_brentq_in_few_mass_calls(monkeypatch, name):
     from scipy.optimize import brentq
 
     d = CustomPdf(*_QUANTILE_DENSITIES[name])
-    calls = []
-    cdf = CustomPdf._cdf
-    monkeypatch.setattr(CustomPdf, "_cdf", lambda self, x: calls.append(x) or cdf(self, x))
+    calls = _count_mass_calls(monkeypatch)
     roots = []
     for q in _QUANTILE_LEVELS:
         calls.clear()
@@ -510,6 +511,36 @@ def test_custom_pdf_quantile_matches_brentq_in_few_cdf_calls(monkeypatch, name):
     for q, x in zip(_QUANTILE_LEVELS, roots):
         ref = d.quantile(q)
         assert abs(x - ref) <= 2e-12 * max(1.0, abs(ref)), (q, x, ref)
+
+
+def _count_mass_calls(monkeypatch) -> list:
+    """The cells of every CustomPdf mass integral from now on, one entry a call."""
+    calls = []
+    expect = CustomPdf.expect
+    monkeypatch.setattr(CustomPdf, "expect",
+                        lambda self, g, cell=None: calls.append(cell) or expect(self, g, cell))
+    return calls
+
+
+def _lognormal_pdf(x: float) -> float:
+    return math.exp(-0.5 * math.log(x) ** 2) / (x * math.sqrt(2.0 * math.pi)) if x > 0.0 else 0.0
+
+
+@pytest.mark.parametrize("pdf, support, exact, levels", [
+    (lambda x: math.exp(-x), (0.0, math.inf), lambda q: -math.log1p(-q), (0.9, 0.999, 1 - 1e-6)),
+    (_lognormal_pdf, (0.0, math.inf), lambda q: math.exp(ndtri(q)), (0.9, 0.999, 1 - 1e-6)),
+    (lambda x: math.exp(x), (-math.inf, 0.0), math.log, (0.1, 0.001, 1e-6)),
+], ids=["exponential-upper", "lognormal-upper", "mirrored-exponential-lower"])
+def test_custom_pdf_tail_quantiles_hold_their_tolerance(monkeypatch, pdf, support, exact, levels):
+    # 1 - 1e-6 rounds to a level 4.6e-17 below it, which moves the exponential's root by
+    # 4.5e-11, three times the tolerance: the closed forms take the level as rounded
+    d = CustomPdf(pdf, SupportInterval(*support))
+    calls = _count_mass_calls(monkeypatch)
+    for q in levels:
+        calls.clear()
+        x, ref = d.quantile(q), exact(q)
+        assert abs(x - ref) <= 1e-12 * (1.0 + abs(ref)), (q, x, ref)
+        assert len(calls) <= 30, (q, len(calls))
 
 
 def test_custom_pdf_quantile_loads_no_scipy_optimize():
@@ -588,12 +619,13 @@ def _fsum_moments(xs) -> tuple[float, float]:
     return m, math.fsum((x - m) ** 2 for x in xs) / len(xs)
 
 
-@pytest.mark.parametrize("sample", ["pinned", "lognormal-1e5", "narrow-normal"])
+@pytest.mark.parametrize("sample", ["pinned", "lognormal-1e5", "uniform-1e5", "narrow-normal"])
 def test_empirical_moments_equal_the_fsum_reference(pinned_sample, sample):
     rng = np.random.default_rng(11)
     xs = {
         "pinned": pinned_sample,
         "lognormal-1e5": rng.lognormal(0.0, 2.0, 100_000),
+        "uniform-1e5": rng.uniform(10.0, 100.0, 100_000),
         "narrow-normal": Normal(1e6, 1e-3).sample(rng, 2_000),
     }[sample]
     d = Empirical(xs)
@@ -602,6 +634,62 @@ def test_empirical_moments_equal_the_fsum_reference(pinned_sample, sample):
     inside = [x for x in xs if cell.contains(x)]
     ts = d.truncated_stats(cell)
     assert (ts.mean, ts.variance) == _fsum_moments(inside)
+
+
+def _outcome(fsum, xs):
+    """What a sum gives: its repr, which tells -0.0 from 0.0, or its exception's type and text."""
+    try:
+        return repr(fsum(xs))
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+_CUT = distributions._FSUM_VECTOR_MIN
+
+
+@given(
+    n=st.integers(_CUT - 64, 4 * _CUT),
+    seed=st.integers(0, 2**32 - 1),
+    lowest=st.integers(-1080, 1023),
+    span=st.integers(0, 2100),
+    zero_share=st.sampled_from([0.0, 0.1, 1.0]),
+    cancel=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_fsum_equals_math_fsum_bit_for_bit(n, seed, lowest, span, zero_share, cancel):
+    rng = np.random.default_rng(seed)
+    # mantissas in [1, 2) at exponents over [lowest, lowest + span]: past -1074 they round
+    # to subnormals and zeros, past 1023 they are capped short of overflow
+    exps = np.minimum(rng.integers(lowest, lowest + span + 1, n), 1023)
+    xs = np.ldexp(rng.uniform(1.0, 2.0, n) * rng.choice([-1.0, 1.0], n), exps)
+    if cancel:  # near-cancelling halves: -x for x, a few nudged one ulp
+        half = n // 2
+        xs[half:2 * half] = -xs[:half]
+        nudge = rng.integers(half, 2 * half, 3)
+        xs[nudge] = np.nextafter(xs[nudge], rng.choice([-np.inf, np.inf], 3))
+        rng.shuffle(xs)
+    zeros = rng.uniform(size=n) < zero_share
+    xs[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+    assert _outcome(distributions._fsum, xs) == _outcome(math.fsum, xs)
+
+
+@pytest.mark.parametrize("k", [_CUT // 2 - 1, _CUT, 5 * _CUT])
+@pytest.mark.parametrize("case", ["inf-minus-inf", "overflow", "cancelling-giants",
+                                  "giants-then-one", "nan", "inf", "negative-zeros",
+                                  "one-sign-bulk"])
+def test_fsum_raises_and_returns_as_math_fsum(k, case):
+    xs = {
+        # a sum near n * max|x|, which a grid sized by n / 2 in place of n + 2 cannot hold
+        "one-sign-bulk": np.append(np.linspace(0.5, 0.99, 2 * k - 1), -0.3),
+        "inf-minus-inf": np.array([math.inf, -math.inf] * k),
+        "overflow": np.full(2 * k, 1.7e308),
+        "cancelling-giants": np.array([1.7e308, -1.7e308] * k),
+        "giants-then-one": np.array([1.7e308, -1.7e308] * k + [1.0]),
+        "nan": np.array([1.0, math.nan] * k),
+        "inf": np.array([1.0, math.inf] * k),
+        "negative-zeros": np.full(2 * k, -0.0),
+    }[case]
+    assert _outcome(distributions._fsum, xs) == _outcome(math.fsum, xs)
 
 
 def test_degenerate_support_is_rejected_but_law_works():

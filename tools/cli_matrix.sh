@@ -10,9 +10,11 @@
 # package is run from the checkout that holds this script; PYTHON picks the
 # interpreter (default python3).  The last seven commands are error cases; the
 # three before them run a quadratic, whose h is identically its coefficient a,
-# so h must read a at every end they report.  One command reads a sample of
-# three 5s, written to a temporary directory and named relative to it, so that
-# the output does not depend on where that directory is.
+# so h must read a at every end they report.  Two samples are written to a
+# temporary directory and named relative to it, so that the output does not
+# depend on where that directory is: three 5s, and 2,000 values exp(sin(k)),
+# k = 1..2000, printed with repr, large enough that the atom sums take the
+# vector path of distributions._fsum.
 set -u
 if [ $# -ne 1 ]; then
     echo "usage: sh tools/cli_matrix.sh SAMPLE_FILE" >&2
@@ -23,6 +25,9 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 const=$(mktemp -d)
 trap 'rm -rf "$const"' EXIT
 printf '5\n5\n5\n' > "$const/three_fives.txt"
+"${PYTHON:-python3}" -c 'import math
+for k in range(1, 2001):
+    print(repr(math.exp(math.sin(k))))' > "$const/exp_sin_2000.txt"
 
 run() {
     for format in text json; do
@@ -52,6 +57,9 @@ run partition --phi neglog --dist "file:$sample" --cells 4 --oracle exact
 run bound --phi power:p=-1 --dist "file:$sample" --oracle mc:n=20000,seed=3
 run power-mean --dist "file:$sample" --r 2 --s 0.5 --oracle exact
 (cd "$const" && run bound --phi exp:t=3 --dist file:three_fives.txt --oracle mc:n=1000,seed=1)
+(cd "$const" && run sample-bound --phi neglog --dist file:exp_sin_2000.txt --oracle exact)
+(cd "$const" && run partition --phi neglog --dist file:exp_sin_2000.txt --cells 8 --oracle exact)
+(cd "$const" && run power-mean --dist file:exp_sin_2000.txt --r 1 --s -1 --oracle exact)
 run bound --phi quad:a=0.871,b=-0.145,c=-0.328 --dist uniform:lo=0.3,hi=2.7 --oracle quad
 run partition --phi quad:a=0.871,b=-0.145,c=-0.328 --dist uniform:lo=0.3,hi=2.7 --cells 3
 run sample-bound --phi quad:a=0.871,b=-0.145,c=-0.328 --dist "file:$sample"
