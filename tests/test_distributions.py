@@ -532,8 +532,8 @@ def _lognormal_pdf(x: float) -> float:
     (lambda x: math.exp(x), (-math.inf, 0.0), math.log, (0.1, 0.001, 1e-6)),
 ], ids=["exponential-upper", "lognormal-upper", "mirrored-exponential-lower"])
 def test_custom_pdf_tail_quantiles_hold_their_tolerance(monkeypatch, pdf, support, exact, levels):
-    # 1 - 1e-6 rounds to a level 4.6e-17 below it, which moves the exponential's root by
-    # 4.5e-11, three times the tolerance: the closed forms take the level as rounded
+    # 1 - 1e-6 rounds to a level 2.9e-17 below it, which moves the exponential's root by
+    # 2.9e-11, twice the tolerance: the closed forms take the level as rounded
     d = CustomPdf(pdf, SupportInterval(*support))
     calls = _count_mass_calls(monkeypatch)
     for q in levels:
