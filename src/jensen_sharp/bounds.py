@@ -26,7 +26,10 @@ Numerical policy:
   log-spaced into infinite tails).  Golden-section refinement starts at the
   grid's best point and at any point no worse than both neighbours and
   better than one of them by more than the evaluation noise (mirrored for
-  maxima), so the ties of a flat h start no search.
+  maxima), so the ties of a flat h start no search.  phi (phi'' for the
+  curvature scan) is called once on the whole grid, so a callable that
+  accepts an ndarray must act elementwise; one that raises on an ndarray is
+  called point by point.  The searches call it on floats.
 * Every end of h and of phi''/2 is read one way: the closed-form hint when
   it gives a value, else the value at a finite end inside phi's domain,
   else a probe along a geometric sequence from nu (or the anchor).  A probe
@@ -264,6 +267,8 @@ class _Objective:
     value: Callable[[float], float]  # tolerant: NaN on failure
     domain: SupportInterval  # where value() may be called
     anchor: float  # where endpoint probes start
+    # the values over an ndarray of points and their evaluation-noise bounds
+    on_grid: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     hint: Callable[[float, float], float | None] | None = None  # (endpoint, anchor) -> value
     noise: Callable[[float], float] | None = None  # evaluation-noise bound at x
 
@@ -273,7 +278,10 @@ def _h_objective(f: FunctionSpec, nu: float) -> _Objective:
 
     ``value`` costs one guarded call of phi (of phi'' within the switch
     radius).  It takes Python floats, whose arithmetic overflows to inf
-    without a numpy warning.
+    without a numpy warning.  ``on_grid`` evaluates phi once on the whole
+    grid, and phi'' once on its points within the switch radius; the
+    noise bounds reuse those phi values.  Both forms share one direct
+    formula and one second-order rule.
     """
     nu = float(nu)
     phi_nu = guarded(f.func, nu)
@@ -281,28 +289,55 @@ def _h_objective(f: FunctionSpec, nu: float) -> _Objective:
     d2_nu = guarded(f.deriv2, nu)
     radius = switch_radius(nu)
 
+    def direct(phi_x, dx):
+        return (phi_x - phi_nu) / (dx * dx) - d1_nu / dx
+
+    def rule(d2_x):
+        return (2.0 * d2_nu + d2_x) / 6.0
+
     def value(x: float) -> float:
         dx = x - nu
         if dx == 0.0:
             return 0.5 * d2_nu
         if abs(dx) <= radius:
-            return (2.0 * d2_nu + guarded(f.deriv2, x)) / 6.0
-        return (guarded(f.func, x) - phi_nu) / (dx * dx) - d1_nu / dx
+            return rule(guarded(f.deriv2, x))
+        return direct(guarded(f.func, x), dx)
 
-    def noise(x: float) -> float:
+    def noise_at(x, phi_x):
         # rounding of phi is amplified by 1/dx^2 in the direct formula
-        dx = max(abs(x - nu), radius)
-        phi_x = abs(guarded(f.func, x))
-        if not math.isfinite(phi_x):
-            phi_x = 0.0
-        return 8.0 * _EPS * (phi_x + abs(phi_nu)) / (dx * dx) + 4.0 * _EPS * abs(d1_nu) / dx
+        with np.errstate(all="ignore"):
+            dx = np.maximum(np.abs(x - nu), radius)
+            phi_x = np.abs(phi_x)
+            phi_x = np.where(np.isfinite(phi_x), phi_x, 0.0)
+            return 8.0 * _EPS * (phi_x + abs(phi_nu)) / (dx * dx) + 4.0 * _EPS * abs(d1_nu) / dx
 
-    return _Objective(value, f.natural_domain, nu, hint=f.h_limit_hint, noise=noise)
+    def on_grid(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        dx = xs - nu
+        phi_x = guarded(f.func, xs)
+        with np.errstate(all="ignore"):
+            vs = direct(phi_x, dx)
+        near = np.abs(dx) <= radius
+        if near.any():
+            vs[near] = rule(guarded(f.deriv2, xs[near]))
+            vs[dx == 0.0] = 0.5 * d2_nu
+        return vs, noise_at(xs, phi_x)
+
+    return _Objective(
+        value, f.natural_domain, nu, on_grid, hint=f.h_limit_hint,
+        noise=lambda x: noise_at(x, guarded(f.func, x)),
+    )
 
 
 def _curvature_objective(f: FunctionSpec, anchor: float) -> _Objective:
     """phi''/2; an endpoint outside the domain is probed from the anchor, as h probes from nu."""
-    return _Objective(lambda x: 0.5 * guarded(f.deriv2, x), f.natural_domain, anchor)
+
+    def half_d2(x):
+        return 0.5 * guarded(f.deriv2, x)
+
+    def on_grid(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return half_d2(xs), np.zeros_like(xs)
+
+    return _Objective(half_d2, f.natural_domain, anchor, on_grid)
 
 
 def _endpoint(obj: _Objective, e: float, closed: bool) -> HEvaluation:
@@ -369,8 +404,7 @@ def _scan_grid(interval: SupportInterval, anchor: float, domain: SupportInterval
         span = hi - core_lo
         pts.append(hi - span * 2.0 ** -np.arange(2.0, 26.0))
     grid = np.unique(np.concatenate(pts))
-    keep = [x for x in grid if interval.contains(x) and domain.contains(x)]
-    return np.asarray(keep, dtype=float)
+    return grid[interval.contains(grid) & domain.contains(grid)]
 
 
 def _scan_extrema(
@@ -378,33 +412,33 @@ def _scan_extrema(
 ) -> tuple[HEvaluation, HEvaluation]:
     """Dense grid + golden-section refinement of standout extrema, set against the two ends."""
     xs = _scan_grid(interval, anchor, obj.domain)
-    vs = np.array([obj.value(x) for x in xs.tolist()])
+    vs, eps = obj.on_grid(xs)
     finite = np.isfinite(vs)
-    xs_f, vs_f = xs[finite].tolist(), vs[finite].tolist()
-    n = len(xs_f)
-    i_min = min(range(n), key=vs_f.__getitem__, default=-1)
-    i_max = max(range(n), key=vs_f.__getitem__, default=-1)
+    xs, vs, eps = xs[finite], vs[finite], eps[finite]
+    n = len(xs)
     noise = obj.noise or (lambda x: 0.0)
 
-    min_candidates: list[tuple[float, float]] = []  # (value, x)
-    max_candidates: list[tuple[float, float]] = []
-    for i in range(1, n - 1):
-        v = vs_f[i]
-        near, far = sorted((vs_f[i - 1], vs_f[i + 1]))
-        is_min, is_max = v <= near, v >= far
-        if not (is_min or is_max):
-            continue
-        eps, a, b = noise(xs_f[i]), xs_f[i - 1], xs_f[i + 1]
-        tol = GOLDEN_RTOL * max(1.0, abs(xs_f[i]))
-        if is_min and (i == i_min or far - v > eps):
-            x, g = _golden_section(obj.value, a, b, tol)
-            min_candidates.append((g, x))
-        if is_max and (i == i_max or v - near > eps):
-            x, g = _golden_section(lambda t: -obj.value(t), a, b, tol)
-            max_candidates.append((-g, x))
+    # a point no worse than both neighbours starts a search when it beats one
+    # of them by more than its noise bound, or when it is the grid's best
+    i_min, i_max = (int(np.argmin(vs)), int(np.argmax(vs))) if n else (-1, -1)
+    inner = np.arange(1, n - 1)
+    mid, margin = vs[1:-1], eps[1:-1]
+    near, far = np.minimum(vs[:-2], vs[2:]), np.maximum(vs[:-2], vs[2:])
+    starts_min = (mid <= near) & ((inner == i_min) | (far - mid > margin))
+    starts_max = (mid >= far) & ((inner == i_max) | (mid - near > margin))
+    xl = xs.tolist()
+
+    def refine(i: int, sign: float) -> tuple[float, float]:
+        """(value, x) of the search between grid point i's neighbours (+1 min, -1 max)."""
+        tol = GOLDEN_RTOL * max(1.0, abs(xl[i]))
+        x, g = _golden_section(lambda t: sign * obj.value(t), xl[i - 1], xl[i + 1], tol)
+        return sign * g, x
+
+    min_candidates = [refine(i, 1.0) for i in inner[starts_min].tolist()]  # (value, x)
+    max_candidates = [refine(i, -1.0) for i in inner[starts_max].tolist()]
     if n > 0:
-        min_candidates.append((vs_f[i_min], xs_f[i_min]))
-        max_candidates.append((vs_f[i_max], xs_f[i_max]))
+        min_candidates.append((float(vs[i_min]), xl[i_min]))
+        max_candidates.append((float(vs[i_max]), xl[i_max]))
 
     def as_eval(v: float, x: float) -> HEvaluation:
         if math.isinf(v):

@@ -67,12 +67,14 @@ class SupportInterval:
         if math.isinf(self.upper) and self.upper_closed:
             raise ParameterError("an infinite upper endpoint cannot be closed")
 
-    def contains(self, x: float) -> bool:
-        if math.isnan(x):
-            return False
-        above = x > self.lower or (self.lower_closed and x == self.lower)
-        below = x < self.upper or (self.upper_closed and x == self.upper)
-        return above and below
+    def contains(self, x):
+        """Whether x lies in the interval; a bool mask for an ndarray x.
+
+        NaN lies in no interval: it fails every comparison.
+        """
+        above = x >= self.lower if self.lower_closed else x > self.lower
+        below = x <= self.upper if self.upper_closed else x < self.upper
+        return above & below
 
     def contains_interval(self, other: "SupportInterval") -> bool:
         """Set containment, honouring open/closed endpoints."""
@@ -113,7 +115,10 @@ class FunctionSpec:
     ratio h(x; nu) as x approaches a natural-domain endpoint, or ``None``
     when it has nothing to offer; the bounds engine then falls back to
     numeric probing.  All callables must accept floats; the catalog entries
-    also broadcast over numpy arrays.
+    also broadcast over numpy arrays.  A callable that accepts an ndarray
+    must act elementwise, because the extrema scan calls it once on its
+    whole grid; one that raises on an ndarray, or returns another shape, is
+    evaluated point by point.
     """
 
     func: Callable[[float], float]
@@ -134,8 +139,22 @@ class FunctionSpec:
         )
 
 
-def guarded(fn: Callable[[float], float], x: float) -> float:
-    """fn(x) as a float, NaN where the evaluation fails (overflow, bad input)."""
+def guarded(fn: Callable[[float], float], x):
+    """fn(x) as a float, NaN where the evaluation fails (overflow, bad input).
+
+    An ndarray x is passed to fn whole, once, and a float array of its shape
+    comes back.  Should that call raise or return another shape, fn is taken
+    as scalar-only and called point by point, each point guarded as above.
+    """
+    if isinstance(x, np.ndarray):
+        try:
+            with np.errstate(all="ignore"):
+                v = np.asarray(fn(x), dtype=float)
+            if v.shape == x.shape:
+                return v
+        except Exception:  # the per-point calls below raise whatever a point raises
+            pass
+        return np.array([guarded(fn, t) for t in x.ravel().tolist()], dtype=float).reshape(x.shape)
     try:
         with np.errstate(all="ignore"):
             return float(fn(x))

@@ -20,13 +20,12 @@ from .distributions import (
     DistributionSpec,
     Empirical,
     SupportInterval,
-    _apply,
     _check_mass_in_domain,
     _mask,
 )
 from .errors import NumericError, ParameterError
 from .extreal import encode, ext_mul
-from .functions import FunctionSpec
+from .functions import FunctionSpec, guarded
 
 __all__ = [
     "OracleMethod",
@@ -119,7 +118,7 @@ def _monte_carlo(f: FunctionSpec, d, budget: int, seed: int, cell, p: float) -> 
         xs = xs[_mask(xs, cell)]
         if xs.size < 2:
             raise ParameterError(f"monte carlo needs 2 draws in {cell}, got {xs.size} of {n}")
-    vals = _apply(f.func, xs)
+    vals = guarded(f.func, xs)
     if not np.all(np.isfinite(vals)):
         raise NumericError("monte carlo hit non-finite phi values; the gap likely diverges "
                            "(use the quadrature oracle for a classified verdict)")

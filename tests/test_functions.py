@@ -20,7 +20,7 @@ from jensen_sharp import (
     power_mean_bounds,
     quadratic,
 )
-from jensen_sharp.functions import FunctionSpec
+from jensen_sharp.functions import FunctionSpec, guarded
 
 EPS_CBRT = float(np.finfo(float).eps) ** (1.0 / 3.0)
 
@@ -210,3 +210,65 @@ def test_contains_respects_ordering(lo, width, x):
         assert iv.lower <= x <= iv.upper
     else:
         assert x < iv.lower or x > iv.upper or math.isnan(x)
+
+
+def test_guarded_array_gives_nan_only_where_a_scalar_callable_fails():
+    xs = np.array([0.0, 1.0, 800.0, -2.0, 1000.0])
+    v = guarded(math.exp, xs)  # math.exp raises TypeError on an ndarray
+    assert v.dtype == float and v.shape == xs.shape
+    assert np.array_equal(np.isnan(v), [False, False, True, False, True])
+    assert v[1] == math.exp(1.0) and v[3] == math.exp(-2.0)
+
+
+def test_guarded_array_calls_a_broadcasting_callable_once():
+    calls = []
+
+    def fn(x):
+        calls.append(x)
+        return np.exp(x)
+
+    xs = np.linspace(-1.0, 1000.0, 7)
+    v = guarded(fn, xs)
+    assert len(calls) == 1 and calls[0] is xs
+    with np.errstate(over="ignore"):
+        assert np.array_equal(v, np.exp(xs)) and np.isinf(v[-1])
+
+
+def test_guarded_array_falls_back_when_the_shape_is_wrong():
+    xs = np.array([1.0, 2.0, 3.0])
+    calls = []
+
+    def first_only(x):
+        calls.append(x)
+        return float(np.ravel(x)[0]) * 2.0
+
+    v = guarded(first_only, xs)
+    assert v.tolist() == [2.0, 4.0, 6.0]
+    assert len(calls) == 4  # the whole array once, then each point
+
+
+def test_guarded_float_input_returns_a_float():
+    v = guarded(lambda x: np.exp(x), 1.5)
+    assert type(v) is float and v == math.exp(1.5)
+    assert math.isnan(guarded(math.exp, 1000.0))
+
+
+@pytest.mark.parametrize(
+    "iv",
+    [
+        SupportInterval(0.0, 1.0, True, True),
+        SupportInterval(0.0, 1.0, True, False),
+        SupportInterval(0.0, 1.0, False, True),
+        SupportInterval(0.0, 1.0),
+        SupportInterval(-math.inf, 1.0, False, True),
+        SupportInterval(0.0, math.inf, True, False),
+        SupportInterval(-math.inf, math.inf),
+    ],
+    ids=str,
+)
+def test_contains_on_an_array_agrees_with_the_scalar_form(iv):
+    xs = np.array([-math.inf, -1.0, -0.0, 0.0, 1e-300, 0.5, 1.0, 1.0 + 1e-15, 2.0, math.inf, math.nan])
+    mask = iv.contains(xs)
+    assert mask.dtype == bool and mask.shape == xs.shape
+    assert mask.tolist() == [iv.contains(x) for x in xs.tolist()]
+    assert not mask[-1]

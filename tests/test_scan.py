@@ -12,11 +12,22 @@ from jensen_sharp import (
     Normal,
     Shape,
     SupportInterval,
+    Uniform,
+    exp_scaled,
     h_extrema,
+    neg_log,
     power,
     quadratic,
 )
-from jensen_sharp.bounds import GRID_CORE, curvature_extrema
+from jensen_sharp import bounds
+from jensen_sharp.bounds import (
+    GRID_CORE,
+    _curvature_objective,
+    _h_objective,
+    _scan_grid,
+    curvature_extrema,
+    switch_radius,
+)
 
 
 def test_curvature_scan_finds_the_deeper_of_two_narrow_wells():
@@ -60,12 +71,118 @@ def test_flat_h_scan_stays_within_its_budget(f, law):
     calls = []
 
     def counted(x):
-        calls.append(x)
+        calls.append(np.size(x))  # an array call counts each of its points
         return f.func(x)
 
     stripped = dataclasses.replace(f, func=counted, phi_prime_shape=Shape.UNKNOWN)
     inf_ev, sup_ev = h_extrema(stripped, law.support, law.mean())
-    assert len(calls) < 2500
+    assert sum(calls) < 2500
     expected = h_extrema(f, law.support, law.mean())
     for ev, fast in zip((inf_ev, sup_ev), expected):
         assert ev.value == pytest.approx(fast.value, abs=1e-8 * max(1.0, abs(fast.value)))
+
+
+@pytest.mark.parametrize(
+    "f, law",
+    [
+        (quadratic(1.5, 0.3), Normal(0.4, 1.2)),
+        (power(1.0), Exponential(1.3)),
+        (power(2.0), Exponential(1.3)),
+    ],
+    ids=lambda v: getattr(v, "label", repr(v)),
+)
+def test_flat_h_scan_starts_one_search_each_way(f, law, monkeypatch):
+    """Within noise only the grid's best and worst points start a search."""
+    starts = []
+    search = bounds._golden_section
+
+    def counted(fn, a, b, tol):
+        starts.append((a, b))
+        return search(fn, a, b, tol)
+
+    monkeypatch.setattr(bounds, "_golden_section", counted)
+    stripped = dataclasses.replace(f, phi_prime_shape=Shape.UNKNOWN)
+    h_extrema(stripped, law.support, law.mean())
+    assert len(starts) == 2
+
+
+@pytest.mark.parametrize(
+    "f, nu",
+    [(exp_scaled(1.3), 0.4), (power(2.5), 1.7), (neg_log(), 0.77), (quadratic(0.8, -0.4, 0.2), -3.0)],
+    ids=lambda v: getattr(v, "label", repr(v)),
+)
+def test_grid_values_match_the_scalar_objective(f, nu):
+    """The array forms of h, of its noise bound and of phi''/2 agree with the scalar ones bit for bit."""
+    r = switch_radius(nu)
+    xs = np.concatenate([
+        _scan_grid(SupportInterval(nu - 2.0, nu + 2.0), nu, f.natural_domain),
+        nu + r * np.array([-1.0, -0.5, 0.0, 0.25, 1.0, 1.0 + 1e-12]),
+    ])
+    h = _h_objective(f, nu)
+    vs, eps = h.on_grid(xs)
+    assert vs.tolist() == [h.value(x) for x in xs.tolist()]
+    assert eps.tolist() == [h.noise(x) for x in xs.tolist()]
+    half_d2 = _curvature_objective(f, nu)
+    assert half_d2.on_grid(xs)[0].tolist() == [half_d2.value(x) for x in xs.tolist()]
+
+
+def _x4():
+    return FunctionSpec(
+        func=lambda x: (x * x) * (x * x),
+        deriv1=lambda x: 4.0 * x * x * x,
+        deriv2=lambda x: 12.0 * x * x,
+        natural_domain=SupportInterval(-math.inf, math.inf),
+        label="x4",
+    )
+
+
+def _scalar_only(fn):
+    def call(x):
+        if isinstance(x, np.ndarray):
+            raise TypeError("scalar-only callable")
+        return fn(x)
+
+    return call
+
+
+_AGREEMENT_CASES = [
+    (f, law)
+    for f in (exp_scaled(1.3), exp_scaled(-0.7), power(2.5), power(-1.5), power(0.5),
+              neg_log(), quadratic(0.8, -0.4, 0.2), _x4())
+    for law in (Normal(0.4, 1.2), Exponential(1.3), Uniform(1.0, 4.0))
+    if f.natural_domain.contains_interval(law.support)
+]
+
+
+@pytest.mark.parametrize("extrema", [h_extrema, curvature_extrema], ids=lambda e: e.__name__)
+@pytest.mark.parametrize(
+    "f, law", _AGREEMENT_CASES, ids=lambda v: getattr(v, "label", type(v).__name__)
+)
+def test_array_and_per_point_scans_agree(f, law, extrema):
+    """One call on the whole grid finds what the per-point fallback finds, bit for bit."""
+    calls = []
+
+    def recorded(fn):
+        def call(x):
+            calls.append(x)
+            return fn(x)
+
+        return call
+
+    traced = recorded(f.deriv2 if extrema is curvature_extrema else f.func)
+    stripped = dataclasses.replace(f, phi_prime_shape=Shape.UNKNOWN)
+    if extrema is curvature_extrema:
+        broadcasting = dataclasses.replace(stripped, deriv2=traced)
+    else:
+        broadcasting = dataclasses.replace(stripped, func=traced)
+    scalar = dataclasses.replace(
+        stripped,
+        func=_scalar_only(f.func),
+        deriv1=_scalar_only(f.deriv1),
+        deriv2=_scalar_only(f.deriv2),
+    )
+    iv, nu = law.support, law.mean()
+    assert extrema(broadcasting, iv, nu) == extrema(scalar, iv, nu)
+    arrays = [x for x in calls if isinstance(x, np.ndarray)]
+    assert len(arrays) == 1
+    assert np.array_equal(arrays[0], _scan_grid(iv, nu, f.natural_domain))
