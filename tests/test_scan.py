@@ -83,30 +83,6 @@ def test_flat_h_scan_stays_within_its_budget(f, law):
 
 
 @pytest.mark.parametrize(
-    "f, law",
-    [
-        (quadratic(1.5, 0.3), Normal(0.4, 1.2)),
-        (power(1.0), Exponential(1.3)),
-        (power(2.0), Exponential(1.3)),
-    ],
-    ids=lambda v: getattr(v, "label", repr(v)),
-)
-def test_flat_h_scan_starts_one_search_each_way(f, law, monkeypatch):
-    """Within noise only the grid's best and worst points start a search."""
-    starts = []
-    search = bounds._golden_section
-
-    def counted(fn, a, b, tol):
-        starts.append((a, b))
-        return search(fn, a, b, tol)
-
-    monkeypatch.setattr(bounds, "_golden_section", counted)
-    stripped = dataclasses.replace(f, phi_prime_shape=Shape.UNKNOWN)
-    h_extrema(stripped, law.support, law.mean())
-    assert len(starts) == 2
-
-
-@pytest.mark.parametrize(
     "f, nu",
     [(exp_scaled(1.3), 0.4), (power(2.5), 1.7), (neg_log(), 0.77), (quadratic(0.8, -0.4, 0.2), -3.0)],
     ids=lambda v: getattr(v, "label", repr(v)),
@@ -124,6 +100,59 @@ def test_grid_values_match_the_scalar_objective(f, nu):
     assert eps.tolist() == [h.noise(x) for x in xs.tolist()]
     half_d2 = _curvature_objective(f, nu)
     assert half_d2.on_grid(xs)[0].tolist() == [half_d2.value(x) for x in xs.tolist()]
+
+
+def _reference_starts(obj, xs):
+    """(a, b) of each search the scan starts, by the per-point loop it ran before its masks."""
+    pts = [(x, v) for x, v in ((x, obj.value(x)) for x in xs.tolist()) if math.isfinite(v)]
+    xs_f, vs_f = [x for x, _ in pts], [v for _, v in pts]
+    n = len(xs_f)
+    i_min = min(range(n), key=vs_f.__getitem__, default=-1)
+    i_max = max(range(n), key=vs_f.__getitem__, default=-1)
+    noise = obj.noise or (lambda x: 0.0)
+    starts = []
+    for i in range(1, n - 1):
+        v = vs_f[i]
+        near, far = sorted((vs_f[i - 1], vs_f[i + 1]))
+        if v <= near and (i == i_min or far - v > noise(xs_f[i])):
+            starts.append((xs_f[i - 1], xs_f[i + 1]))
+        if v >= far and (i == i_max or v - near > noise(xs_f[i])):
+            starts.append((xs_f[i - 1], xs_f[i + 1]))
+    return sorted(starts)
+
+
+@pytest.mark.parametrize("objective", [_h_objective, _curvature_objective], ids=lambda o: o.__name__)
+@pytest.mark.parametrize(
+    "f, law",
+    [
+        (quadratic(1.5, 0.3), Exponential(1.3)),
+        (quadratic(0.8, -0.4, 0.2), Normal(0.3, 1.1)),
+        (power(1.0), Uniform(1.0, 4.0)),
+        (power(2.0), Exponential(1.3)),
+        # flat h whose cancellation noise puts some points on the noise margin
+        (power(2.0), Exponential(0.593)),
+        (quadratic(1.744, -0.373, -0.153), Exponential(0.55)),
+        (exp_scaled(1.3), Normal(0.4, 1.2)),
+        (power(-1.5), Uniform(1.0, 4.0)),
+        (neg_log(), Exponential(1.3)),
+    ],
+    ids=lambda v: getattr(v, "label", type(v).__name__),
+)
+def test_scan_starts_the_searches_the_per_point_loop_starts(f, law, objective, monkeypatch):
+    starts = []
+    search = bounds._golden_section
+
+    def recorded(fn, a, b, tol):
+        starts.append((a, b))
+        return search(fn, a, b, tol)
+
+    monkeypatch.setattr(bounds, "_golden_section", recorded)
+    stripped = dataclasses.replace(f, phi_prime_shape=Shape.UNKNOWN)
+    iv, nu = law.support, law.mean()
+    extrema = h_extrema if objective is _h_objective else curvature_extrema
+    extrema(stripped, iv, nu)
+    xs = _scan_grid(iv, nu, f.natural_domain)
+    assert sorted(starts) == _reference_starts(objective(stripped, nu), xs)
 
 
 def _x4():
