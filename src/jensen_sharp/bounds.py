@@ -263,8 +263,8 @@ def h_endpoint_limit(f: FunctionSpec, nu: float, endpoint: float) -> float:
 class _Objective(NamedTuple):
     """A scalar field to be minimised/maximised over an interval.
 
-    A named tuple, not a frozen dataclass: every h evaluation builds one,
-    and a tuple is built in about 1 us less.
+    A named tuple, not a frozen dataclass: every h evaluation and every
+    extrema search builds one, and a tuple is the cheaper to build.
     """
 
     value: Callable[[float], float]  # tolerant: NaN on failure

@@ -146,7 +146,7 @@ def guarded(fn: Callable[[float], float], x):
     comes back.  Should that call raise or return another shape, fn is taken
     as scalar-only and called point by point, each point guarded as above.
     """
-    # a float skips the ndarray test, which costs a scalar call about 0.3 us
+    # a float, the common case (quadrature nodes, searches, probes), skips the costlier ndarray test
     if type(x) is not float and isinstance(x, np.ndarray):
         try:
             with np.errstate(all="ignore"):
