@@ -39,6 +39,8 @@ __all__ = [
 DEFAULT_SEED = 42
 DEFAULT_MC_BUDGET = 1_000_000
 _EPS = float(np.finfo(float).eps)
+# Monte Carlo draws per block: 128 KB arrays, which stay in cache
+_MC_BLOCK = 2**14
 
 
 class OracleMethod(Enum):
@@ -109,25 +111,54 @@ def _integral(f: FunctionSpec, d, cell, p: float, atoms: bool) -> GapEstimate:
 
 
 def _monte_carlo(f: FunctionSpec, d, budget: int, seed: int, cell, p: float) -> GapEstimate:
-    """Mean of phi over budget draws of d (those that land in the cell, when given)."""
+    """Mean of phi over budget draws of d (those that land in the cell, when given).
+
+    The draws come from one ``np.random.default_rng(seed)`` stream in blocks of
+    ``_MC_BLOCK``, each finished before the next is drawn, so memory does not grow with
+    the budget; the blocks together are the draws of one ``d.sample(rng, budget)`` call,
+    and the estimate is bit-reproducible for a fixed seed and budget.  E[phi] is the
+    ``math.fsum`` of the block sums over the count; the standard error comes from the
+    sums of squares about the first block's mean (Chan, Golub & LeVeque, 1983).
+    """
     n = int(budget)
     if n < 2:
         raise ParameterError(f"monte carlo needs at least 2 samples, got {n}")
-    xs = np.asarray(d.sample(np.random.default_rng(seed), n), dtype=float)
-    if cell is not None:
-        xs = xs[_mask(xs, cell)]
-        if xs.size < 2:
-            raise ParameterError(f"monte carlo needs 2 draws in {cell}, got {xs.size} of {n}")
-    vals = guarded(f.func, xs)
-    if not np.all(np.isfinite(vals)):
+    rng = np.random.default_rng(seed)
+    scratch = np.empty(min(n, _MC_BLOCK))
+    count, sums, squares, shift, finite = 0, [], [], 0.0, True
+    # a sum over inf and -inf, or one that overflows, must not warn: the check below decides
+    with np.errstate(all="ignore"):
+        for start in range(0, n, _MC_BLOCK):
+            xs = np.asarray(d.sample(rng, min(_MC_BLOCK, n - start)), dtype=float)
+            if cell is not None:
+                xs = xs[_mask(xs, cell)]
+            count += xs.size
+            # after a non-finite value only the count matters: too few draws in the cell wins
+            if not (finite and xs.size):
+                continue
+            vals = guarded(f.func, xs)
+            total = float(np.sum(vals))
+            if not math.isfinite(total):  # a NaN or inf value, or a sum past the float range
+                finite = False
+                continue
+            if not sums:
+                shift = total / vals.size
+            # vals may be xs itself, or the caller's own array: deviations go to scratch
+            dev = np.subtract(vals, shift, out=scratch[: vals.size])
+            sums.append(total)
+            squares.append(float(np.sum(np.multiply(dev, dev, out=dev))))
+    if count < 2:
+        raise ParameterError(f"monte carlo needs 2 draws in {cell}, got {count} of {n}")
+    if not finite:
         raise NumericError("monte carlo hit non-finite phi values; the gap likely diverges "
                            "(use the quadrature oracle for a classified verdict)")
-    e_phi = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1)) / math.sqrt(xs.size)
+    e_phi = math.fsum(sums) / count
+    var = (math.fsum(squares) - count * (e_phi - shift) ** 2) / (count - 1)
+    se = math.sqrt(max(var, 0.0) / count)
     phimu, err_phimu = _phi_of_mean(f, d, cell, p)
-    # np.mean of n equal draws is off by a few eps of their size, which 3 se does not cover
+    # the division and the block sums round at a few eps of the mean, which 3 se does not cover
     err = 3.0 * se + 4.0 * _EPS * max(1.0, abs(e_phi), abs(phimu)) + err_phimu
-    return GapEstimate(e_phi - phimu, err, OracleMethod.MONTE_CARLO, seed, xs.size)
+    return GapEstimate(e_phi - phimu, err, OracleMethod.MONTE_CARLO, seed, count)
 
 
 def estimate_gap(

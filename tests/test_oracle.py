@@ -1,6 +1,8 @@
 """Gap oracle: quadrature, exact summation, Monte Carlo, conditionals."""
 
 import math
+import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from jensen_sharp import (
     quadratic,
     transform_power,
 )
+from jensen_sharp.oracle import _EPS, _MC_BLOCK
 
 
 def test_mgf_exponential_reference_value():
@@ -417,3 +420,106 @@ def test_conditional_monte_carlo_on_discrete_counts_the_draws_in_the_cell():
     assert est.mc_samples == np.count_nonzero((draws >= 1.5) & (draws < 5.0))
     assert est.mc_samples < 10_000
     assert abs(est.value - 48.0 / 49.0) <= est.error_bound
+
+
+_BLOCK_LAWS = [
+    Normal(-0.3, 1.7),
+    Exponential(1.5),
+    Uniform(2.0, 5.0),
+    Empirical(np.random.default_rng(5).lognormal(size=300)),
+    Discrete([1.0, 2.0, 4.0, 7.0], [0.1, 0.4, 0.3, 0.2]),
+    transform_power(Exponential(1.0), 2.5),
+]
+
+
+@pytest.mark.parametrize("block", [_MC_BLOCK, 1001])
+@pytest.mark.parametrize("d", _BLOCK_LAWS, ids=lambda d: type(d).__name__)
+def test_block_draws_are_the_draws_of_one_call(d, block):
+    """The oracle draws in blocks; together they must be what one call with a seed gives."""
+    n = 3 * block + 17
+    whole = d.sample(np.random.default_rng(11), n)
+    rng = np.random.default_rng(11)
+    sizes = [block, block, block, 17]
+    blocks = np.concatenate([d.sample(rng, k) for k in sizes])
+    assert np.array_equal(whole, blocks)
+
+
+def _block_values(f, d, n, seed):
+    rng = np.random.default_rng(seed)
+    return [f.func(d.sample(rng, min(_MC_BLOCK, n - s))) for s in range(0, n, _MC_BLOCK)]
+
+
+@pytest.mark.parametrize(
+    "f, d",
+    [(exp_scaled(0.5), Normal(0.0, 1.0)), (quadratic(1.0), Normal(1e4, 1.0)),
+     (neg_log(), Exponential(1.5)), (power(2.5), Uniform(1.0, 4.0))],
+    ids=["exp-normal", "quad-far-normal", "neglog-exp", "power-uniform"],
+)
+def test_monte_carlo_sums_the_blocks_and_takes_the_sample_standard_error(f, d):
+    n = 2 * _MC_BLOCK + 1234
+    est = estimate_gap(f, d, budget=n, method="mc", seed=4)
+    blocks = _block_values(f, d, n, 4)
+    e_phi = math.fsum(float(np.sum(b)) for b in blocks) / n
+    phimu = float(f.func(d.mean()))
+    assert est.value == e_phi - phimu
+    assert est.mc_samples == n
+    vals = np.concatenate(blocks)
+    se = (est.error_bound - 4.0 * _EPS * max(1.0, abs(e_phi), abs(phimu))) / 3.0
+    assert se == pytest.approx(float(np.std(vals, ddof=1)) / math.sqrt(n), rel=1e-12)
+
+
+def test_conditional_monte_carlo_counts_the_cell_draws_of_one_call():
+    cell = SupportInterval(0.431, math.inf)
+    n = 5 * _MC_BLOCK + 99
+    est = estimate_conditional_gap(exp_scaled(1.0), Normal(0.0, 1.0), cell, budget=n,
+                                   method="mc", seed=3)
+    draws = Normal(0.0, 1.0).sample(np.random.default_rng(3), n)
+    assert est.mc_samples == np.count_nonzero(draws > 0.431)
+
+
+def test_monte_carlo_refuses_non_finite_phi_values():
+    with pytest.raises(NumericError, match="non-finite phi values"):
+        estimate_gap(exp_scaled(800.0), Normal(0.0, 1.0), budget=3 * _MC_BLOCK, method="mc")
+
+
+def test_too_few_cell_draws_beat_non_finite_phi_values():
+    """One draw lands in the cell and phi overflows on it: the count is reported first."""
+    n, d = 2 * _MC_BLOCK + 5, Normal(0.0, 1.0)
+    draws = np.sort(d.sample(np.random.default_rng(8), n))
+    cell = SupportInterval(float(draws[-2]), math.inf)  # open below: only the largest draw
+    with pytest.raises(NumericError, match="non-finite"):
+        estimate_gap(exp_scaled(800.0), d, budget=n, method="mc", seed=8)
+    with pytest.raises(ParameterError, match="got 1 of"):
+        estimate_conditional_gap(exp_scaled(800.0), d, cell, budget=n, method="mc", seed=8)
+
+
+def test_monte_carlo_memory_does_not_grow_with_the_budget():
+    tracemalloc.start()
+    try:
+        estimate_gap(exp_scaled(0.5), Normal(0.0, 1.0), budget=1_000_000, method="mc")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000  # one array of the million draws alone takes 8 MB
+
+
+@dataclass(frozen=True, eq=False)
+class _StoredUniform(Uniform):
+    """A uniform law whose sampler hands out writable views of one stored array."""
+
+    store: np.ndarray | None = None
+
+    def sample(self, rng, n):
+        start = int(rng.integers(0, self.store.size - n + 1))
+        return self.store[start:start + n]
+
+
+def test_monte_carlo_writes_into_no_array_of_the_caller():
+    store = np.random.default_rng(6).uniform(size=3 * _MC_BLOCK)
+    kept = store.copy()
+    identity = FunctionSpec(func=lambda x: x, deriv1=lambda x: 1.0, deriv2=lambda x: 0.0,
+                            natural_domain=SupportInterval(-math.inf, math.inf))
+    est = estimate_gap(identity, _StoredUniform(0.0, 1.0, store), budget=2 * _MC_BLOCK + 7,
+                       method="mc")
+    assert np.array_equal(store, kept)
+    assert abs(est.value) < 0.05  # the draws overlap, so their mean is only near 1/2
