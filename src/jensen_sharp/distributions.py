@@ -20,6 +20,7 @@ import math
 import statistics
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -582,8 +583,16 @@ class Discrete(DistributionSpec):
                 return float(x)
         return float(self.points[-1])
 
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        cdf = np.cumsum(self.probs)
+        cdf /= cdf[-1]
+        return cdf
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.choice(self.points, size=n, replace=True, p=self.probs)
+        # the draws of rng.choice(points, p=probs), which checks and sums probs on every
+        # call: the same uniforms searched in the same cumulative sum, kept once
+        return self.points[self._cdf.searchsorted(rng.random(n), side="right")]
 
 
 @dataclass(frozen=True, eq=False)

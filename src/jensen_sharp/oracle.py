@@ -124,9 +124,9 @@ def _monte_carlo(f: FunctionSpec, d, budget: int, seed: int, cell, p: float) -> 
     if n < 2:
         raise ParameterError(f"monte carlo needs at least 2 samples, got {n}")
     rng = np.random.default_rng(seed)
-    scratch = np.empty(min(n, _MC_BLOCK))
     count, sums, squares, shift, finite = 0, [], [], 0.0, True
-    # a sum over inf and -inf, or one that overflows, must not warn: the check below decides
+    # a sum over inf and -inf, or a sum or square that overflows, must not warn: the checks
+    # below decide
     with np.errstate(all="ignore"):
         for start in range(0, n, _MC_BLOCK):
             xs = np.asarray(d.sample(rng, min(_MC_BLOCK, n - start)), dtype=float)
@@ -143,17 +143,20 @@ def _monte_carlo(f: FunctionSpec, d, budget: int, seed: int, cell, p: float) -> 
                 continue
             if not sums:
                 shift = total / vals.size
-            # vals may be xs itself, or the caller's own array: deviations go to scratch
-            dev = np.subtract(vals, shift, out=scratch[: vals.size])
             sums.append(total)
-            squares.append(float(np.sum(np.multiply(dev, dev, out=dev))))
+            squares.append(float(np.sum(np.square(vals - shift))))
     if count < 2:
         raise ParameterError(f"monte carlo needs 2 draws in {cell}, got {count} of {n}")
-    if not finite:
+    # finite block sums can total past the float range (fsum then raises), and squares of
+    # finite values can overflow: such a sample has no finite mean or spread either
+    try:
+        e_phi = math.fsum(sums) / count
+        var = (math.fsum(squares) - count * (e_phi - shift) * (e_phi - shift)) / (count - 1)
+    except OverflowError:
+        var = math.inf
+    if not (finite and math.isfinite(var)):
         raise NumericError("monte carlo hit non-finite phi values; the gap likely diverges "
                            "(use the quadrature oracle for a classified verdict)")
-    e_phi = math.fsum(sums) / count
-    var = (math.fsum(squares) - count * (e_phi - shift) ** 2) / (count - 1)
     se = math.sqrt(max(var, 0.0) / count)
     phimu, err_phimu = _phi_of_mean(f, d, cell, p)
     # the division and the block sums round at a few eps of the mean, which 3 se does not cover

@@ -387,6 +387,13 @@ def test_oracle_command_mc_reproducible():
     assert a["oracle"]["method"] == "monte-carlo(n=5000,seed=3)"
 
 
+def test_oracle_command_mc_past_the_float_range_exits_three():
+    argv = ["oracle", "--phi", "exp:t=704", "--dist", "uniform:lo=0,hi=1", "--oracle", "mc"]
+    status, report = run(parse_args(argv))
+    assert status == 3
+    assert "non-finite phi values" in report["error"]
+
+
 def test_oracle_command_defaults_to_auto():
     status, report = run(parse_args(["oracle", "--phi", "neglog", "--dist", f"file:{_SAMPLE}"]))
     assert status == 0

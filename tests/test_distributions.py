@@ -439,6 +439,21 @@ def test_discrete_moments_and_cells():
         Discrete([1.0, 2.0], [0.7, 0.7])
 
 
+@pytest.mark.parametrize("m", [1, 4, 5000])
+def test_discrete_draws_are_those_of_rng_choice(m):
+    """Discrete searches a cumulative sum that it keeps; its draws, and the stream after
+    them, must be those of rng.choice with the same probabilities."""
+    rng = np.random.default_rng(m)
+    w = rng.uniform(size=m)
+    w[1::3] = 0.0  # atoms that are never drawn
+    d = Discrete(rng.normal(size=m), w / w.sum())
+    mine, numpys = np.random.default_rng(9), np.random.default_rng(9)
+    for n in (1, 1001, 2**14):
+        assert np.array_equal(d.sample(mine, n),
+                              numpys.choice(d.points, size=n, replace=True, p=d.probs))
+    assert mine.random() == numpys.random()
+
+
 def _random_discrete_laws():
     rng = np.random.default_rng(11)
     for _ in range(50):

@@ -483,6 +483,19 @@ def test_too_few_cell_draws_beat_non_finite_phi_values():
         estimate_conditional_gap(exp_scaled(800.0), d, cell, budget=n, method="mc", seed=8)
 
 
+@pytest.mark.parametrize(
+    "f, d",
+    [(exp_scaled(100.0), Normal(0.0, 1.0)), (exp_scaled(704.0), Uniform(0.0, 1.0))],
+    ids=["squares-overflow", "block-sums-total-past-the-range"],
+)
+def test_finite_phi_values_past_the_float_range_are_refused_as_non_finite(f, d):
+    """Every phi value and block sum is finite, but the squares about the mean (e^980) or
+    the total of the block sums (62 of about 1e307) are not: a NumericError, not an
+    OverflowError from float arithmetic or fsum."""
+    with pytest.raises(NumericError, match="non-finite phi values"):
+        estimate_gap(f, d, budget=1_000_000, method="mc")
+
+
 def test_monte_carlo_memory_does_not_grow_with_the_budget():
     tracemalloc.start()
     try:
