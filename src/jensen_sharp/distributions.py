@@ -244,6 +244,9 @@ class DistributionSpec:
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """n draws of the law from ``rng``.  The Monte Carlo oracle asks for its blocks in
+        turn on a helper thread, while phi runs on the calling thread: a law's sampler must
+        not share state with the phi it is checked against."""
         raise ParameterError(f"{self!r} has no exact sampler; use the quadrature oracle")
 
     def mass_bounds(self) -> tuple[float, float, bool, bool]:

@@ -10,6 +10,8 @@ computed [lower, upper] pair brackets the truth.
 from __future__ import annotations
 
 import math
+import queue
+import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -41,6 +43,9 @@ DEFAULT_MC_BUDGET = 1_000_000
 _EPS = float(np.finfo(float).eps)
 # Monte Carlo draws per block: 128 KB arrays, which stay in cache
 _MC_BLOCK = 2**14
+# Monte Carlo blocks that wait, drawn, for the one being evaluated: more gains nothing,
+# as drawing takes longer than evaluating
+_MC_AHEAD = 1
 
 
 class OracleMethod(Enum):
@@ -110,41 +115,76 @@ def _integral(f: FunctionSpec, d, cell, p: float, atoms: bool) -> GapEstimate:
     return GapEstimate(value - phimu, err + err_phimu, method)
 
 
+def _draw_blocks(d, rng, n: int, blocks: queue.Queue, stop: threading.Event) -> None:
+    """Put ``d.sample(rng, k)`` on ``blocks`` for each block of n draws, in order, until
+    done or stopped; a sampler's exception is put in place of its block and ends the run."""
+    # a new thread does not take the caller's numpy error state: a sampler that overflows
+    # must not warn here either
+    with np.errstate(all="ignore"):
+        for start in range(0, n, _MC_BLOCK):
+            if stop.is_set():
+                return
+            try:
+                xs = d.sample(rng, min(_MC_BLOCK, n - start))
+            except BaseException as exc:  # re-raised on the calling thread
+                blocks.put(exc)
+                return
+            blocks.put(xs)
+
+
 def _monte_carlo(f: FunctionSpec, d, budget: int, seed: int, cell, p: float) -> GapEstimate:
     """Mean of phi over budget draws of d (those that land in the cell, when given).
 
     The draws come from one ``np.random.default_rng(seed)`` stream in blocks of
-    ``_MC_BLOCK``, each finished before the next is drawn, so memory does not grow with
-    the budget; the blocks together are the draws of one ``d.sample(rng, budget)`` call,
-    and the estimate is bit-reproducible for a fixed seed and budget.  E[phi] is the
-    ``math.fsum`` of the block sums over the count; the standard error comes from the
-    sums of squares about the first block's mean (Chan, Golub & LeVeque, 1983).
+    ``_MC_BLOCK``, so memory does not grow with the budget; the blocks together are the
+    draws of one ``d.sample(rng, budget)`` call, and the estimate is bit-reproducible for
+    a fixed seed and budget.  A helper thread draws the blocks ahead of the one being
+    evaluated, so ``d.sample`` may run on that thread while phi runs on this one; phi is
+    only ever called here.  The helper ends with the call,
+    also when either side raises.  E[phi] is the ``math.fsum`` of the block sums over the
+    count; the standard error comes from the sums of squares about the first block's mean
+    (Chan, Golub & LeVeque, 1983).
     """
     n = int(budget)
     if n < 2:
         raise ParameterError(f"monte carlo needs at least 2 samples, got {n}")
     rng = np.random.default_rng(seed)
+    blocks, stop = queue.Queue(_MC_AHEAD), threading.Event()
+    helper = threading.Thread(target=_draw_blocks, args=(d, rng, n, blocks, stop))
+    helper.start()
     count, sums, squares, shift, finite = 0, [], [], 0.0, True
-    # a sum over inf and -inf, or a sum or square that overflows, must not warn: the checks
-    # below decide
-    with np.errstate(all="ignore"):
-        for start in range(0, n, _MC_BLOCK):
-            xs = np.asarray(d.sample(rng, min(_MC_BLOCK, n - start)), dtype=float)
-            if cell is not None:
-                xs = xs[_mask(xs, cell)]
-            count += xs.size
-            # after a non-finite value only the count matters: too few draws in the cell wins
-            if not (finite and xs.size):
-                continue
-            vals = guarded(f.func, xs)
-            total = float(np.sum(vals))
-            if not math.isfinite(total):  # a NaN or inf value, or a sum past the float range
-                finite = False
-                continue
-            if not sums:
-                shift = total / vals.size
-            sums.append(total)
-            squares.append(float(np.sum(np.square(vals - shift))))
+    try:
+        # a sum over inf and -inf, or a sum or square that overflows, must not warn: the
+        # checks below decide
+        with np.errstate(all="ignore"):
+            for _ in range(0, n, _MC_BLOCK):
+                xs = blocks.get()
+                if isinstance(xs, BaseException):
+                    raise xs
+                xs = np.asarray(xs, dtype=float)
+                if cell is not None:
+                    xs = xs[_mask(xs, cell)]
+                count += xs.size
+                # after a non-finite value only the count matters: too few draws in the cell
+                # wins
+                if not (finite and xs.size):
+                    continue
+                vals = guarded(f.func, xs)
+                total = float(np.sum(vals))
+                if not math.isfinite(total):  # a NaN or inf value, or a sum past the float range
+                    finite = False
+                    continue
+                if not sums:
+                    shift = total / vals.size
+                sums.append(total)
+                squares.append(float(np.sum(np.square(vals - shift))))
+    finally:
+        # the helper puts at most one more block once it sees the stop: an emptied queue
+        # has room for it
+        stop.set()
+        while not blocks.empty():
+            blocks.get_nowait()
+        helper.join()
     if count < 2:
         raise ParameterError(f"monte carlo needs 2 draws in {cell}, got {count} of {n}")
     # finite block sums can total past the float range (fsum then raises), and squares of

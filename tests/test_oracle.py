@@ -1,13 +1,15 @@
 """Gap oracle: quadrature, exact summation, Monte Carlo, conditionals."""
 
 import math
+import threading
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
 from jensen_sharp import (
+    CustomPdf,
     Discrete,
     DomainError,
     Empirical,
@@ -32,7 +34,7 @@ from jensen_sharp import (
     quadratic,
     transform_power,
 )
-from jensen_sharp.oracle import _EPS, _MC_BLOCK
+from jensen_sharp.oracle import _EPS, _MC_AHEAD, _MC_BLOCK, _phi_of_mean
 
 
 def test_mgf_exponential_reference_value():
@@ -463,6 +465,48 @@ def test_monte_carlo_sums_the_blocks_and_takes_the_sample_standard_error(f, d):
     assert se == pytest.approx(float(np.std(vals, ddof=1)) / math.sqrt(n), rel=1e-12)
 
 
+def _serial_monte_carlo(f, d, n, seed, above=None):
+    """E[phi], its standard error and the draw count of a plain loop over the blocks of one
+    stream, keeping the draws above ``above`` when given."""
+    rng = np.random.default_rng(seed)
+    count, sums, squares, shift = 0, [], [], 0.0
+    for s in range(0, n, _MC_BLOCK):
+        xs = d.sample(rng, min(_MC_BLOCK, n - s))
+        if above is not None:
+            xs = xs[xs > above]
+        vals = f.func(xs)
+        total = float(np.sum(vals))
+        if not sums:
+            shift = total / vals.size
+        count += xs.size
+        sums.append(total)
+        squares.append(float(np.sum(np.square(vals - shift))))
+    e_phi = math.fsum(sums) / count
+    var = (math.fsum(squares) - count * (e_phi - shift) * (e_phi - shift)) / (count - 1)
+    return e_phi, math.sqrt(var / count), count
+
+
+@pytest.mark.parametrize(
+    "d, above", [(d, None) for d in _BLOCK_LAWS] + [(Normal(0.0, 1.0), 0.431)],
+    ids=[type(d).__name__ for d in _BLOCK_LAWS] + ["normal-cell"],
+)
+def test_monte_carlo_is_bit_for_bit_a_serial_loop_on_every_law(d, above):
+    """The blocks drawn on the helper thread give the estimate of a loop that draws each
+    block just before it is evaluated: the same value, error bound and count."""
+    f, n = quadratic(1.0), 2 * _MC_BLOCK + 1234
+    e_phi, se, count = _serial_monte_carlo(f, d, n, 9, above)
+    if above is None:
+        est = estimate_gap(f, d, budget=n, method="mc", seed=9)
+        phimu, err_phimu = float(f.func(d.mean())), 0.0
+    else:
+        cell = SupportInterval(above, math.inf)
+        est = estimate_conditional_gap(f, d, cell, budget=n, method="mc", seed=9)
+        phimu, err_phimu = _phi_of_mean(f, d, cell, d.interval_prob(cell))
+    assert est.value == e_phi - phimu
+    assert est.error_bound == 3.0 * se + 4.0 * _EPS * max(1.0, abs(e_phi), abs(phimu)) + err_phimu
+    assert est.mc_samples == count
+
+
 def test_conditional_monte_carlo_counts_the_cell_draws_of_one_call():
     cell = SupportInterval(0.431, math.inf)
     n = 5 * _MC_BLOCK + 99
@@ -524,3 +568,86 @@ def test_monte_carlo_writes_into_no_array_of_the_caller():
                             natural_domain=SupportInterval(-math.inf, math.inf))
     estimate_gap(identity, _StoredUniform(0.0, 1.0, store), budget=2 * _MC_BLOCK + 7, method="mc")
     assert np.array_equal(store, kept)
+
+
+@dataclass(frozen=True, eq=False)
+class _CountedNormal(Normal):
+    """A normal law that records the size of every sample it is asked for."""
+
+    calls: list = field(default_factory=list)
+
+    def sample(self, rng, n):
+        self.calls.append(n)
+        return super().sample(rng, n)
+
+
+@dataclass(frozen=True, eq=False)
+class _OverflowingNormal(Normal):
+    """A law whose sampler overflows to inf on about a quarter of its draws."""
+
+    def sample(self, rng, n):
+        return np.exp(1000.0 * super().sample(rng, n))
+
+
+def _scalar_phi_failing_after(k: int) -> FunctionSpec:
+    """x**2, scalar-only, raising a TypeError from its (k+1)-th point on."""
+    calls = []
+
+    def func(x):
+        if isinstance(x, np.ndarray):
+            raise TypeError("scalars only")
+        calls.append(x)
+        if len(calls) > k:
+            raise TypeError("phi gave up")
+        return x * x
+
+    return FunctionSpec(func=func, deriv1=lambda x: 2.0 * x, deriv2=lambda x: 2.0,
+                        natural_domain=SupportInterval(-math.inf, math.inf))
+
+
+_UNIFORM_PDF = CustomPdf(pdf=lambda x: 1.0 / 3.0, support_interval=SupportInterval(1.0, 4.0))
+
+
+@pytest.mark.parametrize(
+    "run, error",
+    [
+        (lambda: estimate_gap(exp_scaled(0.5), Normal(0.0, 1.0), budget=3 * _MC_BLOCK + 5,
+                              method="mc"), None),
+        (lambda: estimate_gap(exp_scaled(0.5), _UNIFORM_PDF, method="mc"),
+         (ParameterError, "has no exact sampler; use the quadrature oracle$")),
+        (lambda: estimate_conditional_gap(exp_scaled(1.0), Normal(0.0, 1.0),
+                                          SupportInterval(6.0, math.inf),
+                                          budget=3 * _MC_BLOCK + 5, method="mc"),
+         (ParameterError, "2 draws")),
+        (lambda: estimate_gap(exp_scaled(800.0), Normal(0.0, 1.0), budget=3 * _MC_BLOCK + 5,
+                              method="mc"), (NumericError, "non-finite phi values")),
+        (lambda: estimate_gap(_scalar_phi_failing_after(_MC_BLOCK), Normal(0.0, 1.0),
+                              budget=3 * _MC_BLOCK + 5, method="mc"), (TypeError, "gave up")),
+    ],
+    ids=["returns", "sampler-raises", "too-few-cell-draws", "non-finite", "phi-raises"],
+)
+def test_monte_carlo_leaves_no_thread_running(run, error):
+    before = threading.active_count()
+    if error is None:
+        run()
+    else:
+        with pytest.raises(error[0], match=error[1]):
+            run()
+    assert threading.active_count() == before
+
+
+def test_a_phi_error_stops_the_drawing_soon():
+    """phi raises on the second block of 62: the helper stops drawing within the blocks
+    it holds, the two evaluated, the waiting ones and the one in hand."""
+    d = _CountedNormal(0.0, 1.0)
+    with pytest.raises(TypeError, match="gave up"):
+        estimate_gap(_scalar_phi_failing_after(_MC_BLOCK), d, budget=1_000_000, method="mc")
+    assert 2 <= len(d.calls) <= 2 + _MC_AHEAD + 1
+
+
+def test_a_sampler_that_overflows_does_not_warn():
+    """Draws of inf are refused as non-finite, with no RuntimeWarning from the thread that
+    draws them (the test configuration makes such a warning an error)."""
+    with pytest.raises(NumericError, match="non-finite phi values"):
+        estimate_gap(quadratic(1.0), _OverflowingNormal(0.0, 1.0), budget=3 * _MC_BLOCK,
+                     method="mc")
