@@ -43,9 +43,10 @@ DEFAULT_MC_BUDGET = 1_000_000
 _EPS = float(np.finfo(float).eps)
 # Monte Carlo draws per block: 128 KB arrays, which stay in cache
 _MC_BLOCK = 2**14
-# Monte Carlo blocks that wait, drawn, for the one being evaluated: more gains nothing,
-# as drawing takes longer than evaluating
-_MC_AHEAD = 1
+# Monte Carlo blocks that the helper thread may hold, drawn or being drawn, before the
+# calling thread takes them: with one the helper waits on each block, and more gain nothing
+# while drawing takes longer than evaluating
+_MC_AHEAD = 2
 
 
 class OracleMethod(Enum):
@@ -115,13 +116,16 @@ def _integral(f: FunctionSpec, d, cell, p: float, atoms: bool) -> GapEstimate:
     return GapEstimate(value - phimu, err + err_phimu, method)
 
 
-def _draw_blocks(d, rng, n: int, blocks: queue.Queue, stop: threading.Event) -> None:
-    """Put ``d.sample(rng, k)`` on ``blocks`` for each block of n draws, in order, until
-    done or stopped; a sampler's exception is put in place of its block and ends the run."""
+def _draw_blocks(d, rng, n: int, blocks: queue.SimpleQueue, tokens: queue.SimpleQueue,
+                 stop: threading.Event) -> None:
+    """Put ``d.sample(rng, k)`` on ``blocks`` for each block of n draws, in order, taking a
+    token from ``tokens`` before each, until done or stopped; a sampler's exception is put
+    in place of its block and ends the run."""
     # a new thread does not take the caller's numpy error state: a sampler that overflows
     # must not warn here either
     with np.errstate(all="ignore"):
         for start in range(0, n, _MC_BLOCK):
+            tokens.get()
             if stop.is_set():
                 return
             try:
@@ -140,17 +144,20 @@ def _monte_carlo(f: FunctionSpec, d, budget: int, seed: int, cell, p: float) -> 
     draws of one ``d.sample(rng, budget)`` call, and the estimate is bit-reproducible for
     a fixed seed and budget.  A helper thread draws the blocks ahead of the one being
     evaluated, so ``d.sample`` may run on that thread while phi runs on this one; phi is
-    only ever called here.  The helper ends with the call,
-    also when either side raises.  E[phi] is the ``math.fsum`` of the block sums over the
-    count; the standard error comes from the sums of squares about the first block's mean
-    (Chan, Golub & LeVeque, 1983).
+    only ever called here.  The helper ends with the call, also when either side raises.
+    E[phi] is the ``math.fsum`` of the block sums over the count; the standard error comes
+    from the sums of squares about the first block's mean (Chan, Golub & LeVeque, 1983).
     """
     n = int(budget)
     if n < 2:
         raise ParameterError(f"monte carlo needs at least 2 samples, got {n}")
     rng = np.random.default_rng(seed)
-    blocks, stop = queue.Queue(_MC_AHEAD), threading.Event()
-    helper = threading.Thread(target=_draw_blocks, args=(d, rng, n, blocks, stop))
+    # a token goes back for each block taken, so at most _MC_AHEAD blocks are held; both
+    # queues put and get in C, without the Python locking of a bounded queue.Queue
+    blocks, tokens, stop = queue.SimpleQueue(), queue.SimpleQueue(), threading.Event()
+    for _ in range(_MC_AHEAD):
+        tokens.put(None)
+    helper = threading.Thread(target=_draw_blocks, args=(d, rng, n, blocks, tokens, stop))
     helper.start()
     count, sums, squares, shift, finite = 0, [], [], 0.0, True
     try:
@@ -159,6 +166,7 @@ def _monte_carlo(f: FunctionSpec, d, budget: int, seed: int, cell, p: float) -> 
         with np.errstate(all="ignore"):
             for _ in range(0, n, _MC_BLOCK):
                 xs = blocks.get()
+                tokens.put(None)
                 if isinstance(xs, BaseException):
                     raise xs
                 xs = np.asarray(xs, dtype=float)
@@ -179,11 +187,10 @@ def _monte_carlo(f: FunctionSpec, d, budget: int, seed: int, cell, p: float) -> 
                 sums.append(total)
                 squares.append(float(np.sum(np.square(vals - shift))))
     finally:
-        # the helper puts at most one more block once it sees the stop: an emptied queue
-        # has room for it
+        # a helper that waits for a token wakes, and one that draws puts its block and
+        # stops at the next token
         stop.set()
-        while not blocks.empty():
-            blocks.get_nowait()
+        tokens.put(None)
         helper.join()
     if count < 2:
         raise ParameterError(f"monte carlo needs 2 draws in {cell}, got {count} of {n}")
