@@ -173,8 +173,7 @@ def _monte_carlo(f: FunctionSpec, d, budget: int, seed: int, cell, p: float) -> 
                 if cell is not None:
                     xs = xs[_mask(xs, cell)]
                 count += xs.size
-                # after a non-finite value only the count matters: too few draws in the cell
-                # wins
+                # after a non-finite value only the count matters: too few draws in the cell wins
                 if not (finite and xs.size):
                     continue
                 vals = guarded(f.func, xs)
