@@ -545,8 +545,8 @@ class Discrete(DistributionSpec):
             raise ParameterError("points and probs must be non-empty and equal-length")
         if not np.all(np.isfinite(pts)):
             raise ParameterError("atom locations must be finite")
-        if np.any(pr < 0.0):
-            raise ParameterError("atom probabilities must be nonnegative")
+        if not np.all(np.isfinite(pr) & (pr >= 0.0)):
+            raise ParameterError("atom probabilities must be finite and nonnegative")
         total = _fsum(pr)
         if abs(total - 1.0) > 1e-12:
             raise ParameterError(f"atom probabilities sum to {total}, need 1")
@@ -711,6 +711,15 @@ def _increasing_root(g: Callable[[float], float], a: float, b: float) -> float:
     return a if abs(ga) < abs(gb) else b
 
 
+def _check_power(d: DistributionSpec, r: float) -> None:
+    """Raise unless r is a finite nonzero exponent and the mass of d lies above 0."""
+    if r == 0.0 or not math.isfinite(r):
+        raise ParameterError(f"power transform needs a finite nonzero exponent, got {r}")
+    lo, _, lo_at, _ = d.mass_bounds()
+    if lo < 0.0 or (lo == 0.0 and lo_at):
+        raise DomainError(f"power transform needs a strictly positive support, got lower end {lo}")
+
+
 @dataclass(frozen=True, eq=False)
 class PowerTransform(DistributionSpec):
     """Y = X**r for a continuous, positively supported X, as ``transform_power`` builds it.
@@ -721,6 +730,7 @@ class PowerTransform(DistributionSpec):
     r: float
 
     def __post_init__(self) -> None:
+        _check_power(self.source, self.r)
         m, v = _moments_by(self.expect, 1.0)
         object.__setattr__(self, "_mean", m)
         object.__setattr__(self, "_variance", v)
@@ -812,11 +822,7 @@ def equal_probability_cuts(d: DistributionSpec, m: int) -> list[float]:
 def transform_power(d: DistributionSpec, r: float) -> DistributionSpec:
     """Pushforward law of Y = X**r for a positively supported X."""
     r = float(r)
-    if r == 0.0 or not math.isfinite(r):
-        raise ParameterError(f"power transform needs a finite nonzero exponent, got {r}")
-    lo, hi, lo_at, hi_at = d.mass_bounds()
-    if lo < 0.0 or (lo == 0.0 and lo_at):
-        raise DomainError(f"power transform needs a strictly positive support, got lower end {lo}")
+    _check_power(d, r)
     if r == 1.0:
         return d
     if isinstance(d, Empirical):

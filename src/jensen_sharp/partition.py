@@ -39,32 +39,30 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class PartitionPlan:
-    """Cut points, per-cell conditional statistics, and the coarse law.
+    """Adjoining cells, in order, with their conditional statistics under the source law.
 
-    ``cuts`` includes the support endpoints as extended reals, so it always
-    holds m+1 values for m cells.
+    ``coarse`` is the law taking each cell's conditional mean with the cell's mass, and
+    ``cuts`` the first cell's lower end and then each cell's upper end: m+1 extended reals
+    for m cells.
     """
 
-    cuts: tuple[float, ...]
     cells: tuple[tuple[SupportInterval, TruncatedStats], ...]
-    coarse: Discrete
     source: DistributionSpec
 
     def __post_init__(self) -> None:
-        if len(self.cuts) != len(self.cells) + 1:
-            raise ParameterError("cuts must hold one more value than there are cells")
-        for a, b in zip(self.cuts, self.cuts[1:]):
-            if not a < b:
-                raise ParameterError(f"cut points must be strictly increasing, got {a} then {b}")
-        total = math.fsum(ts.prob for _, ts in self.cells)
-        if abs(total - 1.0) > 1e-12:
-            raise NumericError(f"cell probabilities sum to {total!r}, need 1 within 1e-12")
-        m_src = self.source.mean()
-        m_coarse = self.coarse.mean()
+        for (left, _), (right, _) in zip(self.cells, self.cells[1:]):
+            if left.upper != right.lower:
+                raise ParameterError(f"cells must adjoin in order, got {left} then {right}")
+        # Discrete refuses masses that do not sum to 1
+        coarse = Discrete([ts.mean for _, ts in self.cells], [ts.prob for _, ts in self.cells])
+        object.__setattr__(self, "coarse", coarse)
+        m_src, m_coarse = self.source.mean(), coarse.mean()
         if abs(m_coarse - m_src) > 1e-8 * max(1.0, abs(m_src)):
-            raise NumericError(
-                f"coarse mean {m_coarse} disagrees with the source mean {m_src}"
-            )
+            raise NumericError(f"coarse mean {m_coarse} disagrees with the source mean {m_src}")
+
+    @property
+    def cuts(self) -> tuple[float, ...]:
+        return (self.cells[0][0].lower, *(cell.upper for cell, _ in self.cells))
 
     @property
     def m(self) -> int:
@@ -108,11 +106,7 @@ def build_partition(d: DistributionSpec, cuts: Sequence[float]) -> PartitionPlan
             (cell, TruncatedStats(prob=ts.prob / total, mean=ts.mean, variance=ts.variance))
             for cell, ts in cells
         ]
-    coarse = Discrete(
-        [ts.mean for _, ts in cells],
-        [ts.prob for _, ts in cells],
-    )
-    return PartitionPlan(cuts=tuple(edges), cells=tuple(cells), coarse=coarse, source=d)
+    return PartitionPlan(cells=tuple(cells), source=d)
 
 
 def cell_h_extrema(

@@ -107,6 +107,7 @@ PINNED_FIELDS = {
         "cell_extrema",
     ),
     "CustomPdf": ("pdf", "support_interval", "anchor", "scale_hint", "label"),
+    "PartitionPlan": ("cells", "source"),
     "PowerTransform": ("source", "r"),
 }
 

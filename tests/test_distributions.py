@@ -413,6 +413,13 @@ def test_power_transform_quantile_and_draws_come_from_the_source_law():
     assert np.array_equal(draws, np.random.default_rng(5).exponential(1.0, 1000) ** 2)
 
 
+def test_power_transform_built_directly_checks_its_inputs():
+    with pytest.raises(DomainError):
+        PowerTransform(Normal(0.0, 1.0), 2.0)
+    with pytest.raises(ParameterError):
+        PowerTransform(Exponential(1.0), 0.0)
+
+
 def test_transform_power_discrete():
     d = Discrete([1.0, 2.0, 4.0], [0.5, 0.25, 0.25])
     y = transform_power(d, -1.0)
@@ -437,6 +444,12 @@ def test_discrete_moments_and_cells():
         Discrete([1.0, 1.0], [0.5, 0.5])
     with pytest.raises(ParameterError):
         Discrete([1.0, 2.0], [0.7, 0.7])
+
+
+@pytest.mark.parametrize("probs", [[math.nan, 1.0], [1.0, math.nan], [math.inf, 1.0]])
+def test_discrete_refuses_masses_that_are_not_finite(probs):
+    with pytest.raises(ParameterError, match="finite and nonnegative"):
+        Discrete([1.0, 2.0], probs)
 
 
 @pytest.mark.parametrize("m", [1, 4, 5000])

@@ -18,6 +18,7 @@ from jensen_sharp import (
     Exponential,
     Normal,
     ParameterError,
+    PartitionPlan,
     SupportInterval,
     Uniform,
     build_partition,
@@ -158,6 +159,33 @@ def test_plan_coarse_mean_matches_source():
         plan = build_partition(d, equal_probability_cuts(d, 4))
         assert plan.coarse.mean() == pytest.approx(d.mean(), abs=1e-10)
         assert math.fsum(ts.prob for _, ts in plan.cells) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize(
+    "d",
+    [Normal(0.7, 1.4), Exponential(0.6), Uniform(2.0, 11.0), Empirical(np.linspace(5.0, 25.0, 17))],
+    ids=["normal", "exponential", "uniform", "empirical"],
+)
+def test_plan_derives_its_cuts_and_coarse_law_from_its_cells(d):
+    cuts = equal_probability_cuts(d, 4)
+    plan = build_partition(d, cuts)
+    support = d.support
+    assert plan.cuts == (support.lower, *cuts, support.upper)
+    again = PartitionPlan(cells=plan.cells, source=d)
+    assert again.cuts == plan.cuts
+    assert again.coarse.points.tobytes() == plan.coarse.points.tobytes()
+    assert again.coarse.probs.tobytes() == plan.coarse.probs.tobytes()
+    assert list(again.coarse.points) == [ts.mean for _, ts in plan.cells]
+    assert list(again.coarse.probs) == [ts.prob for _, ts in plan.cells]
+
+
+def test_plan_refuses_cells_that_do_not_adjoin_in_order():
+    d = Normal(0.0, 1.0)
+    plan = build_partition(d, equal_probability_cuts(d, 3))
+    with pytest.raises(ParameterError, match="adjoin"):
+        PartitionPlan(cells=plan.cells[::-1], source=d)
+    with pytest.raises(ParameterError, match="adjoin"):
+        PartitionPlan(cells=(plan.cells[0], plan.cells[2]), source=d)
 
 
 # ---------------------------------------------------------------------------
