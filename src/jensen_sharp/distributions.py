@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 import statistics
 import sys
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, wraps
 from pathlib import Path
 from typing import Callable
 
@@ -137,6 +137,25 @@ def _fsum(xs: np.ndarray) -> float:
     return math.fsum(sums + p[p != 0.0].tolist())
 
 
+def _finite_moments(moments: Callable[..., tuple[float, float]]):
+    """moments(...) with numpy's overflow warnings off; NumericError for math.fsum's
+    OverflowError and unless the mean and the variance both come out finite."""
+
+    @wraps(moments)
+    def checked(*args) -> tuple[float, float]:
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                m, v = moments(*args)
+            except OverflowError as exc:
+                raise NumericError("the atoms sum past the float range") from exc
+        if not (math.isfinite(m) and math.isfinite(v)):
+            raise NumericError(f"the atoms have mean {m} and variance {v}, past the float range")
+        return m, v
+
+    return checked
+
+
+@_finite_moments
 def _moments(xs: np.ndarray) -> tuple[float, float]:
     """fsum mean and population (n divisor) variance of equal-weight atoms."""
     m = _fsum(xs) / xs.size
@@ -144,6 +163,7 @@ def _moments(xs: np.ndarray) -> tuple[float, float]:
     return m, _fsum(np.square(dev, out=dev)) / xs.size
 
 
+@_finite_moments
 def _weighted_moments(xs: np.ndarray, ws: np.ndarray, total: float) -> tuple[float, float]:
     """fsum mean and variance of atoms xs with weights ws summing to total.  float_power
     squares with libm's pow like a scalar ``x ** 2``, which np.square can miss by an ulp."""
@@ -188,7 +208,7 @@ def _check_level(q: float) -> None:
 class DistributionSpec:
     """Common query interface; concrete laws are the dataclasses below."""
 
-    # laws that work their moments out at construction keep them in _mean and _variance
+    # every law works its moments out once, in its __post_init__, into _mean and _variance
     def mean(self) -> float:
         return self._mean
 
@@ -286,15 +306,11 @@ class Normal(DistributionSpec):
             raise ParameterError(f"normal mean must be finite, got {self.mu}")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ParameterError(f"normal sigma must be positive, got {self.sigma}")
+        object.__setattr__(self, "_mean", self.mu)
+        object.__setattr__(self, "_variance", self.sigma * self.sigma)
 
     def mass_bounds(self):
         return -math.inf, math.inf, False, False
-
-    def mean(self) -> float:
-        return self.mu
-
-    def variance(self) -> float:
-        return self.sigma * self.sigma
 
     def pdf(self, x: float) -> float:
         z = (x - self.mu) / self.sigma
@@ -382,15 +398,11 @@ class Exponential(DistributionSpec):
         object.__setattr__(self, "rate", float(self.rate))
         if not (math.isfinite(self.rate) and self.rate > 0.0):
             raise ParameterError(f"exponential rate must be positive, got {self.rate}")
+        object.__setattr__(self, "_mean", 1.0 / self.rate)
+        object.__setattr__(self, "_variance", 1.0 / (self.rate * self.rate))
 
     def mass_bounds(self):
         return 0.0, math.inf, False, False
-
-    def mean(self) -> float:
-        return 1.0 / self.rate
-
-    def variance(self) -> float:
-        return 1.0 / (self.rate * self.rate)
 
     def pdf(self, x: float) -> float:
         if x < 0.0:
@@ -442,16 +454,12 @@ class Uniform(DistributionSpec):
         object.__setattr__(self, "hi", float(self.hi))
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise ParameterError(f"uniform needs finite lo < hi, got {self.lo}, {self.hi}")
+        w = self.hi - self.lo
+        object.__setattr__(self, "_mean", 0.5 * (self.lo + self.hi))
+        object.__setattr__(self, "_variance", w * w / 12.0)
 
     def mass_bounds(self):
         return self.lo, self.hi, False, False
-
-    def mean(self) -> float:
-        return 0.5 * (self.lo + self.hi)
-
-    def variance(self) -> float:
-        w = self.hi - self.lo
-        return w * w / 12.0
 
     def pdf(self, x: float) -> float:
         if self.lo <= x <= self.hi:
@@ -552,7 +560,7 @@ class Discrete(DistributionSpec):
             raise ParameterError(f"atom probabilities sum to {total}, need 1")
         order = np.argsort(pts)
         pts, pr = pts[order], pr[order]
-        if pts.size > 1 and np.any(np.diff(pts) <= 0.0):
+        if np.any(pts[1:] <= pts[:-1]):
             raise ParameterError("atom locations must be distinct")
         pts.setflags(write=False)
         pr.setflags(write=False)
@@ -603,36 +611,28 @@ class CustomPdf(DistributionSpec):
     """Law given by a density callable over an explicit support.
 
     The density must integrate to 1 over the support (checked to 1e-6).
-    ``anchor``/``scale_hint`` locate the bulk of the mass for the adaptive
-    integrator; when omitted they are derived from the support geometry.
-    Moments are computed once at construction and cached.
+    Its norm and moments are integrated once, at construction, laid out by
+    the support: around the midpoint with a quarter of the width when it is
+    bounded, one unit in from a finite end, and around 0 with scale 1 on
+    the whole line.
     """
 
     pdf: Callable[[float], float]
     support_interval: SupportInterval
-    anchor: float | None = None
-    scale_hint: float | None = None
-    label: str = "custom-pdf"
+    label: str = field(default="custom-pdf", kw_only=True)
 
     def __post_init__(self) -> None:
         sup = self.support_interval
-        anchor = self.anchor
-        if anchor is None:
-            if sup.bounded:
-                anchor = 0.5 * (sup.lower + sup.upper)
-            elif math.isfinite(sup.lower):
-                anchor = sup.lower + 1.0
-            elif math.isfinite(sup.upper):
-                anchor = sup.upper - 1.0
-            else:
-                anchor = 0.0
-        scale = self.scale_hint
-        if scale is None or not (math.isfinite(scale) and scale > 0.0):
-            scale = sup.width / 4.0 if sup.bounded else 1.0
-        object.__setattr__(self, "anchor", float(anchor))
-        object.__setattr__(self, "scale_hint", float(scale))
+        if sup.bounded:
+            anchor, scale = 0.5 * (sup.lower + sup.upper), sup.width / 4.0
+        elif math.isfinite(sup.lower):
+            anchor, scale = sup.lower + 1.0, 1.0
+        elif math.isfinite(sup.upper):
+            anchor, scale = sup.upper - 1.0, 1.0
+        else:
+            anchor, scale = 0.0, 1.0
 
-        def integrate(g):  # the moments are not known yet, so the hints lay out the integrals
+        def integrate(g):  # the moments are not known yet, so the support lays out the integrals
             return self._integrate(g, sup, anchor, scale)
 
         norm, _ = integrate(lambda x: 1.0)

@@ -106,7 +106,7 @@ PINNED_FIELDS = {
         "lower", "upper", "lower_detail", "upper_detail", "variance_used", "method",
         "cell_extrema",
     ),
-    "CustomPdf": ("pdf", "support_interval", "anchor", "scale_hint", "label"),
+    "CustomPdf": ("pdf", "support_interval", "label"),
     "PartitionPlan": ("cells", "source"),
     "PowerTransform": ("source", "r"),
 }

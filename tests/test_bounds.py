@@ -572,6 +572,18 @@ def test_generalized_mean_power_matches_power_mean_path(pinned_sample, s):
     assert hi == pytest.approx(pm.mean_upper, rel=1e-10)
 
 
+def test_generalized_mean_refuses_phi_flat_at_the_mean():
+    with pytest.raises(ParameterError, match="not strictly monotone at the mean 0.0"):
+        generalized_mean_bounds(quadratic(1.0), math.sqrt, Uniform(-1.0, 1.0))
+
+
+def test_generalized_mean_infinite_end_maps_to_the_domain_edge():
+    # -log x on Exp(1): h is unbounded near 0, so the upper gap is +inf; -log x falls, so
+    # that end maps to the domain's lower edge 0, and the lower end maps to exp(0) = 1
+    lo, hi = generalized_mean_bounds(neg_log(), lambda v: math.exp(-v), Exponential(1.0))
+    assert (lo, hi) == (0.0, 1.0)
+
+
 def test_generalized_mean_out_of_range_end_maps_to_boundary():
     # phi = x**2 on (0, inf) around a tiny-variance law keeps both ends finite,
     # but a lower end pushed below the range must clamp to the domain edge

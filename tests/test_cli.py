@@ -55,6 +55,7 @@ def test_parse_function_texts():
         ("quad:a=1,a=2", "duplicate"),
         ("exp:t", "t"),
         ("exp:t=1,x=2", r"for 'exp': \['x'\]"),
+        ("exp:=1", "empty key"),
     ],
 )
 def test_parse_function_errors_name_the_bad_token(text, needle):
@@ -115,6 +116,14 @@ def test_parse_oracle_text():
         parse_oracle_text("dice")
     with pytest.raises(CliParseError):
         parse_oracle_text("quad:n=5")
+
+
+def test_parse_errors_name_an_unknown_mc_key_and_a_cut_at_infinity():
+    with pytest.raises(CliParseError, match=r"unexpected oracle parameter\(s\): \['k'\]"):
+        parse_oracle_text("mc:n=10,k=2")
+    with pytest.raises(CliParseError, match="cut points must be finite, got inf"):
+        parse_args(["partition", "--phi", "exp:t=1", "--dist", "normal:mu=0,sigma=1",
+                    "--cuts", "inf"])
 
 
 def test_parse_args_builds_the_config():
@@ -236,6 +245,16 @@ def test_sample_bound_needs_at_least_two_samples(tmp_path, capsys):
     status = main(["sample-bound", "--phi", "neglog", "--dist", f"file:{p}"])
     assert status == 2
     assert "need at least 2 samples" in capsys.readouterr().err
+
+
+def test_sample_past_the_float_range_exits_three(tmp_path, capsys):
+    p = tmp_path / "huge.txt"
+    p.write_text("1e308\n1e308\n")
+    status = main(["sample-bound", "--phi", "quad:a=1", "--dist", f"file:{p}"])
+    captured = capsys.readouterr()
+    assert status == 3
+    assert captured.out == ""
+    assert captured.err == "error: the atoms sum past the float range\n"
 
 
 def test_sample_bound_rejects_analytic_distribution():

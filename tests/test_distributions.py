@@ -282,6 +282,19 @@ EVERY_LAW_KIND = [
 LAW_IDS = ["normal", "exponential", "uniform", "empirical", "discrete", "custom-pdf", "power"]
 
 
+@pytest.mark.parametrize("law", EVERY_LAW_KIND, ids=LAW_IDS)
+def test_every_law_holds_its_moments_from_construction(law):
+    held = vars(law)
+    assert (held["_mean"], held["_variance"]) == (law.mean(), law.variance())
+
+
+def test_only_the_base_law_defines_the_moment_accessors():
+    base = distributions.DistributionSpec
+    for cls in vars(distributions).values():
+        if isinstance(cls, type) and issubclass(cls, base) and cls is not base:
+            assert not {"mean", "variance"} & set(vars(cls)), cls
+
+
 @pytest.mark.parametrize("q", [0.0, 1.0, -0.2, 1.5, math.nan])
 @pytest.mark.parametrize("law", EVERY_LAW_KIND, ids=LAW_IDS)
 def test_every_law_rejects_a_quantile_level_outside_the_unit_interval(law, q):
@@ -452,6 +465,35 @@ def test_discrete_refuses_masses_that_are_not_finite(probs):
         Discrete([1.0, 2.0], probs)
 
 
+@pytest.mark.parametrize("points, probs", [([], []), ([1.0], [0.5, 0.5]), ([1.0, 2.0], [1.0])])
+def test_discrete_refuses_empty_or_unequal_inputs(points, probs):
+    with pytest.raises(ParameterError, match="non-empty and equal-length"):
+        Discrete(points, probs)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_discrete_refuses_atoms_that_are_not_finite(bad):
+    with pytest.raises(ParameterError, match="atom locations must be finite"):
+        Discrete([1.0, bad], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("mu", [math.inf, -math.inf, math.nan])
+def test_normal_refuses_a_mean_that_is_not_finite(mu):
+    with pytest.raises(ParameterError, match="normal mean must be finite"):
+        Normal(mu, 1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Empirical([1e308, 1e308]),  # math.fsum overflows on the sum
+    lambda: Empirical([1e200, -1e200]),  # the squared deviations overflow
+    lambda: Discrete([1e200, -1e200], [0.5, 0.5]),
+    lambda: Discrete([1e308, -1e308], [0.5, 0.5]),
+], ids=["empirical-sum", "empirical-square", "discrete-square", "discrete-extremes"])
+def test_atom_laws_refuse_moments_past_the_float_range(build):
+    with pytest.raises(NumericError, match="past the float range"):
+        build()
+
+
 @pytest.mark.parametrize("m", [1, 4, 5000])
 def test_discrete_draws_are_those_of_rng_choice(m):
     """Discrete searches a cumulative sum that it keeps; its draws, and the stream after
@@ -587,6 +629,18 @@ print(repr(d.quantile(0.5)), "scipy.optimize" in sys.modules)
     assert done.returncode == 0, done.stderr
     root, loaded = done.stdout.split()
     assert abs(float(root) - math.log(2.0)) <= 1e-11 and loaded == "False"
+
+
+def test_custom_pdf_takes_no_layout_hints():
+    flat = lambda x: 1.0 / 3.0
+    sup = SupportInterval(1.0, 4.0)
+    with pytest.raises(TypeError):
+        CustomPdf(flat, sup, 2.5)
+    with pytest.raises(TypeError):
+        CustomPdf(flat, sup, anchor=2.5)
+    with pytest.raises(TypeError):
+        CustomPdf(flat, sup, scale_hint=1.0)
+    assert CustomPdf(flat, sup, label="flat").label == "flat"
 
 
 def test_custom_pdf_rejects_unnormalised_density():

@@ -143,6 +143,19 @@ def test_log_divergent_tail_integrates_to_infinity(integrand):
     assert err == 0.0
 
 
+@pytest.mark.parametrize(
+    "integrand, support",
+    [(lambda x: 1.0 / x, SupportInterval(100.0, math.inf)),
+     (lambda x: -1.0 / x, SupportInterval(-math.inf, -100.0))],
+    ids=["right-of-anchor", "left-of-anchor"],
+)
+def test_core_is_laid_from_the_finite_end_when_the_anchor_lies_outside(integrand, support):
+    # anchor 0 +/- 8 scales misses the support, so the core window starts at its finite end
+    value, err = expectation(integrand, support, 0.0, 1.0)
+    assert value == math.inf
+    assert err == 0.0
+
+
 # ---------------------------------------------------------------------------
 # the direct QUADPACK pass is scipy's own quad, bit for bit
 # ---------------------------------------------------------------------------

@@ -8,13 +8,13 @@
 # SAMPLE_FILE is a sample file in the file:PATH grammar, one decimal per line
 # (src/jensen_sharp/data/uniform_10_100_seed42.txt is the pinned one).  The
 # package is run from the checkout that holds this script; PYTHON picks the
-# interpreter (default python3).  The last seven commands are error cases; the
+# interpreter (default python3).  The last eight commands are error cases; the
 # three before them run a quadratic, whose h is identically its coefficient a,
-# so h must read a at every end they report.  Two samples are written to a
+# so h must read a at every end they report.  Three samples are written to a
 # temporary directory and named relative to it, so that the output does not
-# depend on where that directory is: three 5s, and 2,000 values exp(sin(k)),
-# k = 1..2000, printed with repr, large enough that the atom sums take the
-# vector path of distributions._fsum.
+# depend on where that directory is: three 5s; two 1e308s, whose sum overflows;
+# and 2,000 values exp(sin(k)), k = 1..2000, printed with repr, large enough
+# that the atom sums take the vector path of distributions._fsum.
 set -u
 if [ $# -ne 1 ]; then
     echo "usage: sh tools/cli_matrix.sh SAMPLE_FILE" >&2
@@ -25,6 +25,7 @@ root=$(cd "$(dirname "$0")/.." && pwd)
 const=$(mktemp -d)
 trap 'rm -rf "$const"' EXIT
 printf '5\n5\n5\n' > "$const/three_fives.txt"
+printf '1e308\n1e308\n' > "$const/two_1e308.txt"
 "${PYTHON:-python3}" -c 'import math
 for k in range(1, 2001):
     print(repr(math.exp(math.sin(k))))' > "$const/exp_sin_2000.txt"
@@ -70,3 +71,4 @@ run sample-bound --phi neglog --dist "file:$sample.missing"
 run partition --phi exp:t=1 --dist uniform:lo=0,hi=1 --cuts 2.0
 run paper --seed 3
 run bound --phi exp:t=1 --dist exp:rate=1 --seed 5
+(cd "$const" && run sample-bound --phi quad:a=1 --dist file:two_1e308.txt)
