@@ -579,7 +579,7 @@ def test_generalized_mean_refuses_phi_flat_at_the_mean():
 
 def test_generalized_mean_infinite_end_maps_to_the_domain_edge():
     # -log x on Exp(1): h is unbounded near 0, so the upper gap is +inf; -log x falls, so
-    # that end maps to the domain's lower edge 0, and the lower end maps to exp(0) = 1
+    # that end maps to the domain's lower edge 0, and the lower gap 0 maps to exp(-0) = 1
     lo, hi = generalized_mean_bounds(neg_log(), lambda v: math.exp(-v), Exponential(1.0))
     assert (lo, hi) == (0.0, 1.0)
 
