@@ -21,6 +21,7 @@ import statistics
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
+from itertools import chain
 from pathlib import Path
 from typing import Callable
 
@@ -103,38 +104,61 @@ def _clamp_variance(raw: float, scale: float) -> float:
 
 
 _FSUM_VECTOR_MIN = 512  # math.fsum is as fast below about 300 terms; at 512 it is 1.5x slower
+_FSUM_BLOCK = 2**14  # 128 KB of float64 a scratch buffer, which stays in cache
 
 
-def _fsum(xs: np.ndarray) -> float:
-    """math.fsum(xs), bit for bit, in a few numpy passes over a float array.
+def _fsum(xs: np.ndarray, term: Callable | None = None) -> float:
+    """math.fsum(xs), or math.fsum(term(xs)) for an elementwise ufunc ``term`` that takes
+    ``out=``, bit for bit, in a few numpy passes over each block of _FSUM_BLOCK terms.
 
     Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1), 2008, Lemma 3.3):
     with 2**m >= n + 2 and sigma a power of two at least 2**m * max|p|, q = (sigma + p) - sigma
     and p - q are exact, and the q lie on a grid fine enough that np.sum(q) is exact in any
-    order.  A round takes about 53 - m bits off the largest term, so ordinary data are used
-    up in two or three; math.fsum rounds the exact round sums and whatever is left once.
-    Non-finite terms, all zeros and a sigma past the double range go to math.fsum itself,
-    which then returns or raises as it would have."""
-    if xs.size < _FSUM_VECTOR_MIN:
-        return math.fsum(xs)
-    m = (xs.size + 1).bit_length()
-    q = np.empty_like(xs)
-    big = float(np.abs(xs, out=q).max())
-    e = math.frexp(big)[1] + m
-    if not 0.0 < big < math.inf or e > 1023:
-        return math.fsum(xs)
-    p, sums = xs, []
-    for _ in range(3):
-        sigma = math.ldexp(1.0, e)
-        np.add(p, sigma, out=q)
-        q -= sigma
-        sums.append(float(q.sum()))
-        p = xs - q if p is xs else np.subtract(p, q, out=p)
-        big = float(np.abs(p, out=q).max())
-        if big == 0.0:
-            return math.fsum(sums)
+    order.  m is sized by all n terms and sigma by each block's own max|p|, so the round sums
+    of every block are exact, and a block passes exactly when the whole array would.  A round
+    takes about 53 - m bits off a block's largest term, so ordinary data are used up in two
+    or three; a block under _FSUM_VECTOR_MIN terms goes in as it is, and math.fsum rounds the
+    exact round sums and whatever is left once.  A non-finite term, all zeros or a sigma past
+    the double range send every term to math.fsum, which then returns or raises as it would
+    have.  Two scratch buffers of one block are made a call; the terms are never all held."""
+    n = xs.size
+    if n < _FSUM_VECTOR_MIN:
+        return math.fsum((xs if term is None else term(xs)).tolist())
+    m = (n + 1).bit_length()
+    p, q = np.empty(min(n, _FSUM_BLOCK)), np.empty(min(n, _FSUM_BLOCK))
+
+    def blocks():
+        for i in range(0, n, _FSUM_BLOCK):
+            b = xs[i:i + _FSUM_BLOCK]
+            yield b if term is None else term(b, out=p[:b.size])
+
+    def every_term():
+        return chain.from_iterable(b.tolist() for b in blocks())
+
+    sums, top = [], 0.0
+    for b in blocks():
+        pb, qb = p[:b.size], q[:b.size]
+        big = float(np.abs(b, out=qb).max())
         e = math.frexp(big)[1] + m
-    return math.fsum(sums + p[p != 0.0].tolist())
+        if not big < math.inf or e > 1023:
+            return math.fsum(every_term())
+        top = max(top, big)
+        if b.size < _FSUM_VECTOR_MIN:
+            sums += b.tolist()
+            continue
+        for _ in range(3):
+            if big == 0.0:
+                break
+            sigma = math.ldexp(1.0, e)
+            np.add(b, sigma, out=qb)
+            qb -= sigma
+            sums.append(float(qb.sum()))
+            b = np.subtract(b, qb, out=pb)
+            big = float(np.abs(b, out=qb).max())
+            e = math.frexp(big)[1] + m
+        else:
+            sums += b[b != 0.0].tolist()
+    return math.fsum(sums if top > 0.0 else every_term())
 
 
 def _finite_moments(moments: Callable[..., tuple[float, float]]):
@@ -159,8 +183,8 @@ def _finite_moments(moments: Callable[..., tuple[float, float]]):
 def _moments(xs: np.ndarray) -> tuple[float, float]:
     """fsum mean and population (n divisor) variance of equal-weight atoms."""
     m = _fsum(xs) / xs.size
-    dev = xs - m
-    return m, _fsum(np.square(dev, out=dev)) / xs.size
+    squared_deviation = lambda b, out=None: np.square(np.subtract(b, m, out=out), out=out)
+    return m, _fsum(xs, squared_deviation) / xs.size
 
 
 @_finite_moments
@@ -183,15 +207,16 @@ def _moments_by(expect: Callable, mass: float) -> tuple[float, float]:
     return m1, _clamp_variance(m2 / mass, abs(m1) + 1.0)
 
 
-def _atom_expect(g, xs: np.ndarray, ws: np.ndarray, cell) -> tuple[float, float]:
-    """(fsum of w * g(x) over the atoms in the cell, the rounding of its products)."""
+def _atom_expect(g, xs: np.ndarray, ws: np.ndarray | float, cell) -> tuple[float, float]:
+    """(fsum of w * g(x) over the atoms in the cell, the rounding of its products); ws is
+    one weight an atom, or a float that weighs every atom alike."""
     if cell is not None:
         inside = _mask(xs, cell)
-        xs, ws = xs[inside], ws[inside]
+        xs, ws = xs[inside], ws[inside] if np.ndim(ws) else ws
     terms = ws * guarded(g, xs)
     if not np.all(np.isfinite(terms)):
         raise NumericError("g is not finite at a mass point of the law")
-    return _fsum(terms), 16.0 * _EPS * max(1.0, _fsum(np.abs(terms)))
+    return _fsum(terms), 16.0 * _EPS * max(1.0, _fsum(terms, np.abs))
 
 
 def _mask(xs: np.ndarray, cell: SupportInterval) -> np.ndarray:
@@ -493,34 +518,37 @@ class Empirical(DistributionSpec):
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.samples, dtype=float).ravel().copy()
+        arr = np.array(self.samples, dtype=float).ravel()
         if arr.size < 2:
             raise ParameterError(f"need at least 2 samples, got {arr.size}")
-        if not np.all(np.isfinite(arr)):
+        lo, hi = float(arr.min()), float(arr.max())  # NaN when any sample is NaN
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ParameterError("samples must all be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
-        srt = np.sort(arr)
-        srt.setflags(write=False)
-        object.__setattr__(self, "_sorted", srt)
+        object.__setattr__(self, "_lo", lo)
+        object.__setattr__(self, "_hi", hi)
         m, v = _moments(arr)
         object.__setattr__(self, "_mean", m)
         object.__setattr__(self, "_variance", v)
 
+    @cached_property
+    def _sorted(self) -> np.ndarray:
+        srt = np.sort(self.samples)
+        srt.setflags(write=False)
+        return srt
+
     def __repr__(self) -> str:
-        s = self._sorted
-        return f"Empirical(n={s.size}, min={s[0]:g}, max={s[-1]:g})"
+        return f"Empirical(n={self.samples.size}, min={self._lo:g}, max={self._hi:g})"
 
     def mass_bounds(self):
-        s = self._sorted
-        return float(s[0]), float(s[-1]), True, True
+        return self._lo, self._hi, True, True
 
     def interval_prob(self, cell: SupportInterval) -> float:
         return float(np.count_nonzero(_mask(self.samples, cell))) / self.samples.size
 
     def expect(self, g, cell=None):
-        n = self.samples.size
-        return _atom_expect(g, self.samples, np.full(n, 1.0 / n), cell)
+        return _atom_expect(g, self.samples, 1.0 / self.samples.size, cell)
 
     def truncated_stats(self, cell: SupportInterval) -> TruncatedStats:
         inside = self.samples[_mask(self.samples, cell)]

@@ -4,11 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr, ndtri
 
@@ -29,12 +30,15 @@ from jensen_sharp import (
     equal_probability_cuts,
     estimate_conditional_gap,
     estimate_gap,
+    jensen_bounds,
     load_samples,
+    neg_log,
     quadratic,
+    sample_bounds,
     transform_power,
 )
 from jensen_sharp import distributions
-from jensen_sharp.distributions import _ndtr, _ndtri
+from jensen_sharp.distributions import _check_mass_in_domain, _ndtr, _ndtri
 from jensen_sharp.quadrature import expectation
 from _support import population_stats
 
@@ -701,7 +705,11 @@ def _fsum_moments(xs) -> tuple[float, float]:
     return m, math.fsum((x - m) ** 2 for x in xs) / len(xs)
 
 
-@pytest.mark.parametrize("sample", ["pinned", "lognormal-1e5", "uniform-1e5", "narrow-normal"])
+_BLOCK = distributions._FSUM_BLOCK
+
+
+@pytest.mark.parametrize("sample", ["pinned", "lognormal-1e5", "uniform-1e5", "narrow-normal",
+                                    "wide-lognormal-3B+511", "cancelling-3B+512"])
 def test_empirical_moments_equal_the_fsum_reference(pinned_sample, sample):
     rng = np.random.default_rng(11)
     xs = {
@@ -709,6 +717,11 @@ def test_empirical_moments_equal_the_fsum_reference(pinned_sample, sample):
         "lognormal-1e5": rng.lognormal(0.0, 2.0, 100_000),
         "uniform-1e5": rng.uniform(10.0, 100.0, 100_000),
         "narrow-normal": Normal(1e6, 1e-3).sample(rng, 2_000),
+        # four blocks, the last one short of the vector path; terms over 2**+-60
+        "wide-lognormal-3B+511": rng.lognormal(0.0, 15.0, 3 * _BLOCK + 511),
+        # four blocks, the last one on the vector path; a mean near 0 from +-1e6 halves
+        "cancelling-3B+512": np.concatenate([[1e6, -1e6] * (3 * _BLOCK // 2 + 256)])
+        + rng.normal(0.0, 1e-3, 3 * _BLOCK + 512),
     }[sample]
     d = Empirical(xs)
     assert (d.mean(), d.variance()) == _fsum_moments(xs)
@@ -730,7 +743,7 @@ _CUT = distributions._FSUM_VECTOR_MIN
 
 
 @given(
-    n=st.integers(_CUT - 64, 4 * _CUT),
+    n=st.one_of(st.integers(_CUT - 64, 4 * _CUT), st.integers(4 * _CUT, 3 * _BLOCK)),
     seed=st.integers(0, 2**32 - 1),
     lowest=st.integers(-1080, 1023),
     span=st.integers(0, 2100),
@@ -738,6 +751,12 @@ _CUT = distributions._FSUM_VECTOR_MIN
     cancel=st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
+# one term short of a block, one block, one term past it, and a short or a vector last block
+@example(n=_BLOCK - 1, seed=1, lowest=-40, span=80, zero_share=0.1, cancel=True)
+@example(n=_BLOCK, seed=2, lowest=-1080, span=2100, zero_share=0.0, cancel=False)
+@example(n=_BLOCK + 1, seed=3, lowest=900, span=200, zero_share=0.1, cancel=True)
+@example(n=3 * _BLOCK + 511, seed=4, lowest=-1080, span=2100, zero_share=0.1, cancel=True)
+@example(n=3 * _BLOCK + 512, seed=5, lowest=-10, span=20, zero_share=0.0, cancel=True)
 def test_fsum_equals_math_fsum_bit_for_bit(n, seed, lowest, span, zero_share, cancel):
     rng = np.random.default_rng(seed)
     # mantissas in [1, 2) at exponents over [lowest, lowest + span]: past -1074 they round
@@ -755,7 +774,7 @@ def test_fsum_equals_math_fsum_bit_for_bit(n, seed, lowest, span, zero_share, ca
     assert _outcome(distributions._fsum, xs) == _outcome(math.fsum, xs)
 
 
-@pytest.mark.parametrize("k", [_CUT // 2 - 1, _CUT, 5 * _CUT])
+@pytest.mark.parametrize("k", [_CUT // 2 - 1, _CUT, 5 * _CUT, _BLOCK + 100])
 @pytest.mark.parametrize("case", ["inf-minus-inf", "overflow", "cancelling-giants",
                                   "giants-then-one", "nan", "inf", "negative-zeros",
                                   "one-sign-bulk"])
@@ -772,6 +791,57 @@ def test_fsum_raises_and_returns_as_math_fsum(k, case):
         "negative-zeros": np.full(2 * k, -0.0),
     }[case]
     assert _outcome(distributions._fsum, xs) == _outcome(math.fsum, xs)
+
+
+def test_fsum_sizes_its_grid_by_all_the_terms():
+    """Each block fits a grid sized by its own 2**14 terms, and its exact round sums total
+    1.77e308; but math.fsum overflows on the running sum, and so must _fsum, whose grid
+    sized by all 12 blocks is past the double range."""
+    xs = np.concatenate([np.full(11 * _BLOCK, 0.98e303),
+                         np.full(_BLOCK // 2, 1e303), np.full(_BLOCK // 2, -1e303)])
+    assert _outcome(math.fsum, xs) == (OverflowError, "intermediate overflow in fsum")
+    assert _outcome(distributions._fsum, xs) == _outcome(math.fsum, xs)
+
+
+def test_fsum_scratch_memory_is_one_block_whatever_the_length():
+    xs = np.ones(10**6)
+    tracemalloc.start()
+    try:
+        assert distributions._fsum(xs) == 1e6
+        assert distributions._fsum(xs, np.negative) == -1e6
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # one scratch array of the million terms alone takes 8 MB
+
+
+def test_empirical_expect_weighs_every_atom_by_one_over_n():
+    """The products and the rounding charge of an array of weights 1/n, bit for bit."""
+    rng = np.random.default_rng(5)
+    d = Empirical(rng.lognormal(0.0, 1.0, 2 * _BLOCK + 700))
+    n, xs = d.samples.size, d.samples
+    for cell in (None, SupportInterval(0.5, 3.0, True, False)):
+        inside = xs if cell is None else xs[cell.contains(xs)]
+        terms = np.full(n, 1.0 / n)[: inside.size] * np.log(inside)
+        charge = 16.0 * distributions._EPS * max(1.0, math.fsum(np.abs(terms)))
+        assert d.expect(np.log, cell) == (math.fsum(terms), charge)
+
+
+def test_empirical_sorts_only_for_quantiles_and_cell_domains():
+    xs = np.random.default_rng(8).uniform(10.0, 100.0, 100_000)
+    d = Empirical(xs)
+    sample_bounds(neg_log(), d)
+    jensen_bounds(neg_log(), d)
+    assert "_sorted" not in vars(d)
+    assert d.mass_bounds() == (float(xs.min()), float(xs.max()), True, True)
+    small = Empirical([4.0, -1.0, 3.0, 0.5, 2.5])
+    assert repr(small) == "Empirical(n=5, min=-1, max=4)"
+    assert "_sorted" not in vars(small)
+    assert [small.quantile(q) for q in (0.1, 0.2, 0.5, 0.9)] == [-1.0, -1.0, 2.5, 4.0]
+    assert np.array_equal(vars(small)["_sorted"], [-1.0, 0.5, 2.5, 3.0, 4.0])
+    _check_mass_in_domain(neg_log(), small, SupportInterval(0.0, 5.0, False, True))
+    with pytest.raises(DomainError, match=r"support \[-1.0, 2.5\]"):
+        _check_mass_in_domain(neg_log(), small, SupportInterval(-2.0, 3.0))
 
 
 def test_degenerate_support_is_rejected_but_law_works():
