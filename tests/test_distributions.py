@@ -717,7 +717,7 @@ def test_empirical_moments_equal_the_fsum_reference(pinned_sample, sample):
         "lognormal-1e5": rng.lognormal(0.0, 2.0, 100_000),
         "uniform-1e5": rng.uniform(10.0, 100.0, 100_000),
         "narrow-normal": Normal(1e6, 1e-3).sample(rng, 2_000),
-        # four blocks, the last one short of the vector path; terms over 2**+-60
+        # four blocks, the last one short of the vector path; terms from about 2**-90 to 2**90
         "wide-lognormal-3B+511": rng.lognormal(0.0, 15.0, 3 * _BLOCK + 511),
         # four blocks, the last one on the vector path; a mean near 0 from +-1e6 halves
         "cancelling-3B+512": np.concatenate([[1e6, -1e6] * (3 * _BLOCK // 2 + 256)])
