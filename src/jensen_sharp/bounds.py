@@ -252,7 +252,9 @@ def h_endpoint_limit(f: FunctionSpec, nu: float, endpoint: float) -> float:
     Resolution order: catalog hint, direct evaluation (finite endpoints inside
     the natural domain), then geometric probing with divergence detection.
     """
-    return _endpoint(_h_objective(f, float(nu)), float(endpoint), False).value
+    obj = _h_objective(f, float(nu))
+    with np.errstate(all="ignore"):
+        return _endpoint(obj, float(endpoint), False).value
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +286,15 @@ def _h_objective(f: FunctionSpec, nu: float) -> _Objective:
     without a numpy warning.  ``on_grid`` evaluates phi once on the whole
     grid, and phi'' once on its points within the switch radius; the
     noise bounds reuse those phi values.  Both forms share one direct
-    formula and one second-order rule.
+    formula and one second-order rule.  ``value``, ``noise`` and ``on_grid``
+    run under their caller's numpy error state: the extrema search and the
+    endpoint rule each hold ``np.errstate(all="ignore")`` once.
     """
     nu = float(nu)
-    phi_nu = guarded(f.func, nu)
-    d1_nu = guarded(f.deriv1, nu)
-    d2_nu = guarded(f.deriv2, nu)
+    with np.errstate(all="ignore"):
+        phi_nu = guarded(f.func, nu)
+        d1_nu = guarded(f.deriv1, nu)
+        d2_nu = guarded(f.deriv2, nu)
     radius = switch_radius(nu)
 
     def direct(phi_x, dx):
@@ -310,17 +315,15 @@ def _h_objective(f: FunctionSpec, nu: float) -> _Objective:
         # rounding of phi is amplified by 1/dx^2 in the direct formula
         if phi_x is None:
             phi_x = guarded(f.func, x)
-        with np.errstate(all="ignore"):
-            dx = np.maximum(np.abs(x - nu), radius)
-            phi_x = np.abs(phi_x)
-            phi_x = np.where(np.isfinite(phi_x), phi_x, 0.0)
-            return 8.0 * _EPS * (phi_x + abs(phi_nu)) / (dx * dx) + 4.0 * _EPS * abs(d1_nu) / dx
+        dx = np.maximum(np.abs(x - nu), radius)
+        phi_x = np.abs(phi_x)
+        phi_x = np.where(np.isfinite(phi_x), phi_x, 0.0)
+        return 8.0 * _EPS * (phi_x + abs(phi_nu)) / (dx * dx) + 4.0 * _EPS * abs(d1_nu) / dx
 
     def on_grid(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         dx = xs - nu
         phi_x = guarded(f.func, xs)
-        with np.errstate(all="ignore"):
-            vs = direct(phi_x, dx)
+        vs = direct(phi_x, dx)
         near = np.abs(dx) <= radius
         if near.any():
             vs[near] = rule(guarded(f.deriv2, xs[near]))
@@ -485,10 +488,12 @@ def _extrema(
             f"interval {interval} is not inside the natural domain "
             f"{f.natural_domain} of {f.label}"
         )
-    inf_ev = _endpoint(obj, interval.lower, interval.lower_closed)
-    sup_ev = _endpoint(obj, interval.upper, interval.upper_closed)
-    if f.phi_prime_shape is Shape.UNKNOWN:
-        return _scan_extrema(obj, interval, anchor, (inf_ev, sup_ev))
+    # the ends and the scan evaluate point by point: one error state for them all
+    with np.errstate(all="ignore"):
+        inf_ev = _endpoint(obj, interval.lower, interval.lower_closed)
+        sup_ev = _endpoint(obj, interval.upper, interval.upper_closed)
+        if f.phi_prime_shape is Shape.UNKNOWN:
+            return _scan_extrema(obj, interval, anchor, (inf_ev, sup_ev))
     if f.phi_prime_shape is Shape.CONCAVE:
         inf_ev, sup_ev = sup_ev, inf_ev
     # the shape tag guarantees inf <= sup mathematically; a flipped pair can
@@ -680,7 +685,8 @@ def generalized_mean_bounds(
         if math.isinf(v):
             high_side = v > 0
             return dom.upper if high_side == increasing else dom.lower
-        w = guarded(f_inverse, v)
+        with np.errstate(all="ignore"):
+            w = guarded(f_inverse, v)
         if math.isfinite(w) and dom.lower <= w <= dom.upper:
             return w
         high_side = v > phimu

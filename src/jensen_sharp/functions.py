@@ -118,7 +118,11 @@ class FunctionSpec:
     also broadcast over numpy arrays.  A callable that accepts an ndarray
     must act elementwise, because the extrema scan calls it once on its
     whole grid; one that raises on an ndarray, or returns another shape, is
-    evaluated point by point.
+    evaluated point by point.  The engine calls them with numpy's floating-
+    point warnings off, set once per integral, extrema search or endpoint
+    rule rather than once per point: a numpy overflow yields inf and an
+    invalid operation NaN, and a Python ``OverflowError``, ``ValueError`` or
+    ``ZeroDivisionError`` counts as a failed evaluation (NaN).
     """
 
     func: Callable[[float], float]
@@ -142,30 +146,35 @@ class FunctionSpec:
 def guarded(fn: Callable[[float], float], x):
     """fn(x) as a float, NaN where the evaluation fails (overflow, bad input).
 
-    An ndarray x is passed to fn whole, once, and a float array of its shape
-    comes back.  Should that call raise or return another shape, fn is taken
-    as scalar-only and called point by point, each point guarded as above.
+    A float x is evaluated under the caller's numpy error state: every loop
+    that evaluates points one by one (an integral, an extrema search, an
+    endpoint probe) holds ``np.errstate(all="ignore")`` once around the whole
+    loop, which costs more than the evaluation itself.  An ndarray x is
+    passed to fn whole, once, under its own error state, and a float array of
+    its shape comes back.  Should that call raise or return another shape, fn
+    is taken as scalar-only and called point by point, each point guarded as
+    above.
     """
     # a float, the common case (quadrature nodes, searches, probes), skips the costlier ndarray test
     if type(x) is not float and isinstance(x, np.ndarray):
-        try:
-            with np.errstate(all="ignore"):
-                v = np.asarray(fn(x), dtype=float)
-            if v.shape == x.shape:
-                return v
-        except Exception:  # the per-point calls below raise whatever a point raises
-            pass
-        return np.array([guarded(fn, t) for t in x.ravel().tolist()], dtype=float).reshape(x.shape)
-    try:
         with np.errstate(all="ignore"):
-            return float(fn(x))
+            try:
+                v = np.asarray(fn(x), dtype=float)
+                if v.shape == x.shape:
+                    return v
+            except Exception:  # the per-point calls below raise whatever a point raises
+                pass
+            return np.array([guarded(fn, t) for t in x.ravel().tolist()], dtype=float).reshape(x.shape)
+    try:
+        return float(fn(x))
     except (OverflowError, ValueError, ZeroDivisionError):
         return math.nan
 
 
 def finite_value(fn: Callable[[float], float], x: float, name: str) -> float:
     """fn(x) as a float; raises EvaluationError where it fails or is not finite."""
-    v = guarded(fn, x)
+    with np.errstate(all="ignore"):
+        v = guarded(fn, x)
     if not math.isfinite(v):
         raise EvaluationError(f"{name} is not finite at x={x}")
     return v

@@ -195,43 +195,44 @@ def expectation(
     """
     fn = functools.partial(guarded, integrand)
     lo, hi = support.lower, support.upper
+    # QUADPACK calls fn one node at a time: numpy's error state is set once for the whole integral
+    with np.errstate(all="ignore"):
+        value, abserr, trusted = _quad(fn, lo, hi)
+        if trusted:
+            return value, abserr
 
-    value, abserr, trusted = _quad(fn, lo, hi)
-    if trusted:
-        return value, abserr
+        anchor = float(anchor) if math.isfinite(anchor) else 0.0
+        scale = float(scale) if math.isfinite(scale) and scale > 0.0 else 1.0
 
-    anchor = float(anchor) if math.isfinite(anchor) else 0.0
-    scale = float(scale) if math.isfinite(scale) and scale > 0.0 else 1.0
+        a = lo if math.isfinite(lo) else anchor - 8.0 * scale
+        b = hi if math.isfinite(hi) else anchor + 8.0 * scale
+        if not a < b:
+            if math.isfinite(lo):
+                a, b = lo, lo + 16.0 * scale
+            else:
+                a, b = hi - 16.0 * scale, hi
+        off = (b - a) / 8.0
+        core_lo = a + off if math.isfinite(lo) else a
+        core_hi = b - off if math.isfinite(hi) else b
 
-    a = lo if math.isfinite(lo) else anchor - 8.0 * scale
-    b = hi if math.isfinite(hi) else anchor + 8.0 * scale
-    if not a < b:
-        if math.isfinite(lo):
-            a, b = lo, lo + 16.0 * scale
-        else:
-            a, b = hi - 16.0 * scale, hi
-    off = (b - a) / 8.0
-    core_lo = a + off if math.isfinite(lo) else a
-    core_hi = b - off if math.isfinite(hi) else b
+        total, err, ok = _quad(fn, core_lo, core_hi)
+        # the core overflows as a walk's window does, and both walks still run
+        diverged = int(math.copysign(1.0, total)) if abs(total) > HUGE else 0
+        if not (ok or diverged):
+            raise NumericError(f"quadrature failed on the interior window [{core_lo}, {core_hi}]")
 
-    total, err, ok = _quad(fn, core_lo, core_hi)
-    # the core overflows as a walk's window does, and both walks still run
-    diverged = int(math.copysign(1.0, total)) if abs(total) > HUGE else 0
-    if not (ok or diverged):
-        raise NumericError(f"quadrature failed on the interior window [{core_lo}, {core_hi}]")
+        for side, end, origin in ((-1, lo, a), (1, hi, b)):
+            infinite_end = math.isinf(end)
+            step = 8.0 * scale if infinite_end else off
+            s, e, sign = _walk(fn, _windows(origin, step, side, infinite_end), infinite_end)
+            total += s
+            err += e
+            if sign and diverged and sign != diverged:
+                raise NumericError(
+                    "integral diverges toward +inf on one side and -inf on the other"
+                )
+            diverged = sign or diverged
 
-    for side, end, origin in ((-1, lo, a), (1, hi, b)):
-        infinite_end = math.isinf(end)
-        step = 8.0 * scale if infinite_end else off
-        s, e, sign = _walk(fn, _windows(origin, step, side, infinite_end), infinite_end)
-        total += s
-        err += e
-        if sign and diverged and sign != diverged:
-            raise NumericError(
-                "integral diverges toward +inf on one side and -inf on the other"
-            )
-        diverged = sign or diverged
-
-    if diverged:
-        return math.copysign(math.inf, diverged), 0.0
-    return total, err
+        if diverged:
+            return math.copysign(math.inf, diverged), 0.0
+        return total, err

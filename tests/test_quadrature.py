@@ -29,8 +29,9 @@ from jensen_sharp import (
     power,
     transform_power,
 )
+from jensen_sharp import quadrature
 from jensen_sharp.functions import guarded
-from jensen_sharp.quadrature import QUAD_ABS, QUAD_LIMIT, QUAD_REL, _quad, expectation
+from jensen_sharp.quadrature import QUAD_ABS, QUAD_LIMIT, QUAD_REL, _quad, _walk, expectation
 
 EULER_GAMMA = 0.5772156649015329
 RATES = (0.3, 0.5, 0.8, 1.0, 1.3, 2.0, 3.0, 5.0, 10.0)
@@ -154,6 +155,59 @@ def test_core_is_laid_from_the_finite_end_when_the_anchor_lies_outside(integrand
     value, err = expectation(integrand, support, 0.0, 1.0)
     assert value == math.inf
     assert err == 0.0
+
+
+# ---------------------------------------------------------------------------
+# every exit of a walk, on synthetic windows
+# ---------------------------------------------------------------------------
+
+# window k of a walk is (k, k + 1), and its QUADPACK pass is scripted as
+# (value, error, trusted); the walks run toward a finite end, so no growth
+# run stops them early
+_WALK_EXITS = {
+    # a rejected window whose value is within tolerance ends the walk
+    "rejected-negligible-window": ([(1e-12, 1.0, False)], (1e-12, 0.5 * QUAD_ABS, 0)),
+    # a rejected window after contracting increments: the verdict adds the
+    # remainder 0.5 * 0.5 / (1 - 0.5) and charges max(2 * 0.5, 0.5)
+    "rejected-after-contraction": (
+        [(1.0, 0.0, True), (0.5, 0.0, True), (3.0, 1.0, False)], (2.0, 1.0, 0)
+    ),
+    "rejected-with-no-increments": ([(3.0, 1.0, False)], "after 0 windows"),
+    "total-past-huge": ([(1e300, 0.0, True), (1e300, 0.0, True), (1.0, 0.0, True)], (2e300, 0.0, 1)),
+    # the windows run out: a same-signed run that never shrinks diverges,
+    # and alternating signs settle nothing
+    "last-window-same-sign": ([(-1.0, 0.0, True)] * 3, (-3.0, 0.0, -1)),
+    "last-window-alternating": ([(1.0, 0.0, True), (-1.0, 0.0, True), (1.0, 0.0, True)], "after 3 windows"),
+}
+
+
+@pytest.mark.parametrize("outcomes, expected", _WALK_EXITS.values(), ids=_WALK_EXITS.keys())
+def test_each_exit_of_a_walk(outcomes, expected, monkeypatch):
+    monkeypatch.setattr(quadrature, "_quad", lambda fn, a, b: outcomes[int(a)])
+    windows = [(float(k), k + 1.0) for k in range(len(outcomes))]
+    if isinstance(expected, str):
+        with pytest.raises(NumericError, match=expected):
+            _walk(None, windows, False)
+    else:
+        assert _walk(None, windows, False) == expected
+
+
+def test_an_integral_diverging_both_ways_is_refused():
+    # the core [-8, 8] overflows upward, the walks toward either infinity downward
+    def integrand(x):
+        return 1e300 if abs(x) < 8.0 else -math.exp(min(x * x, 700.0))
+
+    with pytest.raises(NumericError, match="toward \\+inf on one side and -inf on the other"):
+        expectation(integrand, SupportInterval(-math.inf, math.inf), 0.0, 1.0)
+
+
+def test_an_integral_whose_core_quadpack_rejects_is_refused():
+    # QUADPACK cannot resolve cos(1e8 x) on the whole line nor on the core [-8, 8]
+    def integrand(x):
+        return math.cos(1e8 * x) * math.exp(-x * x)
+
+    with pytest.raises(NumericError, match="interior window"):
+        expectation(integrand, SupportInterval(-math.inf, math.inf), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

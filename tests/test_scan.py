@@ -95,29 +95,36 @@ def test_grid_values_match_the_scalar_objective(f, nu):
         nu + r * np.array([-1.0, -0.5, 0.0, 0.25, 1.0, 1.0 + 1e-12]),
     ])
     h = _h_objective(f, nu)
-    vs, eps = h.on_grid(xs)
-    assert vs.tolist() == [h.value(x) for x in xs.tolist()]
-    assert eps.tolist() == [h.noise(x) for x in xs.tolist()]
     half_d2 = _curvature_objective(f, nu)
-    assert half_d2.on_grid(xs)[0].tolist() == [half_d2.value(x) for x in xs.tolist()]
+    # the objectives run under their caller's error state, as in the library's own loops
+    with np.errstate(all="ignore"):
+        vs, eps = h.on_grid(xs)
+        assert vs.tolist() == [h.value(x) for x in xs.tolist()]
+        assert eps.tolist() == [h.noise(x) for x in xs.tolist()]
+        assert half_d2.on_grid(xs)[0].tolist() == [half_d2.value(x) for x in xs.tolist()]
 
 
 def _reference_starts(obj, xs):
-    """(a, b) of each search the scan starts, by the per-point loop it ran before its masks."""
-    pts = [(x, v) for x, v in ((x, obj.value(x)) for x in xs.tolist()) if math.isfinite(v)]
-    xs_f, vs_f = [x for x, _ in pts], [v for _, v in pts]
-    n = len(xs_f)
-    i_min = min(range(n), key=vs_f.__getitem__, default=-1)
-    i_max = max(range(n), key=vs_f.__getitem__, default=-1)
-    noise = obj.noise or (lambda x: 0.0)
-    starts = []
-    for i in range(1, n - 1):
-        v = vs_f[i]
-        near, far = sorted((vs_f[i - 1], vs_f[i + 1]))
-        if v <= near and (i == i_min or far - v > noise(xs_f[i])):
-            starts.append((xs_f[i - 1], xs_f[i + 1]))
-        if v >= far and (i == i_max or v - near > noise(xs_f[i])):
-            starts.append((xs_f[i - 1], xs_f[i + 1]))
+    """(a, b) of each search the scan starts, by the per-point loop it ran before its masks.
+
+    The objective runs under its caller's error state, so the loop holds one, as the
+    library's own loops do.
+    """
+    with np.errstate(all="ignore"):
+        pts = [(x, v) for x, v in ((x, obj.value(x)) for x in xs.tolist()) if math.isfinite(v)]
+        xs_f, vs_f = [x for x, _ in pts], [v for _, v in pts]
+        n = len(xs_f)
+        i_min = min(range(n), key=vs_f.__getitem__, default=-1)
+        i_max = max(range(n), key=vs_f.__getitem__, default=-1)
+        noise = obj.noise or (lambda x: 0.0)
+        starts = []
+        for i in range(1, n - 1):
+            v = vs_f[i]
+            near, far = sorted((vs_f[i - 1], vs_f[i + 1]))
+            if v <= near and (i == i_min or far - v > noise(xs_f[i])):
+                starts.append((xs_f[i - 1], xs_f[i + 1]))
+            if v >= far and (i == i_max or v - near > noise(xs_f[i])):
+                starts.append((xs_f[i - 1], xs_f[i + 1]))
     return sorted(starts)
 
 

@@ -8,9 +8,12 @@
 # SAMPLE_FILE is a sample file in the file:PATH grammar, one decimal per line
 # (src/jensen_sharp/data/uniform_10_100_seed42.txt is the pinned one).  The
 # package is run from the checkout that holds this script; PYTHON picks the
-# interpreter (default python3).  The last eight commands are error cases; the
-# three before them run a quadratic, whose h is identically its coefficient a,
-# so h must read a at every end they report.  Three samples are written to a
+# interpreter (default python3).  There are 36 commands.  The last eight are
+# error cases; the three before them run a quadratic, whose h is identically its
+# coefficient a, so h must read a at every end they report.  The oracle on
+# exp:t=3 over normal:mu=0,sigma=40 overflows phi at the tail nodes of its
+# quadrature and must print inf with nothing on stderr, so a numpy warning that
+# leaks from an evaluation shows in the diff.  Three samples are written to a
 # temporary directory and named relative to it, so that the output does not
 # depend on where that directory is: three 5s; two 1e308s, whose sum overflows;
 # and 2,000 values exp(sin(k)), k = 1..2000, printed with repr, large enough
@@ -53,6 +56,7 @@ run power-mean --dist exp:rate=1 --r 2 --s 0.5 --oracle quad
 run power-mean --dist uniform:lo=1,hi=3 --r -1 --s 2 --oracle mc:n=10000,seed=1
 run oracle --phi exp:t=0.5 --dist exp:rate=1 --oracle mc:n=100000,seed=42
 run oracle --phi exp:t=2 --dist exp:rate=1 --oracle quad
+run oracle --phi exp:t=3 --dist normal:mu=0,sigma=40 --oracle quad
 run paper
 run partition --phi neglog --dist "file:$sample" --cells 4 --oracle exact
 run bound --phi power:p=-1 --dist "file:$sample" --oracle mc:n=20000,seed=3
