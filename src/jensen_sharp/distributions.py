@@ -271,7 +271,7 @@ class DistributionSpec:
 
     def _cell_anchor(self, cell: SupportInterval) -> float:
         if cell.bounded:
-            return 0.5 * (cell.lower + cell.upper)
+            return min(max(self.mean(), cell.lower), cell.upper)
         if cell.contains(self.mean()):
             return self.mean()
         if math.isfinite(cell.lower):

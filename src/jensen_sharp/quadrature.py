@@ -6,6 +6,10 @@ extension ``scipy.integrate._quadpack``, loaded by the first integral without
 running ``scipy.integrate``'s ``__init__``, so integrating loads none of
 scipy.integrate, scipy.optimize, scipy.special, scipy.sparse or scipy.linalg,
 and code that never integrates loads no scipy at all.
+The direct pass is split at anchor +/- 8 scales, wherever those points lie
+inside the support, so that a narrow or off-centre peak is sampled, which
+QUADPACK's map of a whole infinite range onto (0, 1] can miss; its sum is
+trusted only when every piece is.
 When the direct pass is not trusted, the integral is re-accumulated over a
 core window and one walk of geometric windows toward each endpoint (doubling
 reach toward an infinite end, halving gaps toward a finite one).  A walk
@@ -188,7 +192,10 @@ def expectation(
     """Integral of ``integrand`` over ``support`` with an error estimate.
 
     ``anchor`` and ``scale`` locate the bulk of the mass (typically mean and
-    standard deviation) and only steer the window layout, never the value.
+    standard deviation) and only steer the window layout, never the value:
+    the direct pass is split at ``anchor +/- 8 * scale`` inside the support
+    and trusted only when every piece is, and otherwise the core window and
+    the endpoint walks are laid out around them.
     Returns (value, error_bound); value is +/-inf when the integral diverges
     in a classifiable direction, and NumericError is raised when it cannot
     be classified.
@@ -197,12 +204,20 @@ def expectation(
     lo, hi = support.lower, support.upper
     # QUADPACK calls fn one node at a time: numpy's error state is set once for the whole integral
     with np.errstate(all="ignore"):
-        value, abserr, trusted = _quad(fn, lo, hi)
-        if trusted:
-            return value, abserr
-
         anchor = float(anchor) if math.isfinite(anchor) else 0.0
         scale = float(scale) if math.isfinite(scale) and scale > 0.0 else 1.0
+
+        # the direct pass, split at anchor +/- 8 scales so that every piece samples the mass
+        cuts = [c for c in (anchor - 8.0 * scale, anchor + 8.0 * scale) if lo < c < hi]
+        edges = [lo, *cuts, hi]
+        value = abserr = 0.0
+        for piece in zip(edges, edges[1:]):
+            v, e, trusted = _quad(fn, *piece)
+            if not trusted:
+                break
+            value, abserr = value + v, abserr + e
+        if trusted and math.isfinite(value):
+            return value, abserr
 
         a = lo if math.isfinite(lo) else anchor - 8.0 * scale
         b = hi if math.isfinite(hi) else anchor + 8.0 * scale

@@ -635,6 +635,16 @@ print(repr(d.quantile(0.5)), "scipy.optimize" in sys.modules)
     assert abs(float(root) - math.log(2.0)) <= 1e-11 and loaded == "False"
 
 
+def test_custom_pdf_far_tail_cell_samples_its_mass():
+    # a single QUADPACK pass over (4, 1e6) never met the peak near 4 and read a trusted 0.0
+    d = CustomPdf(Normal(0.0, 1.0).pdf, SupportInterval(-math.inf, math.inf))
+    cell = SupportInterval(4.0, 1e6)
+    assert d.interval_prob(cell) == pytest.approx(float(ndtr(-4.0)), rel=1e-8)
+    ts, exact = d.truncated_stats(cell), Normal(0.0, 1.0).truncated_stats(cell)
+    assert ts.mean == pytest.approx(exact.mean, rel=1e-8)
+    assert ts.variance == pytest.approx(exact.variance, rel=1e-6)
+
+
 def test_custom_pdf_takes_no_layout_hints():
     flat = lambda x: 1.0 / 3.0
     sup = SupportInterval(1.0, 4.0)

@@ -45,8 +45,9 @@ def errstates(monkeypatch) -> list[int]:
 
 
 def test_one_integral_enters_one_error_state(errstates, monkeypatch):
-    # the direct pass over the whole line is not trusted, so the core and
-    # both walks run too: several QUADPACK passes, over a thousand nodes
+    # 1/(1 + |x|) diverges like a logarithm on both sides: the split direct
+    # pass is not trusted, so the core and both walks run too, several
+    # QUADPACK passes over a thousand nodes
     passes, nodes = [], []
     quad = quadrature._quad
 
@@ -56,12 +57,11 @@ def test_one_integral_enters_one_error_state(errstates, monkeypatch):
 
     def integrand(x):
         nodes.append(x)
-        z = (x + 0.851) / 0.684
-        return math.exp(0.553 * x) * math.exp(-0.5 * z * z) / (0.684 * math.sqrt(2.0 * math.pi))
+        return 1.0 / (1.0 + abs(x))
 
     monkeypatch.setattr(quadrature, "_quad", counted_quad)
-    value, _ = expectation(integrand, SupportInterval(-math.inf, math.inf), -0.851, 0.684)
-    assert value == pytest.approx(math.exp(0.553 * -0.851 + 0.5 * (0.553 * 0.684) ** 2), rel=1e-9)
+    value, _ = expectation(integrand, SupportInterval(-math.inf, math.inf), 0.0, 1.0)
+    assert value == math.inf
     assert len(passes) > 2
     assert len(nodes) > 1000
     assert len(errstates) == 1

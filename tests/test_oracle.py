@@ -159,6 +159,49 @@ def test_unknown_method_rejected():
         estimate_gap(quadratic(1.0), Uniform(0.0, 1.0), method="dice")
 
 
+# the grid holds the narrow and off-centre normals that one whole-line QUADPACK
+# pass never sampled: it read quadratic(1) on N(100, 1) as -10000, on N(5, 0.01)
+# as -25 and on N(20, 0.5) as -400, and exp(0.5) on N(100, 1) as -5.18e21
+_NORMAL_GRID = [(mu, sigma) for mu in (-100.0, 0.0, 5.0, 20.0, 100.0)
+                for sigma in (0.01, 0.5, 1.0, 10.0)]
+_CLOSED_FORM_GAPS = {
+    "quadratic(1)": (quadratic(1.0), lambda mu, sigma: sigma * sigma),
+    "quadratic(2.5)": (quadratic(2.5, -1.0, 0.3), lambda mu, sigma: 2.5 * sigma * sigma),
+    # e^{t mu} (e^{t^2 sigma^2 / 2} - 1), at most 1.4e27 on the grid
+    "exp(0.5)": (exp_scaled(0.5),
+                 lambda mu, sigma: math.exp(0.5 * mu) * math.expm1(0.125 * sigma * sigma)),
+    "exp(-0.2)": (exp_scaled(-0.2),
+                  lambda mu, sigma: math.exp(-0.2 * mu) * math.expm1(0.02 * sigma * sigma)),
+}
+
+
+@pytest.mark.parametrize("name", _CLOSED_FORM_GAPS)
+@pytest.mark.parametrize("mu, sigma", _NORMAL_GRID, ids=[f"N({m:g},{s:g})" for m, s in _NORMAL_GRID])
+def test_quadrature_oracle_lands_within_its_bound_of_the_closed_form(name, mu, sigma):
+    f, gap = _CLOSED_FORM_GAPS[name]
+    est = estimate_gap(f, Normal(mu, sigma), method="quad")
+    truth = gap(mu, sigma)
+    assert abs(est.value - truth) <= est.error_bound, (est.value, truth, est.error_bound)
+
+
+def test_a_gap_whose_expectation_does_not_exist_is_refused():
+    # E[X**3] diverges to -inf and +inf on a Student-t(3) law, whose mean and
+    # variance exist; a whole-line pass cancelled the two tails to a trusted 0.0
+    c = 2.0 / (math.pi * math.sqrt(3.0))
+    t3 = CustomPdf(lambda x: c / (1.0 + x * x / 3.0) ** 2, SupportInterval(-math.inf, math.inf))
+    assert t3.mean() == pytest.approx(0.0, abs=1e-12)
+    assert t3.variance() == pytest.approx(3.0, rel=1e-9)
+    cube = FunctionSpec(
+        func=lambda x: x**3,
+        deriv1=lambda x: 3.0 * x**2,
+        deriv2=lambda x: 6.0 * x,
+        natural_domain=SupportInterval(-math.inf, math.inf),
+        label="cube",
+    )
+    with pytest.raises(NumericError, match="\\+inf on one side and -inf on the other"):
+        estimate_gap(cube, t3, method="quad")
+
+
 # ---------------------------------------------------------------------------
 # conditional gaps
 # ---------------------------------------------------------------------------

@@ -201,6 +201,13 @@ def test_an_integral_diverging_both_ways_is_refused():
         expectation(integrand, SupportInterval(-math.inf, math.inf), 0.0, 1.0)
 
 
+def test_an_odd_integrand_diverging_both_ways_is_refused():
+    # QAGI's map of the whole line cancels the two tails of x exactly; the
+    # pieces of the split direct pass do not, and the walks see both signs
+    with pytest.raises(NumericError, match="toward \\+inf on one side and -inf on the other"):
+        expectation(lambda x: x, SupportInterval(-math.inf, math.inf), 0.0, 1.0)
+
+
 def test_an_integral_whose_core_quadpack_rejects_is_refused():
     # QUADPACK cannot resolve cos(1e8 x) on the whole line nor on the core [-8, 8]
     def integrand(x):

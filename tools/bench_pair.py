@@ -2,8 +2,12 @@
 
     python3 tools/bench_pair.py PARENT_REF [--workload W ...] [--pairs N] --out BENCH_NAME.json
 
-The parent's committed files are exported with ``git archive`` into a temporary
-directory, and each side runs its own ``bench/run.py`` against its own ``src/``
+Both sides are exported with ``git archive`` into temporary directories of their
+own, so that neither runs in a tree that the other lacks (caches, build output,
+untracked files): the parent from its commit, and this checkout from HEAD, or
+from a ``git stash create`` commit of its tracked and staged changes when it
+has any (stage a new file to take it along).  Each side runs its own
+``bench/run.py`` against its own ``src/``
 (``--seed``, and BENCHMARK.json's ``run_seconds``; the benchmark itself must be the
 same on both sides).  Pair k runs the parent first when k is even and this checkout
 first when k is odd.  The JSON file written holds both commits, machine notes, every
@@ -117,23 +121,25 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
+    # the stash commit holds the tracked and staged changes; it is empty when there are none
+    change_ref = git("stash", "create") or git("rev-parse", "HEAD")
     bench_paths = [*spec["paths"], "BENCHMARK.json"]
-    if subprocess.run(["git", "diff", "--quiet", args.parent_ref, "--", *bench_paths],
+    if subprocess.run(["git", "diff", "--quiet", args.parent_ref, change_ref, "--", *bench_paths],
                       cwd=ROOT).returncode != 0:
         raise SystemExit(f"error: the benchmark differs between {args.parent_ref} and this checkout")
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     result = {
         "parent": {"ref": args.parent_ref, "sha": git("rev-parse", args.parent_ref)},
-        "change": {"sha": git("rev-parse", "HEAD"),
-                   "uncommitted_changes": bool(git("status", "--porcelain", "--untracked-files=no"))},
+        "change": {"sha": git("rev-parse", "HEAD"), "exported": change_ref,
+                   "uncommitted_changes": change_ref != git("rev-parse", "HEAD")},
         "settings": {"seed": args.seed, "seconds": spec["run_seconds"], "pairs": args.pairs},
         "machine": machine(),
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="bench-pair-") as tmp:
-        parent_root = Path(tmp) / "parent"
-        export(args.parent_ref, parent_root)
-        roots = {"parent": parent_root, "change": ROOT}
+        roots = {"parent": Path(tmp) / "parent", "change": Path(tmp) / "change"}
+        export(args.parent_ref, roots["parent"])
+        export(change_ref, roots["change"])
         for workload in args.workload or [w["name"] for w in spec["workloads"]]:
             runs = []
             for k in range(args.pairs):
