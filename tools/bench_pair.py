@@ -122,7 +122,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     # the stash commit holds the tracked and staged changes; it is empty when there are none
-    change_ref = git("stash", "create") or git("rev-parse", "HEAD")
+    head = git("rev-parse", "HEAD")
+    change_ref = git("stash", "create") or head
     bench_paths = [*spec["paths"], "BENCHMARK.json"]
     if subprocess.run(["git", "diff", "--quiet", args.parent_ref, change_ref, "--", *bench_paths],
                       cwd=ROOT).returncode != 0:
@@ -130,8 +131,7 @@ def main(argv: list[str] | None = None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     result = {
         "parent": {"ref": args.parent_ref, "sha": git("rev-parse", args.parent_ref)},
-        "change": {"sha": git("rev-parse", "HEAD"), "exported": change_ref,
-                   "uncommitted_changes": change_ref != git("rev-parse", "HEAD")},
+        "change": {"sha": head, "exported": change_ref, "uncommitted_changes": change_ref != head},
         "settings": {"seed": args.seed, "seconds": spec["run_seconds"], "pairs": args.pairs},
         "machine": machine(),
         "workloads": {},
