@@ -270,13 +270,8 @@ class DistributionSpec:
         return max(math.sqrt(self.variance()), 1e-6 * max(1.0, abs(self.mean())))
 
     def _cell_anchor(self, cell: SupportInterval) -> float:
-        if cell.bounded:
-            return min(max(self.mean(), cell.lower), cell.upper)
-        if cell.contains(self.mean()):
-            return self.mean()
-        if math.isfinite(cell.lower):
-            return cell.lower + self._scale()
-        return cell.upper - self._scale()
+        """The point of the cell nearest the mean."""
+        return min(max(self.mean(), cell.lower), cell.upper)
 
     def truncated_stats(self, cell: SupportInterval) -> TruncatedStats:
         """Cell mass p, then the cell's mean and variance by ``expect`` of g / p, which keeps

@@ -210,9 +210,10 @@ def expectation(
         # the direct pass, split at anchor +/- 8 scales so that every piece samples the mass
         cuts = [c for c in (anchor - 8.0 * scale, anchor + 8.0 * scale) if lo < c < hi]
         edges = [lo, *cuts, hi]
+        passes = {}  # each piece's pass, kept for the fallback, whose core may be one of them
         value = abserr = 0.0
         for piece in zip(edges, edges[1:]):
-            v, e, trusted = _quad(fn, *piece)
+            v, e, trusted = passes[piece] = _quad(fn, *piece)
             if not trusted:
                 break
             value, abserr = value + v, abserr + e
@@ -230,7 +231,7 @@ def expectation(
         core_lo = a + off if math.isfinite(lo) else a
         core_hi = b - off if math.isfinite(hi) else b
 
-        total, err, ok = _quad(fn, core_lo, core_hi)
+        total, err, ok = passes.get((core_lo, core_hi)) or _quad(fn, core_lo, core_hi)
         # the core overflows as a walk's window does, and both walks still run
         diverged = int(math.copysign(1.0, total)) if abs(total) > HUGE else 0
         if not (ok or diverged):

@@ -6,8 +6,9 @@ Both sides are exported with ``git archive`` into temporary directories of their
 own, so that neither runs in a tree that the other lacks (caches, build output,
 untracked files): the parent from its commit, and this checkout from HEAD, or
 from a ``git stash create`` commit of its tracked and staged changes when it
-has any (stage a new file to take it along).  Each side runs its own
-``bench/run.py`` against its own ``src/``
+has any.  Neither holds untracked files, so an untracked file under ``src/`` or
+the benchmark's paths stops the run (stage it to take it along).  Each side runs
+its own ``bench/run.py`` against its own ``src/``
 (``--seed``, and BENCHMARK.json's ``run_seconds``; the benchmark itself must be the
 same on both sides).  Pair k runs the parent first when k is even and this checkout
 first when k is odd.  The JSON file written holds both commits, machine notes, every
@@ -125,6 +126,10 @@ def main(argv: list[str] | None = None) -> int:
     head = git("rev-parse", "HEAD")
     change_ref = git("stash", "create") or head
     bench_paths = [*spec["paths"], "BENCHMARK.json"]
+    untracked = git("ls-files", "--others", "--exclude-standard", "--", "src", *bench_paths)
+    if untracked:
+        raise SystemExit("error: untracked files would be left out of this checkout's side "
+                         f"(stage them to take them along):\n{untracked}")
     if subprocess.run(["git", "diff", "--quiet", args.parent_ref, change_ref, "--", *bench_paths],
                       cwd=ROOT).returncode != 0:
         raise SystemExit(f"error: the benchmark differs between {args.parent_ref} and this checkout")
