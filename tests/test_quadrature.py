@@ -208,6 +208,22 @@ def test_an_odd_integrand_diverging_both_ways_is_refused():
         expectation(lambda x: x, SupportInterval(-math.inf, math.inf), 0.0, 1.0)
 
 
+def test_the_fallback_reuses_the_split_pass_core(monkeypatch):
+    # the left tail and the core [-8, 8] are trusted on the split pass, the
+    # right tail diverges; the fallback's core is that same piece, not run again
+    ranges = []
+
+    def counted_quad(fn, lo, hi):
+        ranges.append((lo, hi))
+        return _quad(fn, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_quad", counted_quad)
+    value, _ = expectation(lambda x: math.exp(x) if x < 0.0 else 1.0 / (1.0 + x),
+                           SupportInterval(-math.inf, math.inf), 0.0, 1.0)
+    assert value == math.inf
+    assert ranges.count((-8.0, 8.0)) == 1
+
+
 def test_an_integral_whose_core_quadpack_rejects_is_refused():
     # QUADPACK cannot resolve cos(1e8 x) on the whole line nor on the core [-8, 8]
     def integrand(x):
