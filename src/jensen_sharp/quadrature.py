@@ -6,17 +6,17 @@ extension ``scipy.integrate._quadpack``, loaded by the first integral without
 running ``scipy.integrate``'s ``__init__``, so integrating loads none of
 scipy.integrate, scipy.optimize, scipy.special, scipy.sparse or scipy.linalg,
 and code that never integrates loads no scipy at all.
-The direct pass is split at anchor +/- 8 scales, wherever those points lie
-inside the support, so that a narrow or off-centre peak is sampled, which
-QUADPACK's map of a whole infinite range onto (0, 1] can miss; its sum is
-trusted only when every piece is.
-When the direct pass is not trusted, the integral is re-accumulated over a
-core window and one walk of geometric windows toward each endpoint (doubling
-reach toward an infinite end, halving gaps toward a finite one).  A walk
+One layout serves every integral: the support is cut at anchor +/- 8 scales,
+wherever those points lie inside it, so that a narrow or off-centre peak is
+sampled, which QUADPACK's map of a whole infinite range onto (0, 1] can miss.
+A piece whose one pass is trusted is kept; only a piece whose pass is not is
+worked again, over a core window and one walk of geometric windows toward each
+end of the support that it reaches (doubling reach from the cut toward an
+infinite end, halving gaps over its outer eighth toward a finite one).  A walk
 converges once its increments fall below tolerance; at a finite end the
 remainder of its contracting series is added.  Toward an infinite end,
 GROWTH_RUN + 1 same-signed increments that never shrink call it divergent, and
-so does a window, at either end or in the core, whose integral overflows past HUGE.
+so does any window, a trusted piece included, whose integral overflows past HUGE.
 A walk that stops any other way (at an untrusted window, or with no windows
 left) gets one verdict: geometrically contracting increments converge, with
 the series remainder added and charged to the error; a same-signed run that
@@ -183,6 +183,29 @@ def _windows(
         yield (origin + near, origin + far) if direction > 0 else (origin - far, origin - near)
 
 
+def _parts(fn, p: float, q: float, lo: float, hi: float, reach: float):
+    """(value, error, diverged_sign) of each part of the piece [p, q] of the support [lo, hi]:
+    the piece when QUADPACK trusts its pass, else a core window and one walk toward each
+    end of the support that the piece reaches."""
+    v, e, trusted = _quad(fn, p, q)
+    off = (q - p) / 8.0
+    # the core stops an eighth of the piece short of a finite end of the support and at
+    # the cut short of an infinite one; a piece that reaches neither is its own core
+    core = (p, q) if trusted else (p if p > lo else p + off if math.isfinite(p) else q,
+                                   q if q < hi else q - off if math.isfinite(q) else p)
+    if not trusted:
+        v, e, trusted = _quad(fn, *core)
+    sign = int(math.copysign(1.0, v)) if abs(v) > HUGE else 0
+    if not (trusted or sign):
+        raise NumericError(f"quadrature failed on the interior window [{core[0]}, {core[1]}]")
+    yield v, e, sign
+    for side, end, edge in ((-1, p, core[0]), (1, q, core[1])):
+        if edge != end:
+            infinite_end = math.isinf(end)
+            start, step = (edge, reach) if infinite_end else (end, off)
+            yield _walk(fn, _windows(start, step, side, infinite_end), infinite_end)
+
+
 def expectation(
     integrand: Callable[[float], float],
     support: SupportInterval,
@@ -193,9 +216,9 @@ def expectation(
 
     ``anchor`` and ``scale`` locate the bulk of the mass (typically mean and
     standard deviation) and only steer the window layout, never the value:
-    the direct pass is split at ``anchor +/- 8 * scale`` inside the support
-    and trusted only when every piece is, and otherwise the core window and
-    the endpoint walks are laid out around them.
+    the anchor is clipped into the support, which is cut at
+    ``anchor +/- 8 * scale``; a piece is kept when QUADPACK trusts its pass,
+    and otherwise walked.
     Returns (value, error_bound); value is +/-inf when the integral diverges
     in a classifiable direction, and NumericError is raised when it cannot
     be classified.
@@ -204,51 +227,18 @@ def expectation(
     lo, hi = support.lower, support.upper
     # QUADPACK calls fn one node at a time: numpy's error state is set once for the whole integral
     with np.errstate(all="ignore"):
-        anchor = float(anchor) if math.isfinite(anchor) else 0.0
+        anchor = min(max(float(anchor) if math.isfinite(anchor) else 0.0, lo), hi)
         scale = float(scale) if math.isfinite(scale) and scale > 0.0 else 1.0
-
-        # the direct pass, split at anchor +/- 8 scales so that every piece samples the mass
-        cuts = [c for c in (anchor - 8.0 * scale, anchor + 8.0 * scale) if lo < c < hi]
+        reach = 8.0 * max(scale, _EPS * abs(anchor))  # so that no cut rounds onto the anchor
+        cuts = [c for c in (anchor - reach, anchor + reach) if lo < c < hi]
         edges = [lo, *cuts, hi]
-        passes = {}  # each piece's pass, kept for the fallback, whose core may be one of them
-        value = abserr = 0.0
-        for piece in zip(edges, edges[1:]):
-            v, e, trusted = passes[piece] = _quad(fn, *piece)
-            if not trusted:
-                break
-            value, abserr = value + v, abserr + e
-        if trusted and math.isfinite(value):
-            return value, abserr
-
-        a = lo if math.isfinite(lo) else anchor - 8.0 * scale
-        b = hi if math.isfinite(hi) else anchor + 8.0 * scale
-        if not a < b:
-            if math.isfinite(lo):
-                a, b = lo, lo + 16.0 * scale
-            else:
-                a, b = hi - 16.0 * scale, hi
-        off = (b - a) / 8.0
-        core_lo = a + off if math.isfinite(lo) else a
-        core_hi = b - off if math.isfinite(hi) else b
-
-        total, err, ok = passes.get((core_lo, core_hi)) or _quad(fn, core_lo, core_hi)
-        # the core overflows as a walk's window does, and both walks still run
-        diverged = int(math.copysign(1.0, total)) if abs(total) > HUGE else 0
-        if not (ok or diverged):
-            raise NumericError(f"quadrature failed on the interior window [{core_lo}, {core_hi}]")
-
-        for side, end, origin in ((-1, lo, a), (1, hi, b)):
-            infinite_end = math.isinf(end)
-            step = 8.0 * scale if infinite_end else off
-            s, e, sign = _walk(fn, _windows(origin, step, side, infinite_end), infinite_end)
-            total += s
-            err += e
-            if sign and diverged and sign != diverged:
-                raise NumericError(
-                    "integral diverges toward +inf on one side and -inf on the other"
-                )
-            diverged = sign or diverged
-
-        if diverged:
-            return math.copysign(math.inf, diverged), 0.0
-        return total, err
+        parts = [part for p, q in zip(edges, edges[1:]) for part in _parts(fn, p, q, lo, hi, reach)]
+    signs = {sign for _, _, sign in parts if sign}
+    if len(signs) > 1:
+        raise NumericError("integral diverges toward +inf on one side and -inf on the other")
+    if signs:
+        return math.copysign(math.inf, signs.pop()), 0.0
+    total = err = 0.0
+    for v, e, _ in parts:
+        total, err = total + v, err + e
+    return total, err

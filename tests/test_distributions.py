@@ -976,3 +976,23 @@ def test_narrow_or_far_bounded_normal_cell_moments_match_mpmath(mu, sigma, lo, h
     ts = Normal(mu, sigma).truncated_stats(SupportInterval(lo, hi))
     assert abs(ts.mean - mean_ref) <= 1e-9 * abs(mean_ref)
     assert abs(ts.variance - var_ref) <= 1e-9 * var_ref
+
+
+@pytest.mark.parametrize("rate", [0.3, 1.0])
+@pytest.mark.parametrize("lower_sd", [0.0, 1.0, 5.0, 30.0])
+def test_narrow_bounded_exponential_cell_moments_match_mpmath(rate, lower_sd):
+    # the closed forms for the mean and variance of a cell of width w cancel as
+    # z = rate * w falls: at 1e-5 sd the variance came out 0.0, and at 1e-8 sd negative
+    mpmath = pytest.importorskip("mpmath")
+    d = Exponential(rate)
+    for width_sd in [10.0**-k for k in range(9)]:
+        lo = lower_sd / rate
+        hi = lo + width_sd / rate
+        with mpmath.workdps(60):
+            lam, a, b = mpmath.mpf(rate), mpmath.mpf(lo), mpmath.mpf(hi)
+            q = mpmath.exp(-lam * (b - a))
+            mean_ref = float(a + 1 / lam - (b - a) * q / (1 - q))
+            var_ref = float(1 / lam**2 - (b - a) ** 2 * q / (1 - q) ** 2)
+        ts = d.truncated_stats(SupportInterval(lo, hi))
+        assert abs(ts.mean - mean_ref) <= 1e-12 * mean_ref, (width_sd, ts.mean, mean_ref)
+        assert abs(ts.variance - var_ref) <= 1e-12 * var_ref, (width_sd, ts.variance, var_ref)

@@ -1,4 +1,4 @@
-"""The quadrature fallback's tail rule: one window walk per endpoint, one verdict.
+"""The quadrature's tail rule: one window walk per end of an unsettled piece, one verdict.
 
 A walk toward a finite endpoint is judged only where it ends, so an
 integrable singularity whose window integrals grow for several halvings
@@ -151,9 +151,24 @@ def test_log_divergent_tail_integrates_to_infinity(integrand):
     ids=["right-of-anchor", "left-of-anchor"],
 )
 def test_core_is_laid_from_the_finite_end_when_the_anchor_lies_outside(integrand, support):
-    # anchor 0 +/- 8 scales misses the support, so the core window starts at its finite end
+    # anchor 0 lies outside the support and is clipped to its finite end, so the
+    # pieces, and the core of the divergent one, are laid from there
     value, err = expectation(integrand, support, 0.0, 1.0)
     assert value == math.inf
+    assert err == 0.0
+
+
+@pytest.mark.parametrize(
+    "integrand, support, expected",
+    [(lambda x: 1.0, SupportInterval(1e20, math.inf), math.inf),
+     (lambda x: -1.0, SupportInterval(-math.inf, -1e20), -math.inf)],
+    ids=["right-of-anchor", "left-of-anchor"],
+)
+def test_a_cut_never_rounds_onto_the_clipped_anchor(integrand, support, expected):
+    # anchor 0 is clipped to +/-1e20, where 8 scales are under half an ulp; the reach
+    # is raised to a few ulps of the anchor, so the infinite piece still starts at a cut
+    value, err = expectation(integrand, support, 0.0, 1.0)
+    assert value == expected
     assert err == 0.0
 
 
@@ -208,9 +223,28 @@ def test_an_odd_integrand_diverging_both_ways_is_refused():
         expectation(lambda x: x, SupportInterval(-math.inf, math.inf), 0.0, 1.0)
 
 
-def test_the_fallback_reuses_the_split_pass_core(monkeypatch):
-    # the left tail and the core [-8, 8] are trusted on the split pass, the
-    # right tail diverges; the fallback's core is that same piece, not run again
+_RATE, _T = 1.485, 0.505
+_MEAN = 1.0 / _RATE
+_SETTLED_PIECES = {
+    # the left tail and the middle [-8, 8] are trusted, the right tail diverges
+    "whole-line": (lambda x: math.exp(x) if x < 0.0 else 1.0 / (1.0 + x),
+                   SupportInterval(-math.inf, math.inf), 0.0, 1.0,
+                   [(-math.inf, -8.0), (-8.0, 8.0)], None),
+    # E[exp(0.505 X)] for X ~ Exponential(1.485): [0, 9 / 1.485] is trusted, and the
+    # tail piece reads NaN, as exp(0.505 x) overflows where the density underflows
+    "half-line": (lambda x: math.exp(_T * x) * _RATE * math.exp(-_RATE * x),
+                  SupportInterval(0.0, math.inf), _MEAN, _MEAN,
+                  [(0.0, _MEAN + 8.0 * _MEAN)], 10),
+}
+
+
+@pytest.mark.parametrize("integrand, support, anchor, scale, trusted, most_passes",
+                         _SETTLED_PIECES.values(), ids=_SETTLED_PIECES.keys())
+def test_no_trusted_piece_is_integrated_again(
+    integrand, support, anchor, scale, trusted, most_passes, monkeypatch
+):
+    # only the piece that QUADPACK did not trust is walked; the half-line case took
+    # 38 passes when the whole support was laid out again around a fresh core
     ranges = []
 
     def counted_quad(fn, lo, hi):
@@ -218,10 +252,22 @@ def test_the_fallback_reuses_the_split_pass_core(monkeypatch):
         return _quad(fn, lo, hi)
 
     monkeypatch.setattr(quadrature, "_quad", counted_quad)
-    value, _ = expectation(lambda x: math.exp(x) if x < 0.0 else 1.0 / (1.0 + x),
-                           SupportInterval(-math.inf, math.inf), 0.0, 1.0)
-    assert value == math.inf
-    assert ranges.count((-8.0, 8.0)) == 1
+    value, err = expectation(integrand, support, anchor, scale)
+    for piece in trusted:
+        assert ranges.count(piece) == 1, ranges
+    if most_passes is None:
+        assert value == math.inf
+    else:
+        assert len(ranges) <= most_passes, ranges
+        assert abs(value - _RATE / (_RATE - _T)) <= err, (value, err)
+
+
+def test_a_trusted_piece_keeps_its_error_bound():
+    # E[exp(X/2)] - exp(1/2) for X ~ Exponential(1) is 2 - e**0.5; only the NaN tail
+    # piece is walked, so [0, 9] keeps its own pass's bound, not a fresh core's 4e-9
+    est = estimate_gap(exp_scaled(0.5), Exponential(1.0), method="quad")
+    assert est.error_bound <= 1e-12
+    assert abs(est.value - (2.0 - math.sqrt(math.e))) <= est.error_bound
 
 
 def test_an_integral_whose_core_quadpack_rejects_is_refused():
