@@ -456,9 +456,10 @@ class Exponential(DistributionSpec):
         w = hi - lo
         z = lam * w
         if z < 1.0:
-            z2 = z * z
-            mean = 0.5 - z * sum(c * z2**k for k, c in enumerate(_BERNOULLI_TERMS))
-            variance = sum((2 * k + 1) * c * z2**k for k, c in enumerate(_BERNOULLI_TERMS))
+            z2, mean, variance = z * z, 0.0, 0.0
+            for k, c in reversed(list(enumerate(_BERNOULLI_TERMS))):
+                mean, variance = mean * z2 + c, variance * z2 + (2 * k + 1) * c
+            mean = 0.5 - z * mean
         else:
             q, mass = math.exp(-z), -math.expm1(-z)
             mean, variance = 1.0 / z - q / mass, 1.0 / (z * z) - q / (mass * mass)
