@@ -981,8 +981,8 @@ def test_narrow_or_far_bounded_normal_cell_moments_match_mpmath(mu, sigma, lo, h
 @pytest.mark.parametrize("rate", [0.3, 1.0])
 @pytest.mark.parametrize("lower_sd", [0.0, 1.0, 5.0, 30.0])
 def test_narrow_bounded_exponential_cell_moments_match_mpmath(rate, lower_sd):
-    # the closed forms for the mean and variance of a cell of width w cancel as
-    # z = rate * w falls: at 1e-5 sd the variance came out 0.0, and at 1e-8 sd negative
+    # raw moments from closed forms cancel as z = rate * w falls: a cell of 1e-5 sd
+    # had a variance of 0 or 2.3 w**2/12, one of 1e-8 sd 2.7e9 w**2/12 or NumericError
     mpmath = pytest.importorskip("mpmath")
     d = Exponential(rate)
     for width_sd in [10.0**-k for k in range(9)]:
