@@ -207,6 +207,28 @@ def _moments_by(expect: Callable, mass: float) -> tuple[float, float]:
     return m1, _clamp_variance(m2 / mass, abs(m1) + 1.0)
 
 
+_CANCELLATION = 1e-4  # a variance under this share of E[Y**2] keeps fewer than about 12 of 16 digits
+
+
+def _closed_power_moments(raw: Callable[[float], float], r: float, pole: float):
+    """Mean and variance of Y = X**r from raw(k) = E[X**k], a closed form finite for k > pole.
+    A divergent moment raises the NumericError of ``_moments_by``; None leaves both to
+    ``expect`` where a moment leaves the normal float range, or where Var Y = E[Y**2] - E[Y]**2
+    would cancel more than about 4 digits (a tiny |r|, or a narrow law far from 0)."""
+    if r <= pole:
+        raise NumericError("law has non-finite mean")
+    if 2.0 * r <= pole:
+        raise NumericError("law has non-finite variance")
+    try:
+        m1, m2 = raw(r), raw(2.0 * r)
+    except (OverflowError, ZeroDivisionError):
+        return None
+    v = m2 - m1 * m1
+    if not (sys.float_info.min <= m1 * m1 and m2 < math.inf and v >= _CANCELLATION * m2):
+        return None
+    return m1, v
+
+
 def _atom_expect(g, xs: np.ndarray, ws: np.ndarray | float, cell) -> tuple[float, float]:
     """(fsum of w * g(x) over the atoms in the cell, the rounding of its products); ws is
     one weight an atom, or a float that weighs every atom alike."""
@@ -278,6 +300,11 @@ class DistributionSpec:
 
     def quantile(self, q: float) -> float:
         raise NotImplementedError
+
+    def _power_moments(self, r: float) -> tuple[float, float] | None:
+        """Mean and variance of X**r in closed form; None when the law has none, and
+        ``PowerTransform`` integrates them by ``expect``."""
+        return None
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n draws of the law from ``rng``.  The Monte Carlo oracle asks for its blocks in
@@ -441,7 +468,13 @@ class Exponential(DistributionSpec):
         return math.exp(-self.rate * x)
 
     def interval_prob(self, cell: SupportInterval) -> float:
-        return max(0.0, self._sf(cell.lower) - self._sf(cell.upper))
+        # the mass beyond lo times the share of it below hi: a narrow cell's mass does not cancel
+        lo, hi = max(0.0, cell.lower), cell.upper
+        if not lo < hi:
+            return 0.0
+        if hi == math.inf:
+            return self._sf(lo)
+        return self._sf(lo) * -math.expm1(-self.rate * (hi - lo))
 
     def truncated_stats(self, cell: SupportInterval) -> TruncatedStats:
         p = self._require_prob(cell, self.interval_prob(cell))
@@ -468,6 +501,10 @@ class Exponential(DistributionSpec):
     def quantile(self, q: float) -> float:
         _check_level(q)
         return -math.log1p(-q) / self.rate
+
+    def _power_moments(self, r: float) -> tuple[float, float] | None:
+        # E[X**k] = Gamma(k + 1) / rate**k, which diverges at 0 for k <= -1
+        return _closed_power_moments(lambda k: math.gamma(k + 1.0) / self.rate**k, r, -1.0)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.exponential(1.0 / self.rate, n)
@@ -510,6 +547,22 @@ class Uniform(DistributionSpec):
     def quantile(self, q: float) -> float:
         _check_level(q)
         return self.lo + q * (self.hi - self.lo)
+
+    def _power_moments(self, r: float) -> tuple[float, float] | None:
+        # E[X**k] = (hi**c - lo**c) / (c (hi - lo)) with c = k + 1, or log(hi / lo) / (hi - lo) at
+        # c = 0, taken as the larger end's power times -expm1(-|c| log(hi / lo)) / |c|, which does
+        # not cancel however narrow the law; with lo = 0 it diverges for k <= -1
+        w = self.hi - self.lo
+        log_ratio = math.log1p(w / self.lo) if self.lo > 0.0 else math.inf
+
+        def raw(k: float) -> float:
+            c = k + 1.0
+            if c == 0.0:
+                return log_ratio / w
+            end = self.hi**c if c > 0.0 else self.lo**c
+            return end * -math.expm1(-abs(c) * log_ratio) / (abs(c) * w)
+
+        return _closed_power_moments(raw, r, -1.0 if self.lo == 0.0 else -math.inf)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, n)
@@ -756,14 +809,16 @@ def _check_power(d: DistributionSpec, r: float) -> None:
 class PowerTransform(DistributionSpec):
     """Y = X**r for a continuous, positively supported X, as ``transform_power`` builds it.
     Y has no density of its own: ``expect`` integrates g(x**r) on X's law over the cell of X
-    that maps onto Y's cell, and masses, quantiles and draws are X's."""
+    that maps onto Y's cell, and masses, quantiles and draws are X's.  Y's mean and variance
+    are closed-form on an exponential or uniform X (``_power_moments``), and integrated by
+    ``expect`` on any other law, or where the closed-form variance would cancel."""
 
     source: DistributionSpec
     r: float
 
     def __post_init__(self) -> None:
         _check_power(self.source, self.r)
-        m, v = _moments_by(self.expect, 1.0)
+        m, v = self.source._power_moments(self.r) or _moments_by(self.expect, 1.0)
         object.__setattr__(self, "_mean", m)
         object.__setattr__(self, "_variance", v)
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jensen_sharp import (
+    CustomPdf,
     DomainError,
     Empirical,
     Exponential,
@@ -41,6 +42,7 @@ from jensen_sharp import (
     sample_bounds,
     switch_radius,
 )
+from jensen_sharp import quadrature
 from jensen_sharp.bounds import BoundMethod
 from jensen_sharp.extreal import ext_mul, ext_sum
 from jensen_sharp.functions import FunctionSpec
@@ -543,6 +545,20 @@ def test_power_mean_validates_inputs():
         power_mean_bounds(Uniform(1.0, 2.0), r=1.0, s=0.0)
     with pytest.raises(DomainError):
         power_mean_bounds(Normal(0.0, 1.0), r=1.0, s=2.0)
+
+
+def test_power_mean_bounds_integrate_only_on_a_law_without_closed_form_moments(monkeypatch):
+    # the moments of Y = X**r are closed-form on exponential and uniform laws: no QUADPACK pass
+    custom = CustomPdf(Exponential(1.0).pdf, SupportInterval(0.0, math.inf))
+    passes = []
+    quad = quadrature._quad
+    monkeypatch.setattr(quadrature, "_quad", lambda *args: passes.append(args) or quad(*args))
+    for d, r in [(Exponential(1.505), 2.0), (Exponential(1.0), 0.5), (Exponential(0.3), -0.4),
+                 (Uniform(1.461, 5.005), 3.0), (Uniform(1.0, 3.0), -1.0), (Uniform(0.0, 1.0), 0.5)]:
+        power_mean_bounds(d, r, 1.5)
+    assert passes == []
+    power_mean_bounds(custom, 2.0, 1.5)
+    assert len(passes) >= 2
 
 
 def test_generalized_mean_neglog_matches_sample_path(pinned_sample):

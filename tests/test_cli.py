@@ -571,13 +571,14 @@ def test_import_leaves_scipy_unloaded():
          0, False),
         (["partition", "--phi", "exp:t=1", "--dist", "normal:mu=0,sigma=1", "--cells", "50"],
          0, True),
-        # the moments of X**0.5 integrate on the law of X
-        (["power-mean", "--dist", "exp:rate=1", "--r", "0.5", "--s", "1.5"], 0, True),
+        # the moments of X**r are closed-form on exponential and uniform laws
+        (["power-mean", "--dist", "exp:rate=1", "--r", "0.5", "--s", "1.5"], 0, False),
+        (["power-mean", "--dist", "uniform:lo=1,hi=3", "--r", "3", "--s", "1.5"], 0, False),
         # exit status 1 is the acceptance-2 0.409 row, red by design
         (["paper"], 1, True),
     ],
     ids=["bound", "sample-bound-exact", "oracle-mc", "bound-quad", "partition-16", "partition-50",
-         "power-mean-r-half", "paper"],
+         "power-mean-r-half", "power-mean-uniform", "paper"],
 )
 def test_scipy_loads_only_for_quadrature(argv, status, loads_scipy):
     # no row loads scipy.integrate, .optimize, .special, .sparse or .linalg

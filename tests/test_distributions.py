@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -996,3 +997,98 @@ def test_narrow_bounded_exponential_cell_moments_match_mpmath(rate, lower_sd):
         ts = d.truncated_stats(SupportInterval(lo, hi))
         assert abs(ts.mean - mean_ref) <= 1e-12 * mean_ref, (width_sd, ts.mean, mean_ref)
         assert abs(ts.variance - var_ref) <= 1e-12 * var_ref, (width_sd, ts.variance, var_ref)
+
+
+@pytest.mark.parametrize("rate", [0.3, 1.0, 4.0])
+@pytest.mark.parametrize("lower_sd", [0.0, 1.0, 5.0, 30.0, 200.0])
+def test_exponential_cell_mass_matches_mpmath(rate, lower_sd):
+    # a difference of two survival values lost up to 2.3e-2 of a cell 1e-12 sd wide
+    mpmath = pytest.importorskip("mpmath")
+    d = Exponential(rate)
+    lo = lower_sd / rate
+    for width_sd in [10.0**-k for k in range(-1, 13)]:
+        hi = lo + width_sd / rate
+        with mpmath.workdps(60):
+            lam = mpmath.mpf(rate)
+            ref = float(mpmath.exp(-lam * mpmath.mpf(lo)) - mpmath.exp(-lam * mpmath.mpf(hi)))
+        p = d.interval_prob(SupportInterval(lo, hi))
+        assert abs(p - ref) <= 1e-13 * ref, (width_sd, p, ref)
+    assert d.interval_prob(SupportInterval(lo, math.inf)) == math.exp(-rate * lo)
+    assert d.interval_prob(SupportInterval(-math.inf, -1.0)) == 0.0
+    assert d.interval_prob(SupportInterval(-3.0, math.inf)) == 1.0
+
+
+def _mp_uniform_raw(mpmath, lo, hi, k):
+    """E[X**k] of X ~ Uniform(lo, hi)."""
+    lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
+    if k == -1:
+        return (mpmath.log(hi) - mpmath.log(lo)) / (hi - lo)
+    return (hi ** (k + 1) - lo ** (k + 1)) / ((k + 1) * (hi - lo))
+
+
+def _mp_exponential_raw(mpmath, rate, k):
+    """E[X**k] of X ~ Exponential(rate)."""
+    return mpmath.gamma(k + 1) / mpmath.mpf(rate) ** k
+
+
+_EXP_POWERS = [-0.45, -0.3, -0.1, -0.01, -0.005, 0.005, 0.01, 0.1, 0.25, 0.5, 1.5, 2.0, 3.0,
+               4.5, 7.0, 10.0]
+_POWER_MOMENT_CASES = [
+    *[(Exponential(rate), r, partial(_mp_exponential_raw, rate=rate))
+      for rate in (0.3, 1.0, 5.0) for r in _EXP_POWERS],
+    *[(Uniform(lo, hi), r, partial(_mp_uniform_raw, lo=lo, hi=hi))
+      for lo, hi in [(0.0, 1.0), (1.0, 3.0), (1e-6, 1.0), (100.0, 101.0)]
+      for r in (-3.0, -1.0, -0.5, 0.5, 2.0, 3.0) if lo > 0.0 or r > -0.5],
+]
+
+
+@pytest.mark.parametrize("d, r, raw", _POWER_MOMENT_CASES,
+                         ids=[f"{c[0]!r}**{c[1]:g}" for c in _POWER_MOMENT_CASES])
+def test_power_moments_match_mpmath_where_the_closed_form_is_taken(d, r, raw):
+    # the closed form is taken exactly where the variance keeps 1e-4 of E[Y**2] (by mpmath);
+    # elsewhere (|r| = 0.005 on an exponential, all of Uniform(100, 101)) Y's moments integrate
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        m1 = raw(mpmath, k=mpmath.mpf(r))
+        m2 = raw(mpmath, k=2 * mpmath.mpf(r))
+        var = m2 - m1 * m1
+        share = float(var / m2)
+    closed = d._power_moments(r)
+    y = PowerTransform(d, r)
+    if closed is None:
+        assert share < 1.1e-4, share
+        return
+    assert share > 0.9e-4, share
+    assert (y.mean(), y.variance()) == closed
+    assert abs(closed[0] - m1) <= 1e-11 * m1, (closed[0], float(m1))
+    assert abs(closed[1] - var) <= 1e-11 * var, (closed[1], float(var))
+
+
+def test_power_moments_are_closed_form_only_on_exponential_and_uniform_laws():
+    taken = [case for case in _POWER_MOMENT_CASES if case[0]._power_moments(case[1]) is not None]
+    assert len(taken) == len(_POWER_MOMENT_CASES) - 6 - 6  # |r| = 0.005 thrice, Uniform(100, 101)
+    custom = CustomPdf(Exponential(1.0).pdf, SupportInterval(0.0, math.inf))
+    assert custom._power_moments(2.0) is None
+    assert Normal(0.0, 1.0)._power_moments(2.0) is None
+
+
+_DIVERGENT_POWERS = [
+    *[(Exponential(rate), r, "mean") for rate in (0.3, 1.0, 5.0) for r in (-3.0, -1.5, -1.0)],
+    *[(Exponential(rate), r, "variance") for rate in (0.3, 1.0, 5.0)
+      for r in (-0.95, -0.9, -0.75, -0.6, -0.5)],
+    (Uniform(0.0, 1.0), -3.0, "mean"),
+    (Uniform(0.0, 1.0), -1.0, "mean"),
+    (Uniform(0.0, 1.0), -0.75, "variance"),
+    (Uniform(0.0, 1.0), -0.5, "variance"),
+]
+
+
+@pytest.mark.parametrize("d, r, moment", _DIVERGENT_POWERS,
+                         ids=[f"{c[0]!r}**{c[1]:g}" for c in _DIVERGENT_POWERS])
+def test_divergent_power_moments_raise_as_the_integrals_do(d, r, moment, monkeypatch):
+    with pytest.raises(NumericError, match=f"non-finite {moment}") as closed:
+        PowerTransform(d, r)
+    monkeypatch.setattr(type(d), "_power_moments", lambda self, r: None)
+    with pytest.raises(NumericError) as integrated:
+        PowerTransform(d, r)
+    assert str(closed.value) == str(integrated.value)

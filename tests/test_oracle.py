@@ -184,6 +184,59 @@ def test_quadrature_oracle_lands_within_its_bound_of_the_closed_form(name, mu, s
     assert abs(est.value - truth) <= est.error_bound, (est.value, truth, est.error_bound)
 
 
+def _mp_exponential_power_gap(mpmath, r: float, rate: float, p: float) -> float:
+    """E[Y**p] - E[Y]**p for Y = X**r, X ~ Exponential(rate), with E[X**k] = Gamma(k + 1) / rate**k;
+    +inf where E[Y**p] diverges at 0 (r p <= -1)."""
+    if r * p <= -1.0:
+        return math.inf
+    with mpmath.workdps(40):
+        raw = lambda k: mpmath.gamma(k + 1) / mpmath.mpf(rate) ** k
+        return float(raw(mpmath.mpf(r) * p) - raw(mpmath.mpf(r)) ** p)
+
+
+_EXPONENTIAL_POWER_GAPS = [(r, rate, p) for r in (0.5, 2.0, 3.0, 4.0) for rate in (0.5, 1.0, 2.0)
+                           for p in (-0.5, 0.5, 1.5, 2.0)]
+
+
+@pytest.mark.parametrize("r, rate, p", _EXPONENTIAL_POWER_GAPS)
+def test_quadrature_oracle_on_an_exponential_power_lands_within_its_bound(r, rate, p):
+    mpmath = pytest.importorskip("mpmath")
+    truth = _mp_exponential_power_gap(mpmath, r, rate, p)
+    est = estimate_gap(power(p), transform_power(Exponential(rate), r), method="quad")
+    if truth == math.inf:
+        assert est.value == math.inf
+    else:
+        assert abs(est.value - truth) <= est.error_bound, (est.value, truth, est.error_bound)
+
+
+def _mp_mgf_gap(mpmath, d, t: float) -> float:
+    """E[e**(tX)] - e**(t E[X]) on an exponential or uniform law."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        if isinstance(d, Exponential):
+            rate = mpmath.mpf(d.rate)
+            return float(rate / (rate - t) - mpmath.exp(t / rate))
+        lo, hi = mpmath.mpf(d.lo), mpmath.mpf(d.hi)
+        return float((mpmath.exp(t * hi) - mpmath.exp(t * lo)) / (t * (hi - lo))
+                     - mpmath.exp(t * (lo + hi) / 2))
+
+
+_MGF_GAPS = [
+    *[(Exponential(rate), share * rate) for rate in (0.5, 1.0, 2.0)
+      for share in (-2.0, -0.5, 0.25, 0.5, 0.75, 0.9)],
+    *[(Uniform(lo, hi), t) for lo, hi in [(0.0, 1.0), (1.0, 3.0), (-2.0, 5.0)]
+      for t in (-2.0, -0.5, 0.5, 1.0, 3.0)],
+]
+
+
+@pytest.mark.parametrize("d, t", _MGF_GAPS, ids=[f"{d!r}-t={t:g}" for d, t in _MGF_GAPS])
+def test_quadrature_oracle_on_an_mgf_gap_lands_within_its_bound(d, t):
+    mpmath = pytest.importorskip("mpmath")
+    truth = _mp_mgf_gap(mpmath, d, t)
+    est = estimate_gap(exp_scaled(t), d, method="quad")
+    assert abs(est.value - truth) <= est.error_bound, (est.value, truth, est.error_bound)
+
+
 def test_a_gap_whose_expectation_does_not_exist_is_refused():
     # E[X**3] diverges to -inf and +inf on a Student-t(3) law, whose mean and
     # variance exist; a whole-line pass cancelled the two tails to a trusted 0.0

@@ -57,6 +57,7 @@ run partition --phi exp:t=1 --dist normal:mu=0,sigma=1 --cuts 1,1.0001
 run power-mean --dist "file:$sample" --r 1 --s -1 --oracle exact
 run power-mean --dist exp:rate=1 --r 2 --s 0.5 --oracle quad
 run power-mean --dist uniform:lo=1,hi=3 --r -1 --s 2 --oracle mc:n=10000,seed=1
+run power-mean --dist uniform:lo=1.5,hi=5 --r 3 --s 1.5 --oracle quad
 run oracle --phi exp:t=0.5 --dist exp:rate=1 --oracle mc:n=100000,seed=42
 run oracle --phi exp:t=2 --dist exp:rate=1 --oracle quad
 run oracle --phi exp:t=3 --dist normal:mu=0,sigma=40 --oracle quad
