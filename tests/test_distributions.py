@@ -1066,7 +1066,8 @@ def test_power_moments_match_mpmath_where_the_closed_form_is_taken(d, r, raw):
 
 def test_power_moments_are_closed_form_only_on_exponential_and_uniform_laws():
     taken = [case for case in _POWER_MOMENT_CASES if case[0]._power_moments(case[1]) is not None]
-    assert len(taken) == len(_POWER_MOMENT_CASES) - 6 - 6  # |r| = 0.005 thrice, Uniform(100, 101)
+    # integrated: r = +-0.005 at each of the three rates, and every power of Uniform(100, 101)
+    assert len(taken) == len(_POWER_MOMENT_CASES) - 6 - 6
     custom = CustomPdf(Exponential(1.0).pdf, SupportInterval(0.0, math.inf))
     assert custom._power_moments(2.0) is None
     assert Normal(0.0, 1.0)._power_moments(2.0) is None
