@@ -184,7 +184,8 @@ def h_eval(f: FunctionSpec, nu: float, x: float) -> HEvaluation:
         raise DomainError(f"x={x} is outside the natural domain {dom} of {f.label}")
     if not dom.contains(nu):
         raise DomainError(f"nu={nu} is outside the natural domain {dom} of {f.label}")
-    v = finite_value(_h_objective(f, nu).value, x, f"h(.; {nu}) of {f.label}")
+    # the objective is built under finite_value's one error state
+    v = finite_value(lambda t: _h_objective(f, nu).value(t), x, f"h(.; {nu}) of {f.label}")
     near = abs(x - nu) <= switch_radius(nu)
     return HEvaluation(v, x, HMethod.TAYLOR_NEAR_CENTER if near else HMethod.DIRECT)
 
@@ -252,9 +253,8 @@ def h_endpoint_limit(f: FunctionSpec, nu: float, endpoint: float) -> float:
     Resolution order: catalog hint, direct evaluation (finite endpoints inside
     the natural domain), then geometric probing with divergence detection.
     """
-    obj = _h_objective(f, float(nu))
     with np.errstate(all="ignore"):
-        return _endpoint(obj, float(endpoint), False).value
+        return _endpoint(_h_objective(f, float(nu)), float(endpoint), False).value
 
 
 # ---------------------------------------------------------------------------
@@ -279,34 +279,41 @@ class _Objective(NamedTuple):
 
 
 def _h_objective(f: FunctionSpec, nu: float) -> _Objective:
-    """The one evaluator of h(.; nu): phi(nu), phi'(nu), phi''(nu) are taken once.
+    """The one evaluator of h(.; nu): phi(nu) and phi'(nu) are taken once, and phi''(nu)
+    once, on first use, by the second-order rule or at x = nu.
 
     ``value`` costs one guarded call of phi (of phi'' within the switch
     radius).  It takes Python floats, whose arithmetic overflows to inf
     without a numpy warning.  ``on_grid`` evaluates phi once on the whole
     grid, and phi'' once on its points within the switch radius; the
     noise bounds reuse those phi values.  Both forms share one direct
-    formula and one second-order rule.  ``value``, ``noise`` and ``on_grid``
-    run under their caller's numpy error state: the extrema search and the
-    endpoint rule each hold ``np.errstate(all="ignore")`` once.
+    formula and one second-order rule.  The objective is built, and
+    ``value``, ``noise`` and ``on_grid`` run, under its caller's numpy
+    error state: the extrema search, the endpoint rule and ``h_eval`` each
+    hold ``np.errstate(all="ignore")`` once.
     """
     nu = float(nu)
-    with np.errstate(all="ignore"):
-        phi_nu = guarded(f.func, nu)
-        d1_nu = guarded(f.deriv1, nu)
-        d2_nu = guarded(f.deriv2, nu)
+    phi_nu = guarded(f.func, nu)
+    d1_nu = guarded(f.deriv1, nu)
+    d2_nu = None  # the monotone fast path away from nu never reads it
     radius = switch_radius(nu)
+
+    def centre_d2() -> float:
+        nonlocal d2_nu
+        if d2_nu is None:
+            d2_nu = guarded(f.deriv2, nu)
+        return d2_nu
 
     def direct(phi_x, dx):
         return (phi_x - phi_nu) / (dx * dx) - d1_nu / dx
 
     def rule(d2_x):
-        return (2.0 * d2_nu + d2_x) / 6.0
+        return (2.0 * centre_d2() + d2_x) / 6.0
 
     def value(x: float) -> float:
         dx = x - nu
         if dx == 0.0:
-            return 0.5 * d2_nu
+            return 0.5 * centre_d2()
         if abs(dx) <= radius:
             return rule(guarded(f.deriv2, x))
         return direct(guarded(f.func, x), dx)
@@ -327,7 +334,7 @@ def _h_objective(f: FunctionSpec, nu: float) -> _Objective:
         near = np.abs(dx) <= radius
         if near.any():
             vs[near] = rule(guarded(f.deriv2, xs[near]))
-            vs[dx == 0.0] = 0.5 * d2_nu
+            vs[dx == 0.0] = 0.5 * centre_d2()
         return vs, noise(xs, phi_x)
 
     return _Objective(value, f.natural_domain, nu, on_grid, hint=f.h_limit_hint, noise=noise)
@@ -475,9 +482,12 @@ def _scan_extrema(
 
 
 def _extrema(
-    f: FunctionSpec, obj: _Objective, interval: SupportInterval, anchor: float
+    f: FunctionSpec,
+    objective: Callable[[FunctionSpec, float], _Objective],
+    interval: SupportInterval,
+    anchor: float,
 ) -> tuple[HEvaluation, HEvaluation]:
-    """(inf, sup) of h or phi''/2 over the interval, with witnesses.
+    """(inf, sup) over the interval, with witnesses, of ``objective(f, anchor)``: h or phi''/2.
 
     Both are nondecreasing when phi' is convex, so the infimum sits at the
     left endpoint and the supremum at the right; concave phi' mirrors that.
@@ -488,8 +498,9 @@ def _extrema(
             f"interval {interval} is not inside the natural domain "
             f"{f.natural_domain} of {f.label}"
         )
-    # the ends and the scan evaluate point by point: one error state for them all
+    # the objective, the ends and the scan evaluate point by point: one error state for them all
     with np.errstate(all="ignore"):
+        obj = objective(f, anchor)
         inf_ev = _endpoint(obj, interval.lower, interval.lower_closed)
         sup_ev = _endpoint(obj, interval.upper, interval.upper_closed)
         if f.phi_prime_shape is Shape.UNKNOWN:
@@ -510,14 +521,14 @@ def h_extrema(
     """(inf, sup) of h(.; nu) over the interval, with witnesses."""
     if not interval.contains(nu):
         raise DomainError(f"center nu={nu} lies outside the interval {interval}")
-    return _extrema(f, _h_objective(f, nu), interval, nu)
+    return _extrema(f, _h_objective, interval, nu)
 
 
 def curvature_extrema(
     f: FunctionSpec, interval: SupportInterval, anchor: float
 ) -> tuple[HEvaluation, HEvaluation]:
     """(inf, sup) of phi''/2 over the interval, with witnesses."""
-    return _extrema(f, _curvature_objective(f, anchor), interval, anchor)
+    return _extrema(f, _curvature_objective, interval, anchor)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,7 @@ def _clamp_variance(raw: float, scale: float) -> float:
 
 _FSUM_VECTOR_MIN = 512  # math.fsum is as fast below about 300 terms; at 512 it is 1.5x slower
 _FSUM_BLOCK = 2**14  # 128 KB of float64 a scratch buffer, which stays in cache
+_NORMAL_MIN_EXP = sys.float_info.min_exp - 1  # 2**-1022, the smallest normal double
 
 
 def _fsum(xs: np.ndarray, term: Callable | None = None) -> float:
@@ -112,15 +113,19 @@ def _fsum(xs: np.ndarray, term: Callable | None = None) -> float:
     ``out=``, bit for bit, in a few numpy passes over each block of _FSUM_BLOCK terms.
 
     Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1), 2008, Lemma 3.3):
-    with 2**m >= n + 2 and sigma a power of two at least 2**m * max|p|, q = (sigma + p) - sigma
-    and p - q are exact, and the q lie on a grid fine enough that np.sum(q) is exact in any
-    order.  m is sized by all n terms and sigma by each block's own max|p|, so the round sums
-    of every block are exact, and a block passes exactly when the whole array would.  A round
-    takes about 53 - m bits off a block's largest term, so ordinary data are used up in two
-    or three; a block under _FSUM_VECTOR_MIN terms goes in as it is, and math.fsum rounds the
-    exact round sums and whatever is left once.  A non-finite term, all zeros or a sigma past
-    the double range send every term to math.fsum, which then returns or raises as it would
-    have.  Two scratch buffers of one block are made a call; the terms are never all held."""
+    with 2**m >= n + 2 and sigma = 2**e at least 2**m * max|p|, q = (sigma + p) - sigma and
+    p - q are exact, the q lie on a grid fine enough that np.sum(q) is exact in any order, and
+    |p - q| <= 2**(e - 53).  m is sized by all n terms.  A block's first sigma comes from a
+    scan of its own max|p|, which also finds a non-finite term; each later round's sigma is
+    2**(e - 53 + m), from that bound, so a round costs no scan, and the rounds stop once no
+    term is left.  A round thus takes 53 - m bits off the block, and ordinary data are used
+    up in two or three.  What a third round leaves, or what is left once the next grid would
+    fall below the normal range, goes in term by term, as does a block under
+    _FSUM_VECTOR_MIN terms; math.fsum rounds the exact round sums and those terms once.  The
+    round sums of every block are exact, and a block passes its first scan exactly when the
+    whole array would: a non-finite term, all zeros or a sigma past the double range send
+    every term to math.fsum, which then returns or raises as it would have.  Two scratch
+    buffers of one block are made a call; the terms are never all held."""
     n = xs.size
     if n < _FSUM_VECTOR_MIN:
         return math.fsum((xs if term is None else term(xs)).tolist())
@@ -146,17 +151,19 @@ def _fsum(xs: np.ndarray, term: Callable | None = None) -> float:
         if b.size < _FSUM_VECTOR_MIN:
             sums += b.tolist()
             continue
+        if big == 0.0:
+            continue
         for _ in range(3):
-            if big == 0.0:
-                break
             sigma = math.ldexp(1.0, e)
             np.add(b, sigma, out=qb)
             qb -= sigma
             sums.append(float(qb.sum()))
             b = np.subtract(b, qb, out=pb)
-            big = float(np.abs(b, out=qb).max())
-            e = math.frexp(big)[1] + m
-        else:
+            left = b.any()
+            e += m - 53
+            if not left or e - 53 < _NORMAL_MIN_EXP:
+                break
+        if left:
             sums += b[b != 0.0].tolist()
     return math.fsum(sums if top > 0.0 else every_term())
 
@@ -320,7 +327,7 @@ class DistributionSpec:
         """
         raise NotImplementedError
 
-    @property
+    @cached_property
     def support(self) -> SupportInterval:
         lo, hi, lo_at, hi_at = self.mass_bounds()
         if not lo < hi:
@@ -448,8 +455,13 @@ class Exponential(DistributionSpec):
         object.__setattr__(self, "rate", float(self.rate))
         if not (math.isfinite(self.rate) and self.rate > 0.0):
             raise ParameterError(f"exponential rate must be positive, got {self.rate}")
+        square = self.rate * self.rate
+        variance = 1.0 / square if square > 0.0 else math.inf
+        if variance == math.inf:
+            raise ParameterError(f"exponential rate {self.rate} is too small: its variance "
+                                 "1/rate**2 is past the float range")
         object.__setattr__(self, "_mean", 1.0 / self.rate)
-        object.__setattr__(self, "_variance", 1.0 / (self.rate * self.rate))
+        object.__setattr__(self, "_variance", variance)
 
     def mass_bounds(self):
         return 0.0, math.inf, False, False
@@ -632,8 +644,8 @@ class Discrete(DistributionSpec):
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = np.asarray(self.points, dtype=float).ravel().copy()
-        pr = np.asarray(self.probs, dtype=float).ravel().copy()
+        pts = np.array(self.points, dtype=float).ravel()
+        pr = np.array(self.probs, dtype=float).ravel()
         if pts.size == 0 or pts.size != pr.size:
             raise ParameterError("points and probs must be non-empty and equal-length")
         if not np.all(np.isfinite(pts)):
@@ -643,10 +655,11 @@ class Discrete(DistributionSpec):
         total = _fsum(pr)
         if abs(total - 1.0) > 1e-12:
             raise ParameterError(f"atom probabilities sum to {total}, need 1")
-        order = np.argsort(pts)
-        pts, pr = pts[order], pr[order]
-        if np.any(pts[1:] <= pts[:-1]):
-            raise ParameterError("atom locations must be distinct")
+        if not np.all(pts[1:] > pts[:-1]):  # a partition's coarse law comes sorted
+            order = np.argsort(pts)
+            pts, pr = pts[order], pr[order]
+            if np.any(pts[1:] <= pts[:-1]):
+                raise ParameterError("atom locations must be distinct")
         pts.setflags(write=False)
         pr.setflags(write=False)
         object.__setattr__(self, "points", pts)

@@ -63,6 +63,23 @@ def test_variances():
     assert Uniform(0.0, 1.0).variance() == pytest.approx(1.0 / 12.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("rate", [1e-160, 1e-163, 1e-300])
+def test_exponential_refuses_a_rate_whose_variance_is_past_the_float_range(rate):
+    with pytest.raises(ParameterError, match="too small"):
+        Exponential(rate)
+
+
+def test_exponential_variance_keeps_its_bits_down_to_the_float_range():
+    for rate in (1e-150, 7.5e-155, 0.3, 1.0, 1e150):
+        assert Exponential(rate).variance() == 1.0 / (rate * rate)
+
+
+@pytest.mark.parametrize("d", [Normal(0.3, 1.7), Exponential(0.8), Uniform(2.0, 9.0)], ids=repr)
+def test_an_analytic_law_builds_its_support_once(d):
+    assert d.support is d.support
+    assert d.support == SupportInterval(*d.mass_bounds())
+
+
 def test_law_parameter_validation():
     with pytest.raises(ParameterError):
         Normal(0.0, 0.0)
@@ -464,6 +481,23 @@ def test_discrete_moments_and_cells():
         Discrete([1.0, 2.0], [0.7, 0.7])
 
 
+def test_discrete_from_sorted_or_shuffled_atoms_has_the_same_bits():
+    rng = np.random.default_rng(29)
+    points, probs = np.sort(rng.uniform(-3.0, 5.0, 700)), rng.dirichlet(np.ones(700))
+    order = rng.permutation(700)
+    ordered, shuffled = Discrete(points, probs), Discrete(points[order], probs[order])
+    for d in (ordered, shuffled):
+        assert d.points.tobytes() == points.tobytes()
+        assert d.probs.tobytes() == probs.tobytes()
+        assert not (d.points.flags.writeable or d.probs.flags.writeable)
+    assert repr(ordered.mean()) == repr(shuffled.mean())
+    assert repr(ordered.variance()) == repr(shuffled.variance())
+    # the sorted input is copied, not kept
+    assert not np.shares_memory(ordered.points, points)
+    with pytest.raises(ParameterError, match="distinct"):
+        Discrete([1.0, 2.0, 2.0], [0.25, 0.25, 0.5])
+
+
 @pytest.mark.parametrize("probs", [[math.nan, 1.0], [1.0, math.nan], [math.inf, 1.0]])
 def test_discrete_refuses_masses_that_are_not_finite(probs):
     with pytest.raises(ParameterError, match="finite and nonnegative"):
@@ -768,6 +802,11 @@ _CUT = distributions._FSUM_VECTOR_MIN
 @example(n=_BLOCK + 1, seed=3, lowest=900, span=200, zero_share=0.1, cancel=True)
 @example(n=3 * _BLOCK + 511, seed=4, lowest=-1080, span=2100, zero_share=0.1, cancel=True)
 @example(n=3 * _BLOCK + 512, seed=5, lowest=-10, span=20, zero_share=0.0, cancel=True)
+# a block that takes a third round and leaves no term over, and blocks at 2**-1000 whose
+# second grid would fall below the normal range, so their terms go in as they are
+@example(n=_BLOCK, seed=6, lowest=-20, span=40, zero_share=0.0, cancel=False)
+@example(n=2 * _BLOCK, seed=7, lowest=-1010, span=40, zero_share=0.0, cancel=False)
+@example(n=2 * _BLOCK, seed=8, lowest=-1010, span=40, zero_share=0.1, cancel=True)
 def test_fsum_equals_math_fsum_bit_for_bit(n, seed, lowest, span, zero_share, cancel):
     rng = np.random.default_rng(seed)
     # mantissas in [1, 2) at exponents over [lowest, lowest + span]: past -1074 they round

@@ -19,7 +19,7 @@ from jensen_sharp import (
     power,
     quadratic,
 )
-from jensen_sharp.bounds import curvature_extrema
+from jensen_sharp.bounds import curvature_extrema, h_extrema, switch_radius
 from jensen_sharp.cli import reference_sample
 
 from _support import ext_close
@@ -94,6 +94,24 @@ def test_tagged_curvature_extrema_take_the_endpoints_without_a_scan(f, d):
     counted, calls = _counting_deriv2(f)
     curvature_extrema(counted, d.support, d.mean())
     assert len(calls) < 64  # a scan evaluates phi'' at 480 grid points or more
+
+
+@pytest.mark.parametrize("f", TAGGED, ids=_label)
+def test_tagged_h_extrema_outside_the_switch_radius_read_no_phi_second_derivative(f):
+    """Ends outside the radius take the direct formula (or a hint), which needs no phi''."""
+    counted, calls = _counting_deriv2(f)
+    h_extrema(counted, SupportInterval(1.0, 3.0, True, False), 2.0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("f", [exp_scaled(1.0), neg_log(), power(3.0)], ids=_label)
+def test_tagged_h_extrema_within_the_switch_radius_read_phi_second_derivative_at_nu_once(f):
+    """Ends within the radius take the second-order rule: phi'' at each end, and at nu once."""
+    counted, calls = _counting_deriv2(f)
+    nu = 2.0
+    lo, hi = nu - 0.5 * switch_radius(nu), nu + 0.25 * switch_radius(nu)
+    h_extrema(counted, SupportInterval(lo, hi, True, True), nu)
+    assert sorted(calls) == [lo, nu, hi]
 
 
 @pytest.mark.parametrize(
