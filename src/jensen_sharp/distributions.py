@@ -108,7 +108,7 @@ _FSUM_BLOCK = 2**14  # 128 KB of float64 a scratch buffer, which stays in cache
 _NORMAL_MIN_EXP = sys.float_info.min_exp - 1  # 2**-1022, the smallest normal double
 
 
-def _fsum(xs: np.ndarray, term: Callable | None = None) -> float:
+def _fsum(xs: np.ndarray, term: Callable | None = None, bound: float | None = None) -> float:
     """math.fsum(xs), or math.fsum(term(xs)) for an elementwise ufunc ``term`` that takes
     ``out=``, bit for bit, in a few numpy passes over each block of _FSUM_BLOCK terms.
 
@@ -124,8 +124,10 @@ def _fsum(xs: np.ndarray, term: Callable | None = None) -> float:
     _FSUM_VECTOR_MIN terms; math.fsum rounds the exact round sums and those terms once.  The
     round sums of every block are exact, and a block passes its first scan exactly when the
     whole array would: a non-finite term, all zeros or a sigma past the double range send
-    every term to math.fsum, which then returns or raises as it would have.  Two scratch
-    buffers of one block are made a call; the terms are never all held."""
+    every term to math.fsum, which then returns or raises as it would have.  A caller that
+    knows max|p| over all the terms exactly passes it as ``bound``, which stands in for the
+    first scans.  Two scratch buffers of one block are made a call; the terms are never all
+    held."""
     n = xs.size
     if n < _FSUM_VECTOR_MIN:
         return math.fsum((xs if term is None else term(xs)).tolist())
@@ -143,7 +145,7 @@ def _fsum(xs: np.ndarray, term: Callable | None = None) -> float:
     sums, top = [], 0.0
     for b in blocks():
         pb, qb = p[:b.size], q[:b.size]
-        big = float(np.abs(b, out=qb).max())
+        big = float(np.abs(b, out=qb).max()) if bound is None else bound
         e = math.frexp(big)[1] + m
         if not big < math.inf or e > 1023:
             return math.fsum(every_term())
@@ -187,11 +189,16 @@ def _finite_moments(moments: Callable[..., tuple[float, float]]):
 
 
 @_finite_moments
-def _moments(xs: np.ndarray) -> tuple[float, float]:
-    """fsum mean and population (n divisor) variance of equal-weight atoms."""
-    m = _fsum(xs) / xs.size
+def _moments(
+    xs: np.ndarray, lo: float | None = None, hi: float | None = None
+) -> tuple[float, float]:
+    """fsum mean and population (n divisor) variance of equal-weight atoms.  The atoms' least
+    and greatest, when given, bound both sums' terms exactly: rounding is monotone, so the
+    largest |x| and (x - m)**2 lie at those ends."""
+    m = _fsum(xs, bound=None if lo is None else max(-lo, hi)) / xs.size
     squared_deviation = lambda b, out=None: np.square(np.subtract(b, m, out=out), out=out)
-    return m, _fsum(xs, squared_deviation) / xs.size
+    bound = None if lo is None else max((lo - m) * (lo - m), (hi - m) * (hi - m))
+    return m, _fsum(xs, squared_deviation, bound) / xs.size
 
 
 @_finite_moments
@@ -597,7 +604,7 @@ class Empirical(DistributionSpec):
         object.__setattr__(self, "samples", arr)
         object.__setattr__(self, "_lo", lo)
         object.__setattr__(self, "_hi", hi)
-        m, v = _moments(arr)
+        m, v = _moments(arr, lo, hi)
         object.__setattr__(self, "_mean", m)
         object.__setattr__(self, "_variance", v)
 

@@ -776,6 +776,17 @@ def test_empirical_moments_equal_the_fsum_reference(pinned_sample, sample):
     assert (ts.mean, ts.variance) == _fsum_moments(inside)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_empirical_moments_summed_on_grids_from_the_sample_range_equal_the_fsum_reference(seed):
+    """Both sums take their grids from the least and greatest sample, not from block scans."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(_CUT, 3 * _BLOCK))
+    xs = (rng.uniform(10.0, 100.0, n), np.exp(rng.uniform(-30.0, 30.0, n)),
+          rng.normal(0.0, 1e5, n))[seed % 3]
+    d = Empirical(xs)
+    assert (d.mean(), d.variance()) == _fsum_moments(xs)
+
+
 def _outcome(fsum, xs):
     """What a sum gives: its repr, which tells -0.0 from 0.0, or its exception's type and text."""
     try:
