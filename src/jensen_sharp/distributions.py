@@ -119,8 +119,9 @@ def _fsum(xs: np.ndarray, term: Callable | None = None, bound: float | None = No
     scan of its own max|p|, which also finds a non-finite term; each later round's sigma is
     2**(e - 53 + m), from that bound, so a round costs no scan, and the rounds stop once no
     term is left.  A round thus takes 53 - m bits off the block, and ordinary data are used
-    up in two or three.  What a third round leaves, or what is left once the next grid would
-    fall below the normal range, goes in term by term, as does a block under
+    up in two or three.  Where that bound's grid 2**(e - 53) would fall below the normal
+    range, the round's sigma comes from a scan of the terms left instead, as the first one
+    does.  What a third round leaves goes in term by term, as does a block under
     _FSUM_VECTOR_MIN terms; math.fsum rounds the exact round sums and those terms once.  The
     round sums of every block are exact, and a block passes its first scan exactly when the
     whole array would: a non-finite term, all zeros or a sigma past the double range send
@@ -161,11 +162,12 @@ def _fsum(xs: np.ndarray, term: Callable | None = None, bound: float | None = No
             qb -= sigma
             sums.append(float(qb.sum()))
             b = np.subtract(b, qb, out=pb)
-            left = b.any()
-            e += m - 53
-            if not left or e - 53 < _NORMAL_MIN_EXP:
+            if not b.any():
                 break
-        if left:
+            e += m - 53
+            if e - 53 < _NORMAL_MIN_EXP:  # the bound's grid would be subnormal: scan, as at first
+                e = math.frexp(float(np.abs(b, out=qb).max()))[1] + m
+        else:
             sums += b[b != 0.0].tolist()
     return math.fsum(sums if top > 0.0 else every_term())
 

@@ -814,7 +814,7 @@ _CUT = distributions._FSUM_VECTOR_MIN
 @example(n=3 * _BLOCK + 511, seed=4, lowest=-1080, span=2100, zero_share=0.1, cancel=True)
 @example(n=3 * _BLOCK + 512, seed=5, lowest=-10, span=20, zero_share=0.0, cancel=True)
 # a block that takes a third round and leaves no term over, and blocks at 2**-1000 whose
-# second grid would fall below the normal range, so their terms go in as they are
+# second grid would fall below the normal range, so their second sigma comes from a scan
 @example(n=_BLOCK, seed=6, lowest=-20, span=40, zero_share=0.0, cancel=False)
 @example(n=2 * _BLOCK, seed=7, lowest=-1010, span=40, zero_share=0.0, cancel=False)
 @example(n=2 * _BLOCK, seed=8, lowest=-1010, span=40, zero_share=0.1, cancel=True)
