@@ -275,7 +275,7 @@ class _Objective(NamedTuple):
     # the values over an ndarray of points and their evaluation-noise bounds
     on_grid: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
     hint: Callable[[float, float], float | None] | None = None  # (endpoint, anchor) -> value
-    noise: Callable[..., float] | None = None  # evaluation-noise bound at x; phi(x) may be given
+    noise: Callable[[float], float] | None = None  # evaluation-noise bound at a point x
 
 
 def _h_objective(f: FunctionSpec, nu: float) -> _Objective:
@@ -289,8 +289,9 @@ def _h_objective(f: FunctionSpec, nu: float) -> _Objective:
     noise bounds reuse those phi values.  Both forms share one direct
     formula and one second-order rule.  The objective is built, and
     ``value``, ``noise`` and ``on_grid`` run, under its caller's numpy
-    error state: the extrema search, the endpoint rule and ``h_eval`` each
-    hold ``np.errstate(all="ignore")`` once.
+    error state: the extrema search (all of a partition's cell searches
+    together), the endpoint rule and ``h_eval`` each hold
+    ``np.errstate(all="ignore")`` once.
     """
     nu = float(nu)
     phi_nu = guarded(f.func, nu)
@@ -318,24 +319,27 @@ def _h_objective(f: FunctionSpec, nu: float) -> _Objective:
             return rule(guarded(f.deriv2, x))
         return direct(guarded(f.func, x), dx)
 
-    def noise(x, phi_x=None):
-        # rounding of phi is amplified by 1/dx^2 in the direct formula
-        if phi_x is None:
-            phi_x = guarded(f.func, x)
-        dx = np.maximum(np.abs(x - nu), radius)
-        phi_x = np.abs(phi_x)
-        phi_x = np.where(np.isfinite(phi_x), phi_x, 0.0)
-        return 8.0 * _EPS * (phi_x + abs(phi_nu)) / (dx * dx) + 4.0 * _EPS * abs(d1_nu) / dx
+    def noise_bound(abs_phi_x, dx):
+        # rounding of phi is amplified by 1/dx^2 in the direct formula; dx is at least radius
+        return 8.0 * _EPS * (abs_phi_x + abs(phi_nu)) / (dx * dx) + 4.0 * _EPS * abs(d1_nu) / dx
+
+    def noise(x: float) -> float:
+        # in float arithmetic: the scan calls it once for each winning candidate
+        abs_phi_x = abs(guarded(f.func, x))
+        return noise_bound(abs_phi_x if math.isfinite(abs_phi_x) else 0.0, max(abs(x - nu), radius))
 
     def on_grid(xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         dx = xs - nu
         phi_x = guarded(f.func, xs)
         vs = direct(phi_x, dx)
-        near = np.abs(dx) <= radius
+        abs_dx = np.abs(dx)
+        near = abs_dx <= radius
         if near.any():
             vs[near] = rule(guarded(f.deriv2, xs[near]))
             vs[dx == 0.0] = 0.5 * centre_d2()
-        return vs, noise(xs, phi_x)
+        abs_phi_x = np.abs(phi_x)
+        abs_phi_x = np.where(np.isfinite(abs_phi_x), abs_phi_x, 0.0)
+        return vs, noise_bound(abs_phi_x, np.maximum(abs_dx, radius))
 
     return _Objective(value, f.natural_domain, nu, on_grid, hint=f.h_limit_hint, noise=noise)
 
@@ -481,7 +485,22 @@ def _scan_extrema(
     return inf_ev, sup_ev
 
 
-def _extrema(
+def _check_centre(interval: SupportInterval, nu: float) -> None:
+    """Raise DomainError unless h's centre nu lies in the interval."""
+    if not interval.contains(nu):
+        raise DomainError(f"center nu={nu} lies outside the interval {interval}")
+
+
+def _check_domain(f: FunctionSpec, interval: SupportInterval) -> None:
+    """Raise DomainError unless the interval lies in the natural domain of phi."""
+    if not f.natural_domain.contains_interval(interval):
+        raise DomainError(
+            f"interval {interval} is not inside the natural domain "
+            f"{f.natural_domain} of {f.label}"
+        )
+
+
+def _search(
     f: FunctionSpec,
     objective: Callable[[FunctionSpec, float], _Objective],
     interval: SupportInterval,
@@ -491,20 +510,16 @@ def _extrema(
 
     Both are nondecreasing when phi' is convex, so the infimum sits at the
     left endpoint and the supremum at the right; concave phi' mirrors that.
-    An unknown shape falls back to the global scan around the anchor.
+    An unknown shape falls back to the global scan around the anchor.  The
+    objective, the ends and the scan evaluate point by point, under the
+    caller's numpy error state: ``h_extrema`` and ``curvature_extrema`` hold
+    one for a single search, ``partition.cell_h_extrema`` one for all its cells.
     """
-    if not f.natural_domain.contains_interval(interval):
-        raise DomainError(
-            f"interval {interval} is not inside the natural domain "
-            f"{f.natural_domain} of {f.label}"
-        )
-    # the objective, the ends and the scan evaluate point by point: one error state for them all
-    with np.errstate(all="ignore"):
-        obj = objective(f, anchor)
-        inf_ev = _endpoint(obj, interval.lower, interval.lower_closed)
-        sup_ev = _endpoint(obj, interval.upper, interval.upper_closed)
-        if f.phi_prime_shape is Shape.UNKNOWN:
-            return _scan_extrema(obj, interval, anchor, (inf_ev, sup_ev))
+    obj = objective(f, anchor)
+    inf_ev = _endpoint(obj, interval.lower, interval.lower_closed)
+    sup_ev = _endpoint(obj, interval.upper, interval.upper_closed)
+    if f.phi_prime_shape is Shape.UNKNOWN:
+        return _scan_extrema(obj, interval, anchor, (inf_ev, sup_ev))
     if f.phi_prime_shape is Shape.CONCAVE:
         inf_ev, sup_ev = sup_ev, inf_ev
     # the shape tag guarantees inf <= sup mathematically; a flipped pair can
@@ -519,16 +534,19 @@ def h_extrema(
     f: FunctionSpec, interval: SupportInterval, nu: float
 ) -> tuple[HEvaluation, HEvaluation]:
     """(inf, sup) of h(.; nu) over the interval, with witnesses."""
-    if not interval.contains(nu):
-        raise DomainError(f"center nu={nu} lies outside the interval {interval}")
-    return _extrema(f, _h_objective, interval, nu)
+    _check_centre(interval, nu)
+    _check_domain(f, interval)
+    with np.errstate(all="ignore"):
+        return _search(f, _h_objective, interval, nu)
 
 
 def curvature_extrema(
     f: FunctionSpec, interval: SupportInterval, anchor: float
 ) -> tuple[HEvaluation, HEvaluation]:
     """(inf, sup) of phi''/2 over the interval, with witnesses."""
-    return _extrema(f, _curvature_objective, interval, anchor)
+    _check_domain(f, interval)
+    with np.errstate(all="ignore"):
+        return _search(f, _curvature_objective, interval, anchor)
 
 
 # ---------------------------------------------------------------------------

@@ -252,7 +252,7 @@ def _atom_expect(g, xs: np.ndarray, ws: np.ndarray | float, cell) -> tuple[float
         inside = _mask(xs, cell)
         xs, ws = xs[inside], ws[inside] if np.ndim(ws) else ws
     terms = ws * guarded(g, xs)
-    if not np.all(np.isfinite(terms)):
+    if not np.isfinite(terms).all():
         raise NumericError("g is not finite at a mass point of the law")
     return _fsum(terms), 16.0 * _EPS * max(1.0, _fsum(terms, np.abs))
 
@@ -260,6 +260,13 @@ def _atom_expect(g, xs: np.ndarray, ws: np.ndarray | float, cell) -> tuple[float
 def _mask(xs: np.ndarray, cell: SupportInterval) -> np.ndarray:
     """Which of the atoms xs lie in the cell, honouring its endpoint flags."""
     return cell.contains(xs)
+
+
+def _cell_slice(xs: np.ndarray, cell: SupportInterval) -> slice:
+    """The atoms of the sorted xs that lie in the cell, honouring its endpoint flags, as one
+    slice found by two binary searches: a cell costs O(log n), where ``_mask`` costs O(n)."""
+    start = xs.searchsorted(cell.lower, "left" if cell.lower_closed else "right")
+    return slice(start, xs.searchsorted(cell.upper, "right" if cell.upper_closed else "left"))
 
 
 class _cached:
@@ -611,7 +618,11 @@ class Uniform(DistributionSpec):
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Empirical(DistributionSpec):
-    """Equal-weight atoms at the sample points; population (n divisor) variance."""
+    """Equal-weight atoms at the sample points; population (n divisor) variance.
+
+    The sample is sorted once, on the first quantile or the first cell; a cell's atoms are
+    then one slice of the sorted sample, and its ends bound the cell's moment sums.
+    """
 
     samples: np.ndarray
 
@@ -643,15 +654,17 @@ class Empirical(DistributionSpec):
         return self._lo, self._hi, True, True
 
     def interval_prob(self, cell: SupportInterval) -> float:
-        return float(np.count_nonzero(_mask(self.samples, cell))) / self.samples.size
+        return float(self._sorted[_cell_slice(self._sorted, cell)].size) / self.samples.size
 
     def expect(self, g, cell=None):
         return _atom_expect(g, self.samples, 1.0 / self.samples.size, cell)
 
     def truncated_stats(self, cell: SupportInterval) -> TruncatedStats:
-        inside = self.samples[_mask(self.samples, cell)]
+        """Moments of the cell's slice of the sorted sample, bounded by its ends; fsum rounds
+        correctly, so the order of the atoms does not change a bit."""
+        inside = self._sorted[_cell_slice(self._sorted, cell)]
         p = self._require_prob(cell, float(inside.size) / self.samples.size)
-        m, v = _moments(inside)
+        m, v = _moments(inside, float(inside[0]), float(inside[-1]))
         return TruncatedStats(prob=p, mean=m, variance=v)
 
     def quantile(self, q: float) -> float:
@@ -667,7 +680,10 @@ class Empirical(DistributionSpec):
 
 @dataclass(frozen=True, eq=False)
 class Discrete(DistributionSpec):
-    """Weighted atoms; the coarse variable of a partition lives here."""
+    """Weighted atoms; the coarse variable of a partition lives here.
+
+    The points are sorted at construction, so a cell's atoms are one slice of them.
+    """
 
     points: np.ndarray
     probs: np.ndarray
@@ -677,17 +693,17 @@ class Discrete(DistributionSpec):
         pr = np.array(self.probs, dtype=float).ravel()
         if pts.size == 0 or pts.size != pr.size:
             raise ParameterError("points and probs must be non-empty and equal-length")
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ParameterError("atom locations must be finite")
-        if not np.all(np.isfinite(pr) & (pr >= 0.0)):
+        if not (np.isfinite(pr) & (pr >= 0.0)).all():
             raise ParameterError("atom probabilities must be finite and nonnegative")
         total = _fsum(pr)
         if abs(total - 1.0) > 1e-12:
             raise ParameterError(f"atom probabilities sum to {total}, need 1")
-        if not np.all(pts[1:] > pts[:-1]):  # a partition's coarse law comes sorted
+        if not (pts[1:] > pts[:-1]).all():  # a partition's coarse law comes sorted
             order = np.argsort(pts)
             pts, pr = pts[order], pr[order]
-            if np.any(pts[1:] <= pts[:-1]):
+            if (pts[1:] <= pts[:-1]).any():
                 raise ParameterError("atom locations must be distinct")
         pts.setflags(write=False)
         pr.setflags(write=False)
@@ -701,15 +717,15 @@ class Discrete(DistributionSpec):
         return float(self.points[0]), float(self.points[-1]), True, True
 
     def interval_prob(self, cell: SupportInterval) -> float:
-        return _fsum(self.probs[_mask(self.points, cell)])
+        return _fsum(self.probs[_cell_slice(self.points, cell)])
 
     def expect(self, g, cell=None):
         return _atom_expect(g, self.points, self.probs, cell)
 
     def truncated_stats(self, cell: SupportInterval) -> TruncatedStats:
-        mask = _mask(self.points, cell)
-        p = self._require_prob(cell, _fsum(self.probs[mask]))
-        m, v = _weighted_moments(self.points[mask], self.probs[mask], p)
+        inside = _cell_slice(self.points, cell)
+        p = self._require_prob(cell, _fsum(self.probs[inside]))
+        m, v = _weighted_moments(self.points[inside], self.probs[inside], p)
         return TruncatedStats(prob=p, mean=m, variance=v)
 
     def quantile(self, q: float) -> float:
@@ -915,7 +931,7 @@ def _check_mass_in_domain(f: FunctionSpec, d: DistributionSpec, cell=None) -> No
     lo, hi, lo_at, hi_at = d.mass_bounds()
     if isinstance(d, (Empirical, Discrete)) and cell is not None:
         xs = d.points if isinstance(d, Discrete) else d._sorted
-        xs = xs[_mask(xs, cell)]
+        xs = xs[_cell_slice(xs, cell)]
         lo, hi = float(xs[0]), float(xs[-1])
     elif cell is not None:
         lo, hi, lo_at, hi_at = max(lo, cell.lower), min(hi, cell.upper), False, False

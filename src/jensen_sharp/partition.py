@@ -22,7 +22,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .bounds import BoundMethod, GapBounds, HEvaluation, _assemble, curvature_extrema, h_extrema
+from .bounds import _check_centre, _check_domain, _h_objective, _search
 from .distributions import Discrete, DistributionSpec, TruncatedStats
 from .errors import EmptyCellError, NumericError, ParameterError
 from .extreal import ext_mul, ext_sum
@@ -112,8 +115,19 @@ def build_partition(d: DistributionSpec, cuts: Sequence[float]) -> PartitionPlan
 def cell_h_extrema(
     f: FunctionSpec, plan: PartitionPlan
 ) -> list[tuple[HEvaluation, HEvaluation]]:
-    """(inf, sup) of h(.; mu_j) over each cell, in cell order."""
-    return [h_extrema(f, cell, ts.mean) for cell, ts in plan.cells]
+    """(inf, sup) of h(.; mu_j) over each cell, in cell order.
+
+    Each cell is checked and searched as ``h_extrema`` does it, by the same
+    search, but all the cells' searches share one numpy error state instead
+    of entering one each.
+    """
+    extrema = []
+    with np.errstate(all="ignore"):
+        for cell, ts in plan.cells:
+            _check_centre(cell, ts.mean)
+            _check_domain(f, cell)
+            extrema.append(_search(f, _h_objective, cell, ts.mean))
+    return extrema
 
 
 def partition_bounds(f: FunctionSpec, plan: PartitionPlan) -> GapBounds:

@@ -285,16 +285,21 @@ def test_partition_command_matches_library(tmp_path):
 
 
 def _count_partition_h_extrema(monkeypatch) -> list[int]:
+    """Count the partition's extrema searches: ``h_extrema`` for the coarse term, and the
+    per-cell search that ``cell_h_extrema`` runs for each cell."""
     import jensen_sharp.partition as partition_mod
 
     calls = [0]
-    original = partition_mod.h_extrema
 
-    def counted(*args):
-        calls[0] += 1
-        return original(*args)
+    def counting(original):
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
 
-    monkeypatch.setattr(partition_mod, "h_extrema", counted)
+        return counted
+
+    monkeypatch.setattr(partition_mod, "h_extrema", counting(partition_mod.h_extrema))
+    monkeypatch.setattr(partition_mod, "_search", counting(partition_mod._search))
     return calls
 
 

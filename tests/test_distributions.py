@@ -189,7 +189,8 @@ def test_truncated_stats_type_guards():
     ],
     ids=["empirical", "discrete"],
 )
-def test_atom_laws_mask_each_cell_once(law, cell, monkeypatch):
+def test_atom_laws_find_a_cell_without_a_mask(law, cell, monkeypatch):
+    # a cell's atoms are one slice of the sorted atoms, found by binary search
     calls = []
     original = distributions._mask
 
@@ -200,7 +201,9 @@ def test_atom_laws_mask_each_cell_once(law, cell, monkeypatch):
     monkeypatch.setattr(distributions, "_mask", counting)
     ts = law.truncated_stats(cell)
     assert (ts.prob, ts.mean, ts.variance) == (0.5, 2.0, 0.0)
-    assert calls == [cell]
+    assert law.interval_prob(cell) == 0.5
+    _check_mass_in_domain(neg_log(), law, cell)
+    assert calls == []
 
 
 @pytest.mark.parametrize(

@@ -13,12 +13,16 @@ import numpy as np
 import pytest
 
 from jensen_sharp import (
+    Empirical,
     EvaluationError,
     FunctionSpec,
     Normal,
     Shape,
     SupportInterval,
     Uniform,
+    build_partition,
+    cell_h_extrema,
+    equal_probability_cuts,
     estimate_gap,
     exp_scaled,
     generalized_mean_bounds,
@@ -97,6 +101,19 @@ def test_one_extrema_search_enters_a_fixed_number_of_error_states(law, errstates
     assert sum(points) > 600
     # the objective with the ends and the scan, and the grid's one array call of phi
     assert len(errstates) == 2
+
+
+@pytest.mark.parametrize(
+    "law",
+    [Normal(0.3, 2.0), Empirical(np.random.default_rng(5).lognormal(0.0, 0.5, 1000))],
+    ids=["normal", "empirical"],
+)
+def test_the_cell_extrema_of_a_partition_enter_one_error_state(law, errstates):
+    # exp has a convex phi', so each cell's search reads its two ends and nothing else
+    plan = build_partition(law, equal_probability_cuts(law, 16))
+    errstates.clear()
+    assert len(cell_h_extrema(exp_scaled(0.7), plan)) == 16
+    assert len(errstates) == 1
 
 
 def _overflowing_quadrature():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,9 +10,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jensen_sharp import (
+    Discrete,
+    DomainError,
     Empirical,
+    EmptyCellError,
     Exponential,
     Normal,
+    NumericError,
     SupportInterval,
     Uniform,
     build_partition,
@@ -27,6 +32,8 @@ from jensen_sharp import (
     sample_bounds,
     switch_radius,
 )
+from jensen_sharp import distributions
+from jensen_sharp.distributions import _check_mass_in_domain
 from _support import assert_brackets, population_stats
 
 
@@ -229,3 +236,102 @@ def test_scan_path_handles_nonmonotone_h_rising_and_falling():
     # the dip of h at the center must be found: inf h < h at both edges
     edge = min(h_eval(f, 0.0, -2.0).value, h_eval(f, 0.0, 2.0).value)
     assert gb.lower / d.variance() < edge
+
+
+# ---------------------------------------------------------------------------
+# a cell of a law with atoms: one slice of the sorted atoms, as a mask finds them
+# ---------------------------------------------------------------------------
+
+
+def _masked_stats(d, cell):
+    """The cell's mass, mean and variance from a mask over the atoms in the law's own order."""
+    if isinstance(d, Empirical):
+        inside = d.samples[cell.contains(d.samples)]
+        p = d._require_prob(cell, float(inside.size) / d.samples.size)
+        return (p, *distributions._moments(inside))
+    mask = cell.contains(d.points)
+    p = d._require_prob(cell, distributions._fsum(d.probs[mask]))
+    return (p, *distributions._weighted_moments(d.points[mask], d.probs[mask], p))
+
+
+def _masked_prob(d, cell):
+    if isinstance(d, Empirical):
+        return float(np.count_nonzero(cell.contains(d.samples))) / d.samples.size
+    return distributions._fsum(d.probs[cell.contains(d.points)])
+
+
+def _bits(compute):
+    """The float hex of each number that compute() returns, or its error's type and message."""
+    try:
+        out = compute()
+    except (EmptyCellError, NumericError) as exc:
+        return type(exc).__name__, str(exc)
+    if not isinstance(out, tuple):
+        out = (out.prob, out.mean, out.variance) if hasattr(out, "prob") else (out,)
+    return tuple(float(v).hex() for v in out)
+
+
+def _cell_end(atoms: np.ndarray, kind: str, pick: int, side: float) -> float:
+    """An end on an atom, just past one, midway to the next one up, or at side * inf."""
+    x = float(atoms[pick % atoms.size])
+    if kind == "atom":
+        return x
+    if kind == "next":
+        return float(np.nextafter(x, side * math.inf))
+    if kind == "between":
+        above = atoms[atoms > x]
+        return 0.5 * (x + float(above[0])) if above.size else x + 1.0
+    return side * math.inf
+
+
+_END_KINDS = st.sampled_from(["atom", "next", "between", "inf"])
+
+
+@given(
+    discrete=st.booleans(),
+    n=st.sampled_from([2, 3, 17, 600, 2000]),
+    levels=st.sampled_from([1, 2, 7, 300, 10**6]),
+    scale=st.sampled_from([1e-3, 0.37, 1e8, 1e150]),
+    seed=st.integers(0, 2**32 - 1),
+    ends=st.tuples(_END_KINDS, _END_KINDS, st.integers(0, 10**6), st.integers(0, 10**6)),
+    closed=st.tuples(st.booleans(), st.booleans()),
+)
+@settings(max_examples=300, deadline=None)
+@example(discrete=False, n=2000, levels=300, scale=0.37, seed=3, ends=("inf", "inf", 0, 0),
+         closed=(False, False))  # all 2,000 atoms with ties: _fsum's vector path with the bound
+@example(discrete=False, n=2000, levels=10**6, scale=1e8, seed=4, ends=("atom", "inf", 7, 0),
+         closed=(True, False))
+@example(discrete=True, n=2000, levels=10**6, scale=0.37, seed=5, ends=("inf", "between", 0, 1999),
+         closed=(False, True))
+@example(discrete=False, n=17, levels=7, scale=0.37, seed=6, ends=("atom", "next", 2, 2),
+         closed=(True, True))  # the ties of one atom
+def test_atom_cells_by_slice_equal_a_mask_bit_for_bit(discrete, n, levels, scale, seed, ends, closed):
+    rng = np.random.default_rng(seed)
+    values = (rng.integers(0, levels, n) - levels // 2) * scale  # ties, zero and negatives
+    if discrete:
+        values = np.unique(values)
+        probs = rng.dirichlet(np.ones(values.size))
+    try:
+        d = Discrete(values, probs / math.fsum(probs)) if discrete else Empirical(values)
+    except NumericError:  # the atoms' squares sum past the float range
+        assume(False)
+    atoms = np.unique(values)
+    lower = _cell_end(atoms, ends[0], ends[2], -1.0)
+    upper = _cell_end(atoms, ends[1], ends[3], 1.0)
+    assume(lower < upper)
+    cell = SupportInterval(lower, upper, closed[0] and lower > -math.inf, closed[1] and upper < math.inf)
+    assert _bits(lambda: d.interval_prob(cell)) == _bits(lambda: _masked_prob(d, cell))
+    assert _bits(lambda: d.truncated_stats(cell)) == _bits(lambda: _masked_stats(d, cell))
+    inside = values[cell.contains(values)]
+    if inside.size == 0:
+        with pytest.raises(EmptyCellError):
+            d.truncated_stats(cell)
+        return
+    lo, hi = float(inside.min()), float(inside.max())
+    for lower_closed in (False, True):
+        f = dataclasses.replace(neg_log(), natural_domain=SupportInterval(0.0, math.inf, lower_closed))
+        if lo > 0.0 or (lo == 0.0 and lower_closed):
+            _check_mass_in_domain(f, d, cell)
+        else:
+            with pytest.raises(DomainError, match=re.escape(f"support [{lo}, {hi}]")):
+                _check_mass_in_domain(f, d, cell)

@@ -104,6 +104,26 @@ def test_grid_values_match_the_scalar_objective(f, nu):
         assert half_d2.on_grid(xs)[0].tolist() == [half_d2.value(x) for x in xs.tolist()]
 
 
+@pytest.mark.parametrize(
+    "f, nu, xs",
+    [
+        # the centre, points inside and on the switch radius, and phi overflowing at 600
+        (exp_scaled(1.3), 0.4, [0.4, 0.4 + 1e-5, 0.4 - switch_radius(0.4), -2.6, 3.1, 600.0]),
+        (neg_log(), 0.77, [1e-300, 0.5, 0.77, 0.77 + 2e-4, 40.0]),
+        (quadratic(0.8, -0.4, 0.2), -3.0, [-1e6, -3.0, -2.9999, 0.0, 5.5]),
+    ],
+    ids=lambda v: getattr(v, "label", None),
+)
+def test_scalar_noise_equals_the_grid_noise_bit_for_bit(f, nu, xs):
+    """The noise bound of one winning candidate, in float arithmetic, is the grid's at that point."""
+    h = _h_objective(f, nu)
+    with np.errstate(all="ignore"):
+        _, eps = h.on_grid(np.array(xs))
+        scalar = [h.noise(x) for x in xs]
+    assert all(type(e) is float for e in scalar)
+    assert [e.hex() for e in scalar] == [float(e).hex() for e in eps]
+
+
 def _reference_starts(obj, xs):
     """(a, b) of each search the scan starts, by the per-point loop it ran before its masks.
 

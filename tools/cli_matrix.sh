@@ -8,7 +8,7 @@
 # SAMPLE_FILE is a sample file in the file:PATH grammar, one decimal per line
 # (src/jensen_sharp/data/uniform_10_100_seed42.txt is the pinned one).  The
 # package is run from the checkout that holds this script; PYTHON picks the
-# interpreter (default python3).  There are 37 commands.  The last eight are
+# interpreter (default python3).  There are 38 commands.  The last eight are
 # error cases; the three before them run a quadratic, whose h is identically its
 # coefficient a, so h must read a at every end they report.  The oracle on
 # exp:t=3 over normal:mu=0,sigma=40 overflows phi at the tail nodes of its
@@ -20,7 +20,9 @@
 # written to a temporary directory and named relative to it, so that the output
 # does not depend on where that directory is: three 5s; two 1e308s, whose sum
 # overflows; and 2,000 values exp(sin(k)), k = 1..2000, printed with repr, large
-# enough that the atom sums take the vector path of distributions._fsum.
+# enough that the atom sums take the vector path of distributions._fsum; split in
+# two cells, each of 1,000 atoms takes that path with its least and greatest
+# atoms as the bound of its sums.
 set -u
 if [ $# -ne 1 ]; then
     echo "usage: sh tools/cli_matrix.sh SAMPLE_FILE" >&2
@@ -70,6 +72,7 @@ run power-mean --dist "file:$sample" --r 2 --s 0.5 --oracle exact
 (cd "$const" && run bound --phi exp:t=3 --dist file:three_fives.txt --oracle mc:n=1000,seed=1)
 (cd "$const" && run sample-bound --phi neglog --dist file:exp_sin_2000.txt --oracle exact)
 (cd "$const" && run partition --phi neglog --dist file:exp_sin_2000.txt --cells 8 --oracle exact)
+(cd "$const" && run partition --phi neglog --dist file:exp_sin_2000.txt --cells 2 --oracle exact)
 (cd "$const" && run power-mean --dist file:exp_sin_2000.txt --r 1 --s -1 --oracle exact)
 run bound --phi quad:a=0.871,b=-0.145,c=-0.328 --dist uniform:lo=0.3,hi=2.7 --oracle quad
 run partition --phi quad:a=0.871,b=-0.145,c=-0.328 --dist uniform:lo=0.3,hi=2.7 --cells 3
