@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -485,12 +485,6 @@ def _scan_extrema(
     return inf_ev, sup_ev
 
 
-def _check_centre(interval: SupportInterval, nu: float) -> None:
-    """Raise DomainError unless h's centre nu lies in the interval."""
-    if not interval.contains(nu):
-        raise DomainError(f"center nu={nu} lies outside the interval {interval}")
-
-
 def _check_domain(f: FunctionSpec, interval: SupportInterval) -> None:
     """Raise DomainError unless the interval lies in the natural domain of phi."""
     if not f.natural_domain.contains_interval(interval):
@@ -512,8 +506,8 @@ def _search(
     left endpoint and the supremum at the right; concave phi' mirrors that.
     An unknown shape falls back to the global scan around the anchor.  The
     objective, the ends and the scan evaluate point by point, under the
-    caller's numpy error state: ``h_extrema`` and ``curvature_extrema`` hold
-    one for a single search, ``partition.cell_h_extrema`` one for all its cells.
+    caller's numpy error state: ``curvature_extrema`` holds one for a single
+    search, ``_h_extrema_each`` one for all the h searches of its call.
     """
     obj = objective(f, anchor)
     inf_ev = _endpoint(obj, interval.lower, interval.lower_closed)
@@ -530,14 +524,29 @@ def _search(
     return inf_ev, sup_ev
 
 
+def _h_extrema_each(
+    f: FunctionSpec, intervals: Iterable[tuple[SupportInterval, float]]
+) -> list[tuple[HEvaluation, HEvaluation]]:
+    """(inf, sup) of h(.; nu) over each (interval, nu), in order, with witnesses.
+
+    Every search runs under one numpy error state: ``h_extrema`` passes one
+    interval, ``partition.cell_h_extrema`` all the cells of a partition.
+    """
+    extrema = []
+    with np.errstate(all="ignore"):
+        for interval, nu in intervals:
+            if not interval.contains(nu):
+                raise DomainError(f"center nu={nu} lies outside the interval {interval}")
+            _check_domain(f, interval)
+            extrema.append(_search(f, _h_objective, interval, nu))
+    return extrema
+
+
 def h_extrema(
     f: FunctionSpec, interval: SupportInterval, nu: float
 ) -> tuple[HEvaluation, HEvaluation]:
     """(inf, sup) of h(.; nu) over the interval, with witnesses."""
-    _check_centre(interval, nu)
-    _check_domain(f, interval)
-    with np.errstate(all="ignore"):
-        return _search(f, _h_objective, interval, nu)
+    return _h_extrema_each(f, ((interval, nu),))[0]
 
 
 def curvature_extrema(

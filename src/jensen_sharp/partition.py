@@ -22,10 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .bounds import BoundMethod, GapBounds, HEvaluation, _assemble, curvature_extrema, h_extrema
-from .bounds import _check_centre, _check_domain, _h_objective, _search
+from .bounds import _h_extrema_each
 from .distributions import Discrete, DistributionSpec, TruncatedStats
 from .errors import EmptyCellError, NumericError, ParameterError
 from .extreal import ext_mul, ext_sum
@@ -121,13 +119,7 @@ def cell_h_extrema(
     search, but all the cells' searches share one numpy error state instead
     of entering one each.
     """
-    extrema = []
-    with np.errstate(all="ignore"):
-        for cell, ts in plan.cells:
-            _check_centre(cell, ts.mean)
-            _check_domain(f, cell)
-            extrema.append(_search(f, _h_objective, cell, ts.mean))
-    return extrema
+    return _h_extrema_each(f, ((cell, ts.mean) for cell, ts in plan.cells))
 
 
 def partition_bounds(f: FunctionSpec, plan: PartitionPlan) -> GapBounds:

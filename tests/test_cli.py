@@ -285,21 +285,24 @@ def test_partition_command_matches_library(tmp_path):
 
 
 def _count_partition_h_extrema(monkeypatch) -> list[int]:
-    """Count the partition's extrema searches: ``h_extrema`` for the coarse term, and the
-    per-cell search that ``cell_h_extrema`` runs for each cell."""
+    """Count the partition's h extrema searches: ``h_extrema`` for the coarse term, and one
+    for each cell that ``cell_h_extrema`` hands to the per-cell search ``_h_extrema_each``."""
     import jensen_sharp.partition as partition_mod
 
     calls = [0]
+    original_one, original_each = partition_mod.h_extrema, partition_mod._h_extrema_each
 
-    def counting(original):
-        def counted(*args):
-            calls[0] += 1
-            return original(*args)
+    def counted_one(*args):
+        calls[0] += 1
+        return original_one(*args)
 
-        return counted
+    def counted_each(f, intervals):
+        intervals = list(intervals)
+        calls[0] += len(intervals)
+        return original_each(f, intervals)
 
-    monkeypatch.setattr(partition_mod, "h_extrema", counting(partition_mod.h_extrema))
-    monkeypatch.setattr(partition_mod, "_search", counting(partition_mod._search))
+    monkeypatch.setattr(partition_mod, "h_extrema", counted_one)
+    monkeypatch.setattr(partition_mod, "_h_extrema_each", counted_each)
     return calls
 
 

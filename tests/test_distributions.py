@@ -190,7 +190,8 @@ def test_truncated_stats_type_guards():
     ids=["empirical", "discrete"],
 )
 def test_atom_laws_find_a_cell_without_a_mask(law, cell, monkeypatch):
-    # a cell's atoms are one slice of the sorted atoms, found by binary search
+    # a cell's atoms are one slice of the sorted atoms, found by binary search; a sample's
+    # cell mass alone is one mask, so that it does not sort the sample
     calls = []
     original = distributions._mask
 
@@ -201,9 +202,18 @@ def test_atom_laws_find_a_cell_without_a_mask(law, cell, monkeypatch):
     monkeypatch.setattr(distributions, "_mask", counting)
     ts = law.truncated_stats(cell)
     assert (ts.prob, ts.mean, ts.variance) == (0.5, 2.0, 0.0)
-    assert law.interval_prob(cell) == 0.5
     _check_mass_in_domain(neg_log(), law, cell)
     assert calls == []
+    assert law.interval_prob(cell) == 0.5
+    assert calls == ([cell] if isinstance(law, Empirical) else [])
+
+
+def test_a_sample_cell_mass_does_not_sort_the_sample():
+    law = Empirical([5.0, 1.0, 2.0, 2.0])
+    assert law.interval_prob(SupportInterval(1.5, 3.0)) == 0.5
+    assert "_sorted" not in vars(law)
+    law.truncated_stats(SupportInterval(1.5, 3.0))
+    assert "_sorted" in vars(law)
 
 
 @pytest.mark.parametrize(
