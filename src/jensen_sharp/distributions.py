@@ -191,15 +191,13 @@ def _finite_moments(moments: Callable[..., tuple[float, float]]):
 
 
 @_finite_moments
-def _moments(
-    xs: np.ndarray, lo: float | None = None, hi: float | None = None
-) -> tuple[float, float]:
+def _moments(xs: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
     """fsum mean and population (n divisor) variance of equal-weight atoms.  The atoms' least
-    and greatest, when given, bound both sums' terms exactly: rounding is monotone, so the
+    and greatest, lo and hi, bound both sums' terms exactly: rounding is monotone, so the
     largest |x| and (x - m)**2 lie at those ends."""
-    m = _fsum(xs, bound=None if lo is None else max(-lo, hi)) / xs.size
+    m = _fsum(xs, bound=max(-lo, hi)) / xs.size
     squared_deviation = lambda b, out=None: np.square(np.subtract(b, m, out=out), out=out)
-    bound = None if lo is None else max((lo - m) * (lo - m), (hi - m) * (hi - m))
+    bound = max((lo - m) * (lo - m), (hi - m) * (hi - m))
     return m, _fsum(xs, squared_deviation, bound) / xs.size
 
 
@@ -226,11 +224,14 @@ def _moments_by(expect: Callable, mass: float) -> tuple[float, float]:
 _CANCELLATION = 1e-4  # a variance under this share of E[Y**2] keeps fewer than about 12 of 16 digits
 
 
-def _closed_power_moments(raw: Callable[[float], float], r: float, pole: float):
+def _closed_power_moments(raw: Callable[[float], float], r: float, pole: float,
+                          share: Callable[[float], float] | None = None):
     """Mean and variance of Y = X**r from raw(k) = E[X**k], a closed form finite for k > pole.
-    A divergent moment raises the NumericError of ``_moments_by``; None leaves both to
-    ``expect`` where a moment leaves the normal float range, or where Var Y = E[Y**2] - E[Y]**2
-    would cancel more than about 4 digits (a tiny |r|, or a narrow law far from 0)."""
+    The variance is E[Y**2] * share(r) when a share is given, share(r) = Var Y / E[Y**2] in a
+    form that does not cancel, and Var Y = E[Y**2] - E[Y]**2 otherwise.  A divergent moment
+    raises the NumericError of ``_moments_by``; None leaves both to ``expect`` where a moment
+    leaves the normal float range, or where the difference would cancel more than about 4
+    digits (a tiny |r|, or a narrow law far from 0)."""
     if r <= pole:
         raise NumericError("law has non-finite mean")
     if 2.0 * r <= pole:
@@ -239,17 +240,44 @@ def _closed_power_moments(raw: Callable[[float], float], r: float, pole: float):
         m1, m2 = raw(r), raw(2.0 * r)
     except (OverflowError, ZeroDivisionError):
         return None
-    v = m2 - m1 * m1
-    if not (sys.float_info.min <= m1 * m1 and m2 < math.inf and v >= _CANCELLATION * m2):
+    if not (sys.float_info.min <= m1 * m1 and m2 < math.inf):
         return None
-    return m1, v
+    if share is not None:
+        return m1, m2 * share(r)
+    v = m2 - m1 * m1
+    return (m1, v) if v >= _CANCELLATION * m2 else None
+
+
+# zeta(k), k = 2..26: log Gamma(1 + z) = -euler_gamma z + sum_k (-1)**k zeta(k) z**k / k, |z| < 1
+_ZETA = (1.6449340668482264, 1.2020569031595942, 1.0823232337111381, 1.03692775514337,
+         1.0173430619844492, 1.008349277381923, 1.0040773561979444, 1.0020083928260821,
+         1.000994575127818, 1.0004941886041194, 1.000246086553308, 1.0001227133475785,
+         1.0000612481350588, 1.000030588236307, 1.0000152822594086, 1.0000076371976379,
+         1.000003817293265, 1.0000019082127165, 1.0000009539620338, 1.0000004769329869,
+         1.0000002384505027, 1.000000119219926, 1.000000059608189, 1.0000000298035034,
+         1.0000000149015549)
+
+
+def _gamma_share(r: float) -> float:
+    """1 - Gamma(1 + r)**2 / Gamma(1 + 2 r) for |r| < 1/8: the share of E[Y**2] that Var Y takes
+    for Y = X**r on an exponential X, where E[Y**2] - E[Y]**2 cancels 1.6 digits at |r| = 1/8
+    and 4 at 0.008.  It is -expm1(-d) with d = lgamma(1 + 2 r) - 2 lgamma(1 + r) summed as its
+    series sum_k (-1)**k zeta(k) (2**k - 2) r**k / k, k >= 2, whose terms fall by about 2 |r|
+    each: the lgamma difference itself cancels the -euler_gamma r of each lgamma (8.8e-6
+    relative off at r = 1e-5)."""
+    d = 0.0
+    for k in range(len(_ZETA) + 1, 1, -1):
+        d = d * -r + _ZETA[k - 2] * (2.0**k - 2.0) / k
+    return -math.expm1(-d * r * r)
 
 
 def _atom_expect(g, xs: np.ndarray, ws: np.ndarray | float, cell) -> tuple[float, float]:
     """(fsum of w * g(x) over the atoms in the cell, the rounding of its products); ws is
-    one weight an atom, or a float that weighs every atom alike."""
+    one weight an atom, or a float that weighs every atom alike.  A cell's atoms are the
+    ``_cell_slice`` of xs, which must then be sorted; fsum rounds correctly, so the order of
+    the atoms does not change a bit."""
     if cell is not None:
-        inside = _mask(xs, cell)
+        inside = _cell_slice(xs, cell)
         xs, ws = xs[inside], ws[inside] if np.ndim(ws) else ws
     terms = ws * guarded(g, xs)
     if not np.isfinite(terms).all():
@@ -257,14 +285,9 @@ def _atom_expect(g, xs: np.ndarray, ws: np.ndarray | float, cell) -> tuple[float
     return _fsum(terms), 16.0 * _EPS * max(1.0, _fsum(terms, np.abs))
 
 
-def _mask(xs: np.ndarray, cell: SupportInterval) -> np.ndarray:
-    """Which of the atoms xs lie in the cell, honouring its endpoint flags."""
-    return cell.contains(xs)
-
-
 def _cell_slice(xs: np.ndarray, cell: SupportInterval) -> slice:
     """The atoms of the sorted xs that lie in the cell, honouring its endpoint flags, as one
-    slice found by two binary searches: a cell costs O(log n), where ``_mask`` costs O(n)."""
+    slice found by two binary searches: every cell query of a law with atoms costs O(log n)."""
     start = xs.searchsorted(cell.lower, "left" if cell.lower_closed else "right")
     return slice(start, xs.searchsorted(cell.upper, "right" if cell.upper_closed else "left"))
 
@@ -552,7 +575,8 @@ class Exponential(DistributionSpec):
 
     def _power_moments(self, r: float) -> tuple[float, float] | None:
         # E[X**k] = Gamma(k + 1) / rate**k, which diverges at 0 for k <= -1
-        return _closed_power_moments(lambda k: math.gamma(k + 1.0) / self.rate**k, r, -1.0)
+        share = _gamma_share if abs(r) < 0.125 else None
+        return _closed_power_moments(lambda k: math.gamma(k + 1.0) / self.rate**k, r, -1.0, share)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.exponential(1.0 / self.rate, n)
@@ -620,9 +644,9 @@ class Uniform(DistributionSpec):
 class Empirical(DistributionSpec):
     """Equal-weight atoms at the sample points; population (n divisor) variance.
 
-    The sample is sorted once, on the first quantile or the first cell's moments or atom
-    range; a cell's atoms are then one slice of the sorted sample, and its ends bound the
-    cell's moment sums.  A cell's mass alone is counted by a mask and sorts nothing.
+    The sample is sorted once, on the first quantile or the first cell query; every cell's
+    atoms are then one slice of the sorted sample, and its ends bound the cell's moment sums.
+    Sums over the whole law take the samples as given and sort nothing.
     """
 
     samples: np.ndarray
@@ -655,11 +679,12 @@ class Empirical(DistributionSpec):
         return self._lo, self._hi, True, True
 
     def interval_prob(self, cell: SupportInterval) -> float:
-        # a mask: one mass query does not pay for the sort that a cell's moments use
-        return float(np.count_nonzero(_mask(self.samples, cell))) / self.samples.size
+        inside = _cell_slice(self._sorted, cell)
+        return float(inside.stop - inside.start) / self.samples.size
 
     def expect(self, g, cell=None):
-        return _atom_expect(g, self.samples, 1.0 / self.samples.size, cell)
+        return _atom_expect(g, self.samples if cell is None else self._sorted,
+                            1.0 / self.samples.size, cell)
 
     def truncated_stats(self, cell: SupportInterval) -> TruncatedStats:
         """Moments of the cell's slice of the sorted sample, bounded by its ends; fsum rounds
@@ -684,7 +709,8 @@ class Empirical(DistributionSpec):
 class Discrete(DistributionSpec):
     """Weighted atoms; the coarse variable of a partition lives here.
 
-    The points are sorted at construction, so a cell's atoms are one slice of them.
+    The points are sorted at construction, so every cell query (mass, moments, ``expect``)
+    takes one slice of them.
     """
 
     points: np.ndarray
@@ -731,13 +757,10 @@ class Discrete(DistributionSpec):
         return TruncatedStats(prob=p, mean=m, variance=v)
 
     def quantile(self, q: float) -> float:
+        """The first atom whose running mass reaches q, or the last atom where the running
+        masses round below q; cumsum adds them in order, one rounding a step."""
         _check_level(q)
-        acc = 0.0
-        for x, w in zip(self.points, self.probs):
-            acc += w
-            if acc >= q:
-                return float(x)
-        return float(self.points[-1])
+        return float(self.points[min(np.cumsum(self.probs).searchsorted(q), self.points.size - 1)])
 
     @_cached
     def _cdf(self) -> np.ndarray:

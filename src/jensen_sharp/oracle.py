@@ -23,7 +23,6 @@ from .distributions import (
     Empirical,
     SupportInterval,
     _check_mass_in_domain,
-    _mask,
 )
 from .errors import NumericError, ParameterError
 from .extreal import encode, ext_mul
@@ -171,7 +170,7 @@ def _monte_carlo(f: FunctionSpec, d, budget: int, seed: int, cell, p: float) -> 
                     raise xs
                 xs = np.asarray(xs, dtype=float)
                 if cell is not None:
-                    xs = xs[_mask(xs, cell)]
+                    xs = xs[cell.contains(xs)]
                 count += xs.size
                 # after a non-finite value only the count matters: too few draws in the cell wins
                 if not (finite and xs.size):

@@ -36,6 +36,7 @@ from jensen_sharp import (
     transform_power,
 )
 from jensen_sharp.oracle import _EPS, _MC_AHEAD, _MC_BLOCK, _phi_of_mean
+from _support import masked_expect, masked_prob
 
 
 def test_mgf_exponential_reference_value():
@@ -334,6 +335,36 @@ def test_conditional_on_empirical_restricts_sample(pinned_sample):
         math.fsum(sub) / sub.size
     )
     assert est.value == pytest.approx(direct, rel=1e-12)
+
+
+def test_the_exact_conditional_oracle_sorts_a_sample_once_and_keeps_the_mask_bits(monkeypatch):
+    xs = np.random.default_rng(8).lognormal(0.0, 1.0, 3000)  # cells of over 512 atoms: vector sums
+    cells = [SupportInterval(0.5, 2.0, lower_closed=True), SupportInterval(1.0, math.inf)]
+    monkeypatch.setattr(Empirical, "expect", masked_expect)
+    monkeypatch.setattr(Empirical, "interval_prob", masked_prob)
+    ref = [estimate_conditional_gap(neg_log(), Empirical(xs), c, method="exact") for c in cells]
+    monkeypatch.undo()
+    sorts, masks = [], []
+    sort, contains = np.sort, SupportInterval.contains
+
+    def counting_sort(a, *args, **kwargs):
+        sorts.append(a.size)
+        return sort(a, *args, **kwargs)
+
+    def counting_contains(c, x):
+        if np.ndim(x):
+            masks.append(np.size(x))
+        return contains(c, x)
+
+    monkeypatch.setattr(np, "sort", counting_sort)
+    monkeypatch.setattr(SupportInterval, "contains", counting_contains)
+    d = Empirical(xs)
+    est = [estimate_conditional_gap(neg_log(), d, c, method="exact") for c in cells]
+    assert sorts == [xs.size]
+    assert masks == []
+    assert [(e.value.hex(), e.error_bound.hex()) for e in est] == [
+        (e.value.hex(), e.error_bound.hex()) for e in ref
+    ]
 
 
 def test_conditional_on_discrete_keeps_the_atoms_in_the_cell():

@@ -34,7 +34,7 @@ from jensen_sharp import (
 )
 from jensen_sharp import distributions
 from jensen_sharp.distributions import _check_mass_in_domain
-from _support import assert_brackets, population_stats
+from _support import assert_brackets, masked_expect, masked_prob, population_stats
 
 
 # ---------------------------------------------------------------------------
@@ -248,16 +248,10 @@ def _masked_stats(d, cell):
     if isinstance(d, Empirical):
         inside = d.samples[cell.contains(d.samples)]
         p = d._require_prob(cell, float(inside.size) / d.samples.size)
-        return (p, *distributions._moments(inside))
+        return (p, *distributions._moments(inside, float(inside.min()), float(inside.max())))
     mask = cell.contains(d.points)
     p = d._require_prob(cell, distributions._fsum(d.probs[mask]))
     return (p, *distributions._weighted_moments(d.points[mask], d.probs[mask], p))
-
-
-def _masked_prob(d, cell):
-    if isinstance(d, Empirical):
-        return float(np.count_nonzero(cell.contains(d.samples))) / d.samples.size
-    return distributions._fsum(d.probs[cell.contains(d.points)])
 
 
 def _bits(compute):
@@ -320,8 +314,9 @@ def test_atom_cells_by_slice_equal_a_mask_bit_for_bit(discrete, n, levels, scale
     upper = _cell_end(atoms, ends[1], ends[3], 1.0)
     assume(lower < upper)
     cell = SupportInterval(lower, upper, closed[0] and lower > -math.inf, closed[1] and upper < math.inf)
-    assert _bits(lambda: d.interval_prob(cell)) == _bits(lambda: _masked_prob(d, cell))
+    assert _bits(lambda: d.interval_prob(cell)) == _bits(lambda: masked_prob(d, cell))
     assert _bits(lambda: d.truncated_stats(cell)) == _bits(lambda: _masked_stats(d, cell))
+    assert _bits(lambda: d.expect(np.sin, cell)) == _bits(lambda: masked_expect(d, np.sin, cell))
     inside = values[cell.contains(values)]
     if inside.size == 0:
         with pytest.raises(EmptyCellError):

@@ -8,7 +8,7 @@
 # SAMPLE_FILE is a sample file in the file:PATH grammar, one decimal per line
 # (src/jensen_sharp/data/uniform_10_100_seed42.txt is the pinned one).  The
 # package is run from the checkout that holds this script; PYTHON picks the
-# interpreter (default python3).  There are 38 commands.  The last eight are
+# interpreter (default python3).  There are 39 commands.  The last eight are
 # error cases; the three before them run a quadratic, whose h is identically its
 # coefficient a, so h must read a at every end they report.  The oracle on
 # exp:t=3 over normal:mu=0,sigma=40 overflows phi at the tail nodes of its
@@ -16,7 +16,9 @@
 # leaks from an evaluation shows in the diff.  The two oracles after it walk a
 # piece that QUADPACK does not trust: the tail of exp:t=0.505 over
 # exp:rate=1.485 reads NaN, as phi overflows where the density underflows, and
-# power:p=-1.4 over exp:rate=1 diverges at the finite end 0.  Three samples are
+# power:p=-1.4 over exp:rate=1 diverges at the finite end 0.  The power mean at
+# r = 0.00001 over exp:rate=1 takes the series form of the variance of X**r, and
+# its moment bracket is the point Gamma(1.00002).  Three samples are
 # written to a temporary directory and named relative to it, so that the output
 # does not depend on where that directory is: three 5s; two 1e308s, whose sum
 # overflows; and 2,000 values exp(sin(k)), k = 1..2000, printed with repr, large
@@ -60,6 +62,7 @@ run power-mean --dist "file:$sample" --r 1 --s -1 --oracle exact
 run power-mean --dist exp:rate=1 --r 2 --s 0.5 --oracle quad
 run power-mean --dist uniform:lo=1,hi=3 --r -1 --s 2 --oracle mc:n=10000,seed=1
 run power-mean --dist uniform:lo=1.5,hi=5 --r 3 --s 1.5 --oracle quad
+run power-mean --dist exp:rate=1 --r 0.00001 --s 0.00002 --oracle quad
 run oracle --phi exp:t=0.5 --dist exp:rate=1 --oracle mc:n=100000,seed=42
 run oracle --phi exp:t=2 --dist exp:rate=1 --oracle quad
 run oracle --phi exp:t=3 --dist normal:mu=0,sigma=40 --oracle quad
