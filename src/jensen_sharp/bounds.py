@@ -287,11 +287,9 @@ def _h_objective(f: FunctionSpec, nu: float) -> _Objective:
     without a numpy warning.  ``on_grid`` evaluates phi once on the whole
     grid, and phi'' once on its points within the switch radius; the
     noise bounds reuse those phi values.  Both forms share one direct
-    formula and one second-order rule.  The objective is built, and
-    ``value``, ``noise`` and ``on_grid`` run, under its caller's numpy
-    error state: the extrema search (all of a partition's cell searches
-    together), the endpoint rule and ``h_eval`` each hold
-    ``np.errstate(all="ignore")`` once.
+    formula and one second-order rule.  All of it runs under the error
+    state of the loop that evaluates: the extrema search, the endpoint rule
+    or ``h_eval``.
     """
     nu = float(nu)
     phi_nu = guarded(f.func, nu)
@@ -504,10 +502,9 @@ def _search(
 
     Both are nondecreasing when phi' is convex, so the infimum sits at the
     left endpoint and the supremum at the right; concave phi' mirrors that.
-    An unknown shape falls back to the global scan around the anchor.  The
-    objective, the ends and the scan evaluate point by point, under the
-    caller's numpy error state: ``curvature_extrema`` holds one for a single
-    search, ``_h_extrema_each`` one for all the h searches of its call.
+    An unknown shape falls back to the global scan around the anchor.  It
+    evaluates under the error state of its caller, the loop that holds it:
+    ``curvature_extrema`` or ``_h_extrema_each``.
     """
     obj = objective(f, anchor)
     inf_ev = _endpoint(obj, interval.lower, interval.lower_closed)
@@ -529,8 +526,8 @@ def _h_extrema_each(
 ) -> list[tuple[HEvaluation, HEvaluation]]:
     """(inf, sup) of h(.; nu) over each (interval, nu), in order, with witnesses.
 
-    Every search runs under one numpy error state: ``h_extrema`` passes one
-    interval, ``partition.cell_h_extrema`` all the cells of a partition.
+    The one loop that holds the error state for all its searches: ``h_extrema``
+    passes one interval, ``partition.cell_h_extrema`` all the cells of a partition.
     """
     extrema = []
     with np.errstate(all="ignore"):
@@ -672,7 +669,11 @@ def power_mean_bounds(d: DistributionSpec, r: float, s: float) -> PowerMeanBound
     p = s / r
     f = power(p)
     gb = jensen_bounds(f, y)
-    base = y.mean() ** p
+    try:
+        base = y.mean() ** p
+    except OverflowError as exc:
+        raise NumericError(f"the power-mean base E[X**r]**(s/r) = {y.mean()}**{p} is past the float "
+                           "range") from exc
     mo_lo = base + gb.lower
     mo_hi = base + gb.upper
 

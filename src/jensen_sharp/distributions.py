@@ -20,7 +20,6 @@ import math
 import statistics
 import sys
 from dataclasses import dataclass, field
-from functools import wraps
 from itertools import chain
 from pathlib import Path
 from typing import Callable
@@ -172,41 +171,35 @@ def _fsum(xs: np.ndarray, term: Callable | None = None, bound: float | None = No
     return math.fsum(sums if top > 0.0 else every_term())
 
 
-def _finite_moments(moments: Callable[..., tuple[float, float]]):
-    """moments(...) with numpy's overflow warnings off; NumericError for math.fsum's
-    OverflowError and unless the mean and the variance both come out finite."""
-
-    @wraps(moments)
-    def checked(*args) -> tuple[float, float]:
-        with np.errstate(over="ignore", invalid="ignore"):
-            try:
-                m, v = moments(*args)
-            except OverflowError as exc:
-                raise NumericError("the atoms sum past the float range") from exc
-        if not (math.isfinite(m) and math.isfinite(v)):
-            raise NumericError(f"the atoms have mean {m} and variance {v}, past the float range")
-        return m, v
-
-    return checked
-
-
-@_finite_moments
 def _moments(xs: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
     """fsum mean and population (n divisor) variance of equal-weight atoms.  The atoms' least
     and greatest, lo and hi, bound both sums' terms exactly: rounding is monotone, so the
-    largest |x| and (x - m)**2 lie at those ends."""
-    m = _fsum(xs, bound=max(-lo, hi)) / xs.size
-    squared_deviation = lambda b, out=None: np.square(np.subtract(b, m, out=out), out=out)
-    bound = max((lo - m) * (lo - m), (hi - m) * (hi - m))
-    return m, _fsum(xs, squared_deviation, bound) / xs.size
+    largest |x| and (x - m)**2 lie at those ends.  Once that bound is finite no numpy
+    operation here can overflow, so none needs an error state."""
+    try:
+        m = _fsum(xs, bound=max(-lo, hi)) / xs.size
+        bound = max((lo - m) * (lo - m), (hi - m) * (hi - m))  # float arithmetic: inf, no warning
+        if bound == math.inf:
+            raise NumericError(f"the atoms have mean {m} and variance inf, past the float range")
+        squared_deviation = lambda b, out=None: np.square(np.subtract(b, m, out=out), out=out)
+        return m, _fsum(xs, squared_deviation, bound) / xs.size
+    except OverflowError as exc:
+        raise NumericError("the atoms sum past the float range") from exc
 
 
-@_finite_moments
 def _weighted_moments(xs: np.ndarray, ws: np.ndarray, total: float) -> tuple[float, float]:
     """fsum mean and variance of atoms xs with weights ws summing to total.  float_power
-    squares with libm's pow like a scalar ``x ** 2``, which np.square can miss by an ulp."""
-    m = _fsum(ws * xs) / total
-    return m, _fsum(ws * np.float_power(xs - m, 2)) / total
+    squares with libm's pow like a scalar ``x ** 2``, which np.square can miss by an ulp.
+    The weights do not bound the products, so the sums hold one error state."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            m = _fsum(ws * xs) / total
+            v = _fsum(ws * np.float_power(xs - m, 2)) / total
+        except OverflowError as exc:
+            raise NumericError("the atoms sum past the float range") from exc
+    if not (math.isfinite(m) and math.isfinite(v)):
+        raise NumericError(f"the atoms have mean {m} and variance {v}, past the float range")
+    return m, v
 
 
 def _moments_by(expect: Callable, mass: float) -> tuple[float, float]:
@@ -279,7 +272,8 @@ def _atom_expect(g, xs: np.ndarray, ws: np.ndarray | float, cell) -> tuple[float
     if cell is not None:
         inside = _cell_slice(xs, cell)
         xs, ws = xs[inside], ws[inside] if np.ndim(ws) else ws
-    terms = ws * guarded(g, xs)
+    with np.errstate(all="ignore"):  # the exact sum is the loop that evaluates g
+        terms = ws * guarded(g, xs)
     if not np.isfinite(terms).all():
         raise NumericError("g is not finite at a mass point of the law")
     return _fsum(terms), 16.0 * _EPS * max(1.0, _fsum(terms, np.abs))
@@ -415,8 +409,12 @@ class Normal(DistributionSpec):
             raise ParameterError(f"normal mean must be finite, got {self.mu}")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ParameterError(f"normal sigma must be positive, got {self.sigma}")
+        variance = self.sigma * self.sigma
+        if variance == math.inf:
+            raise ParameterError(f"normal sigma {self.sigma} is too large: its variance "
+                                 "sigma**2 is past the float range")
         object.__setattr__(self, "_mean", self.mu)
-        object.__setattr__(self, "_variance", self.sigma * self.sigma)
+        object.__setattr__(self, "_variance", variance)
 
     def mass_bounds(self):
         return -math.inf, math.inf, False, False
@@ -593,6 +591,8 @@ class Uniform(DistributionSpec):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
             raise ParameterError(f"uniform needs finite lo < hi, got {self.lo}, {self.hi}")
         w = self.hi - self.lo
+        if w * w == math.inf:
+            raise ParameterError(f"uniform width {w} is too large: width**2 is past the float range")
         object.__setattr__(self, "_mean", 0.5 * (self.lo + self.hi))
         object.__setattr__(self, "_variance", w * w / 12.0)
 
@@ -709,8 +709,8 @@ class Empirical(DistributionSpec):
 class Discrete(DistributionSpec):
     """Weighted atoms; the coarse variable of a partition lives here.
 
-    The points are sorted at construction, so every cell query (mass, moments, ``expect``)
-    takes one slice of them.
+    Atoms without mass are dropped and the rest sorted at construction, so every cell query
+    (mass, moments, ``expect``) takes one slice of them.
     """
 
     points: np.ndarray
@@ -728,6 +728,8 @@ class Discrete(DistributionSpec):
         total = _fsum(pr)
         if abs(total - 1.0) > 1e-12:
             raise ParameterError(f"atom probabilities sum to {total}, need 1")
+        if not pr.all():  # an atom without mass is no part of the law
+            pts, pr = pts[pr > 0.0], pr[pr > 0.0]
         if not (pts[1:] > pts[:-1]).all():  # a partition's coarse law comes sorted
             order = np.argsort(pts)
             pts, pr = pts[order], pr[order]

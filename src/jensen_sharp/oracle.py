@@ -26,7 +26,7 @@ from .distributions import (
 )
 from .errors import NumericError, ParameterError
 from .extreal import encode, ext_mul
-from .functions import FunctionSpec, guarded
+from .functions import FunctionSpec, finite_value, guarded
 
 __all__ = [
     "OracleMethod",
@@ -95,8 +95,8 @@ def _phi_of_mean(f: FunctionSpec, d, cell, p: float) -> tuple[float, float]:
         if not abs(mass - 1.0) <= 1e-6:
             raise NumericError(f"the mass {p!r} of {cell} integrates to {mass!r} of itself, not 1")
         mu, err_mu = d.expect(lambda x: x / p, cell)
-        charge = ext_mul(abs(float(f.deriv1(mu))), err_mu)
-    return float(f.func(mu)), charge
+        charge = ext_mul(abs(finite_value(f.deriv1, mu, "phi'")), err_mu)
+    return finite_value(f.func, mu, "phi"), charge
 
 
 def _integral(f: FunctionSpec, d, cell, p: float, atoms: bool) -> GapEstimate:

@@ -547,6 +547,15 @@ def test_power_mean_validates_inputs():
         power_mean_bounds(Normal(0.0, 1.0), r=1.0, s=2.0)
 
 
+@pytest.mark.parametrize("d, r, s", [
+    (Exponential(1e-100), 1.0, 4.0),  # E[X]**4 = 1e400
+    (Uniform(1e-150, 2e-150), 1.0, -3.0),  # E[X]**-3 = 3e449
+], ids=["exponential", "uniform"])
+def test_power_mean_refuses_a_base_past_the_float_range(d, r, s):
+    with pytest.raises(NumericError, match="past the float range"):
+        power_mean_bounds(d, r=r, s=s)
+
+
 def test_power_mean_bounds_integrate_only_on_a_law_without_closed_form_moments(monkeypatch):
     # the moments of Y = X**r are closed-form on exponential and uniform laws: no QUADPACK pass
     custom = CustomPdf(Exponential(1.0).pdf, SupportInterval(0.0, math.inf))

@@ -421,6 +421,21 @@ def test_oracle_command_mc_past_the_float_range_exits_three():
     assert "non-finite phi values" in report["error"]
 
 
+def test_power_mean_past_the_float_range_exits_three(capsys):
+    status = main(["power-mean", "--dist", "exp:rate=1e-100", "--r", "1", "--s", "4"])
+    captured = capsys.readouterr()
+    assert status == 3
+    assert captured.out == "" and "past the float range" in captured.err
+
+
+def test_a_normal_whose_variance_is_past_the_float_range_exits_two(capsys):
+    argv = ["oracle", "--phi", "quad:a=1", "--dist", "normal:mu=0,sigma=1e200", "--oracle", "quad"]
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == "" and "too large" in captured.err
+
+
 def test_oracle_command_defaults_to_auto():
     status, report = run(parse_args(["oracle", "--phi", "neglog", "--dist", f"file:{_SAMPLE}"]))
     assert status == 0

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from functools import partial
 from pathlib import Path
 
@@ -68,6 +69,24 @@ def test_variances():
 def test_exponential_refuses_a_rate_whose_variance_is_past_the_float_range(rate):
     with pytest.raises(ParameterError, match="too small"):
         Exponential(rate)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Normal(0.0, 1.4e154),
+    lambda: Normal(0.0, 1e200),
+    lambda: Uniform(0.0, 1.4e154),
+    lambda: Uniform(-1e308, 1e308),  # the width itself is inf
+], ids=["normal-1.4e154", "normal-1e200", "uniform-1.4e154", "uniform-1e308"])
+def test_normal_and_uniform_refuse_a_variance_past_the_float_range(build):
+    with pytest.raises(ParameterError, match="too large"):
+        build()
+
+
+def test_normal_and_uniform_variances_keep_their_bits_up_to_the_float_range():
+    for sigma in (1.3e154, 0.3, 1.0):
+        assert Normal(0.0, sigma).variance() == sigma * sigma
+    for w in (1.3e154, 0.3, 1.0):
+        assert Uniform(0.0, w).variance() == w * w / 12.0
 
 
 def test_exponential_variance_keeps_its_bits_down_to_the_float_range():
@@ -541,6 +560,19 @@ def test_normal_refuses_a_mean_that_is_not_finite(mu):
 def test_atom_laws_refuse_moments_past_the_float_range(build):
     with pytest.raises(NumericError, match="past the float range"):
         build()
+
+
+def test_a_discrete_atom_without_mass_is_no_part_of_the_law():
+    """A massless atom is dropped: it is outside the mass-carrying range, so it neither
+    leaves the domain of phi nor overflows a sum."""
+    d, kept = Discrete([-1.0, 1.0, 2.0], [0.0, 0.5, 0.5]), Discrete([1.0, 2.0], [0.5, 0.5])
+    assert d.points.tolist() == [1.0, 2.0] and d.mass_bounds() == (1.0, 2.0, True, True)
+    assert jensen_bounds(neg_log(), d) == jensen_bounds(neg_log(), kept)
+    assert jensen_bounds(neg_log(), d).lower == 0.04565126088155241
+    assert estimate_gap(neg_log(), d) == estimate_gap(neg_log(), kept)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # 0 * exp(1000) would warn
+        assert Discrete([1.0, 1000.0], [1.0, 0.0]).expect(np.exp)[0] == math.e
 
 
 @pytest.mark.parametrize("m", [1, 4, 5000])

@@ -1,9 +1,9 @@
 """numpy's error state: set once per loop that evaluates points, never leaked.
 
-Integrals, extrema searches and endpoint rules evaluate phi one point at a
-time, and entering ``np.errstate`` costs more than one such evaluation.  So
-each loop holds one error state around all its points, and an overflow
-anywhere on those scalar paths gives inf or a typed error without a warning.
+Each loop that evaluates phi (an integral, an extrema search, an endpoint rule,
+an exact sum, a Monte Carlo run) holds one error state around all its points,
+and nothing beneath it enters another.  An overflow anywhere on those paths
+gives inf or a typed error, without a warning, whatever the caller's state.
 """
 
 import dataclasses
@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 from jensen_sharp import (
+    Discrete,
     Empirical,
     EvaluationError,
     FunctionSpec,
+    NumericError,
     Normal,
     Shape,
     SupportInterval,
@@ -23,6 +25,7 @@ from jensen_sharp import (
     build_partition,
     cell_h_extrema,
     equal_probability_cuts,
+    estimate_conditional_gap,
     estimate_gap,
     exp_scaled,
     generalized_mean_bounds,
@@ -99,8 +102,8 @@ def test_one_extrema_search_enters_a_fixed_number_of_error_states(law, errstates
     h_extrema(dataclasses.replace(_SIN, func=counted), law.support, law.mean())
     assert searches
     assert sum(points) > 600
-    # the objective with the ends and the scan, and the grid's one array call of phi
-    assert len(errstates) == 2
+    # the objective, the ends, the scan and the grid's one array call of phi, all under one
+    assert len(errstates) == 1
 
 
 @pytest.mark.parametrize(
@@ -114,6 +117,27 @@ def test_the_cell_extrema_of_a_partition_enter_one_error_state(law, errstates):
     errstates.clear()
     assert len(cell_h_extrema(exp_scaled(0.7), plan)) == 16
     assert len(errstates) == 1
+
+
+def test_a_sample_law_is_built_without_an_error_state(errstates):
+    # its least and greatest sample bound every term of its moment sums
+    Empirical(np.random.default_rng(5).lognormal(0.0, 0.5, 1000))
+    assert len(errstates) == 0
+
+
+def test_a_sample_partition_enters_one_error_state(errstates):
+    # each cell's moments take none; the coarse law's weighted moments take the one
+    law = Empirical(np.random.default_rng(5).lognormal(0.0, 0.5, 1000))
+    cuts = equal_probability_cuts(law, 16)
+    errstates.clear()
+    assert len(build_partition(law, cuts).cells) == 16
+    assert len(errstates) == 1
+
+
+def test_a_monte_carlo_run_enters_three_error_states(errstates):
+    # the block loop, the helper thread that draws, and phi of the mean: none per block
+    estimate_gap(exp_scaled(0.5), Normal(0.0, 1.0), budget=1_000_000, method="mc")
+    assert len(errstates) == 3
 
 
 def _overflowing_quadrature():
@@ -148,17 +172,60 @@ def _overflowing_inverse():
     assert (lo, hi) == (math.inf, math.inf)
 
 
+def _overflowing_slope_at_the_mean():
+    # every atom's phi is finite, but phi' = 2 exp(2x) overflows at the cell's mean 354.6
+    cell = SupportInterval(354.5, 354.7, True, True)
+    with pytest.raises(EvaluationError, match="phi' is not finite"):
+        estimate_conditional_gap(exp_scaled(2.0), Discrete([354.5, 354.7], [0.5, 0.5]), cell)
+
+
+_SCALAR_PATHS = [
+    _overflowing_quadrature,
+    _overflowing_endpoint_probe,
+    _overflowing_extrema_scan,
+    _overflowing_h_eval,
+    _overflowing_inverse,
+    _overflowing_slope_at_the_mean,
+]
+
+
+def _overflowing_monte_carlo():
+    with pytest.raises(NumericError, match="non-finite phi values"):
+        estimate_gap(exp_scaled(3.0), Normal(0.0, 40.0), budget=50_000, method="mc")
+
+
+def _overflowing_exact_sum():
+    with pytest.raises(NumericError, match="not finite at a mass point"):
+        estimate_gap(exp_scaled(2.0), Empirical([1.0, 400.0]))
+
+
+def _overflowing_sample_sum():
+    with pytest.raises(NumericError, match="the atoms sum past the float range"):
+        Empirical([1e308, 1e308])
+
+
+def _overflowing_sample_squares():
+    with pytest.raises(NumericError, match="variance inf, past the float range"):
+        Empirical(np.tile([1e308, -1e308], 500))
+
+
+def _path_id(path) -> str:
+    return path.__name__.removeprefix("_overflowing_")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize(
-    "path",
-    [
-        _overflowing_quadrature,
-        _overflowing_endpoint_probe,
-        _overflowing_extrema_scan,
-        _overflowing_h_eval,
-        _overflowing_inverse,
-    ],
-    ids=lambda p: p.__name__.removeprefix("_overflowing_"),
-)
+@pytest.mark.parametrize("path", _SCALAR_PATHS, ids=_path_id)
 def test_an_overflow_on_a_scalar_path_stays_silent_and_typed(path):
     path()
+
+
+@pytest.mark.parametrize(
+    "path",
+    [*_SCALAR_PATHS, _overflowing_monte_carlo, _overflowing_exact_sum, _overflowing_sample_sum,
+     _overflowing_sample_squares],
+    ids=_path_id,
+)
+def test_a_callers_error_state_never_reaches_an_evaluation(path):
+    # under "raise" an overflow outside a loop's own state would raise FloatingPointError
+    with np.errstate(all="raise"):
+        path()

@@ -228,10 +228,24 @@ def test_guarded_array_calls_a_broadcasting_callable_once():
         return np.exp(x)
 
     xs = np.linspace(-1.0, 1000.0, 7)
-    v = guarded(fn, xs)
-    assert len(calls) == 1 and calls[0] is xs
+    # guarded runs under its caller's error state, so the caller holds one, as every loop does
     with np.errstate(over="ignore"):
+        v = guarded(fn, xs)
         assert np.array_equal(v, np.exp(xs)) and np.isinf(v[-1])
+    assert len(calls) == 1 and calls[0] is xs
+
+
+@pytest.mark.parametrize("x", [0.5, np.linspace(0.0, 1.0, 5)], ids=["float", "array"])
+def test_guarded_evaluates_under_its_callers_error_state(x):
+    seen = []
+
+    def fn(t):
+        seen.append(np.geterr())
+        return np.exp(t)
+
+    with np.errstate(over="ignore", divide="raise", invalid="warn", under="print"):
+        guarded(fn, x)
+        assert seen == [np.geterr()]
 
 
 def test_guarded_array_falls_back_when_the_shape_is_wrong():
