@@ -23,13 +23,17 @@ Numerical policy:
   At that radius the rule's truncation and the direct formula's
   cancellation both fall near 1e-8.
 * The scan grid has 480-512 points (geometric toward finite endpoints,
-  log-spaced into infinite tails).  Golden-section refinement starts at the
-  grid's best point and at any point no worse than both neighbours and
-  better than one of them by more than the evaluation noise (mirrored for
-  maxima), so the ties of a flat h start no search.  phi (phi'' for the
-  curvature scan) is called once on the whole grid, so a callable that
-  accepts an ndarray must act elementwise; one that raises on an ndarray is
-  called point by point.  The searches call it on floats.
+  log-spaced into infinite tails).  It is, bit for bit, the reference
+  construction np.unique(np.concatenate([np.linspace(core_lo, core_hi,
+  GRID_CORE), left, right])) restricted to the interval and phi's domain,
+  with the tails made of ``_TAIL_REACH`` and ``_END_APPROACH``.
+  Golden-section refinement starts at the grid's best point and at any
+  point no worse than both neighbours and better than one of them by more
+  than the evaluation noise (mirrored for maxima), so the ties of a flat h
+  start no search.  phi (phi'' for the curvature scan) is called once on
+  the whole grid, so a callable that accepts an ndarray must act
+  elementwise; one that raises on an ndarray is called point by point.
+  The searches call it on floats.
 * Every end of h and of phi''/2 is read one way: the closed-form hint when
   it gives a value, else the value at a finite end inside phi's domain,
   else a probe along a geometric sequence from nu (or the anchor).  A probe
@@ -50,7 +54,13 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .distributions import DistributionSpec, Empirical, _check_mass_in_domain, transform_power
+from .distributions import (
+    DistributionSpec,
+    Empirical,
+    _cell_slice,
+    _check_mass_in_domain,
+    transform_power,
+)
 from .errors import (
     DomainError,
     EvaluationError,
@@ -87,6 +97,10 @@ GRID_CORE = 432
 GRID_TAIL = 40
 GOLDEN_RTOL = 1e-10
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# the scan grid's fixed parts: the core's step indices and the tails' powers of two
+_CORE_STEPS = np.arange(GRID_CORE, dtype=float)
+_TAIL_REACH = 2.0 ** np.arange(3, 3 + GRID_TAIL, dtype=float)  # into an infinite tail
+_END_APPROACH = 2.0 ** -np.arange(2.0, 26.0)  # toward a finite end
 
 
 class HMethod(Enum):
@@ -335,9 +349,10 @@ def _h_objective(f: FunctionSpec, nu: float) -> _Objective:
         if near.any():
             vs[near] = rule(guarded(f.deriv2, xs[near]))
             vs[dx == 0.0] = 0.5 * centre_d2()
+            np.maximum(abs_dx, radius, out=abs_dx)  # elsewhere |dx| already exceeds the radius
         abs_phi_x = np.abs(phi_x)
         abs_phi_x = np.where(np.isfinite(abs_phi_x), abs_phi_x, 0.0)
-        return vs, noise_bound(abs_phi_x, np.maximum(abs_dx, radius))
+        return vs, noise_bound(abs_phi_x, abs_dx)
 
     return _Objective(value, f.natural_domain, nu, on_grid, hint=f.h_limit_hint, noise=noise)
 
@@ -398,27 +413,50 @@ def _golden_section(fn: Callable[[float], float], a: float, b: float, tol: float
 
 
 def _scan_grid(interval: SupportInterval, anchor: float, domain: SupportInterval) -> np.ndarray:
+    """The scan's points: those of ``np.unique`` of the core and the two tails that lie in
+    the interval and the domain, bit for bit.
+
+    The core is ``np.linspace(core_lo, core_hi, GRID_CORE)`` by linspace's own arithmetic;
+    one sort, a slice for the interval and the domain, and a mask that drops each point
+    equal to its left neighbour stand for ``np.unique`` and the masks.
+    """
     lo, hi = interval.lower, interval.upper
     base = max(1.0, abs(anchor))
     core_lo = lo if math.isfinite(lo) else anchor - 8.0 * base
     core_hi = hi if math.isfinite(hi) else anchor + 8.0 * base
     if not core_lo < core_hi:
         core_lo, core_hi = anchor - 8.0 * base, anchor + 8.0 * base
-    pts = [np.linspace(core_lo, core_hi, GRID_CORE)]
+    n_lo = _TAIL_REACH.size if not math.isfinite(lo) else _END_APPROACH.size
+    n_hi = _TAIL_REACH.size if not math.isfinite(hi) else _END_APPROACH.size
+    grid = np.empty(GRID_CORE + n_lo + n_hi)
+    core, left, right = grid[:GRID_CORE], grid[GRID_CORE:-n_hi], grid[-n_hi:]
+    step = (core_hi - core_lo) / (GRID_CORE - 1)
+    if step == 0.0:  # a subnormal span, which linspace scales by its own route
+        core[:] = np.linspace(core_lo, core_hi, GRID_CORE)
+    else:
+        np.multiply(_CORE_STEPS, step, out=core)
+        core += core_lo
+        core[-1] = core_hi
     if not math.isfinite(lo):
         # log-spaced reach into the left tail
-        pts.append(anchor - base * 2.0 ** np.arange(3, 3 + GRID_TAIL, dtype=float))
+        np.subtract(anchor, np.multiply(_TAIL_REACH, base, out=left), out=left)
     else:
         # geometric approach to a finite lower endpoint
-        span = core_hi - lo
-        pts.append(lo + span * 2.0 ** -np.arange(2.0, 26.0))
+        np.multiply(_END_APPROACH, core_hi - lo, out=left)
+        left += lo
     if not math.isfinite(hi):
-        pts.append(anchor + base * 2.0 ** np.arange(3, 3 + GRID_TAIL, dtype=float))
+        np.multiply(_TAIL_REACH, base, out=right)
+        right += anchor
     else:
-        span = hi - core_lo
-        pts.append(hi - span * 2.0 ** -np.arange(2.0, 26.0))
-    grid = np.unique(np.concatenate(pts))
-    return grid[interval.contains(grid) & domain.contains(grid)]
+        np.subtract(hi, np.multiply(_END_APPROACH, hi - core_lo, out=right), out=right)
+    grid.sort()
+    # NaN sorts last, past every end, so no slice takes it in
+    inside, allowed = _cell_slice(grid, interval), _cell_slice(grid, domain)
+    grid = grid[max(inside.start, allowed.start):min(inside.stop, allowed.stop)]
+    first = np.empty(grid.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(grid[1:], grid[:-1], out=first[1:])
+    return grid[first]
 
 
 def _scan_extrema(
@@ -428,31 +466,37 @@ def _scan_extrema(
     xs = _scan_grid(interval, anchor, obj.domain)
     vs, eps = obj.on_grid(xs)
     finite = np.isfinite(vs)
-    xs, vs, eps = xs[finite], vs[finite], eps[finite]
+    if not finite.all():
+        xs, vs, eps = xs[finite], vs[finite], eps[finite]
     n = len(xs)
-    noise = obj.noise or (lambda x: 0.0)
 
     # a point no worse than both neighbours starts a search when it beats one
     # of them by more than its noise bound, or when it is the grid's best
-    i_min, i_max = (int(np.argmin(vs)), int(np.argmax(vs))) if n else (-1, -1)
-    inner = np.arange(1, n - 1)
     mid, margin = vs[1:-1], eps[1:-1]
     near, far = np.minimum(vs[:-2], vs[2:]), np.maximum(vs[:-2], vs[2:])
-    starts_min = (mid <= near) & ((inner == i_min) | (far - mid > margin))
-    starts_max = (mid >= far) & ((inner == i_max) | (mid - near > margin))
-    xl = xs.tolist()
+    starts_min = (mid <= near) & (far - mid > margin)
+    starts_max = (mid >= far) & (mid - near > margin)
+    i_min, i_max = (int(vs.argmin()), int(vs.argmax())) if n else (-1, -1)
+    # the best point is no worse than both neighbours: only its margin test is waived
+    if 0 < i_min < n - 1:
+        starts_min[i_min - 1] = True
+    if 0 < i_max < n - 1:
+        starts_max[i_max - 1] = True
 
-    def refine(i: int, sign: float) -> tuple[float, float]:
-        """(value, x) of the search between grid point i's neighbours (+1 min, -1 max)."""
-        tol = GOLDEN_RTOL * max(1.0, abs(xl[i]))
-        x, g = _golden_section(lambda t: sign * obj.value(t), xl[i - 1], xl[i + 1], tol)
-        return sign * g, x
+    def refine(i: int, sign: float) -> tuple[float, float, None]:
+        """(value, x, None) of the search between grid point i's neighbours (+1 min, -1 max);
+        its noise bound is taken only if it wins."""
+        tol = GOLDEN_RTOL * max(1.0, abs(xs.item(i)))
+        x, g = _golden_section(lambda t: sign * obj.value(t), xs.item(i - 1), xs.item(i + 1), tol)
+        return sign * g, x, None
 
-    min_candidates = [refine(i, 1.0) for i in inner[starts_min].tolist()]  # (value, x)
-    max_candidates = [refine(i, -1.0) for i in inner[starts_max].tolist()]
+    # (value, x, noise bound or None): a grid point brings the noise bound of the grid
+    min_candidates = [refine(i + 1, 1.0) for i in starts_min.nonzero()[0].tolist()]
+    max_candidates = [refine(i + 1, -1.0) for i in starts_max.nonzero()[0].tolist()]
     if n > 0:
-        min_candidates.append((float(vs[i_min]), xl[i_min]))
-        max_candidates.append((float(vs[i_max]), xl[i_max]))
+        min_candidates.append((vs.item(i_min), xs.item(i_min), eps.item(i_min)))
+        max_candidates.append((vs.item(i_max), xs.item(i_max), eps.item(i_max)))
+    noise = obj.noise or (lambda x: 0.0)
 
     def as_eval(v: float, x: float) -> HEvaluation:
         if math.isinf(v):
@@ -461,7 +505,7 @@ def _scan_extrema(
             return HEvaluation(v, nearer.attained_at, HMethod.ENDPOINT_LIMIT)
         return HEvaluation(v, x, HMethod.DIRECT)
 
-    def pick(cands: list[tuple[float, float]], sign: float, ends) -> HEvaluation:
+    def pick(cands: list[tuple[float, float, float | None]], sign: float, ends) -> HEvaluation:
         """Best candidate at the given sign (+1 min, -1 max).
 
         An interior candidate must beat the endpoint value by more than the
@@ -473,8 +517,10 @@ def _scan_extrema(
         """
         end_best = min(ends, key=lambda e: sign * e.value)
         if cands:
-            v, x = min(cands, key=lambda c: sign * c[0])
-            if sign * v < sign * end_best.value - noise(x) or v == end_best.value:
+            v, x, e = min(cands, key=lambda c: sign * c[0])
+            if e is None:
+                e = noise(x)
+            if sign * v < sign * end_best.value - e or v == end_best.value:
                 return as_eval(v, x)
         return end_best
 

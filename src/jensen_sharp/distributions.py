@@ -175,16 +175,40 @@ def _moments(xs: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
     """fsum mean and population (n divisor) variance of equal-weight atoms.  The atoms' least
     and greatest, lo and hi, bound both sums' terms exactly: rounding is monotone, so the
     largest |x| and (x - m)**2 lie at those ends.  Once that bound is finite no numpy
-    operation here can overflow, so none needs an error state."""
+    operation here can overflow, so none needs an error state.  Squares that overflow, or
+    sum past the float range, are left to ``_scaled_variance``."""
     try:
         m = _fsum(xs, bound=max(-lo, hi)) / xs.size
-        bound = max((lo - m) * (lo - m), (hi - m) * (hi - m))  # float arithmetic: inf, no warning
-        if bound == math.inf:
-            raise NumericError(f"the atoms have mean {m} and variance inf, past the float range")
-        squared_deviation = lambda b, out=None: np.square(np.subtract(b, m, out=out), out=out)
-        return m, _fsum(xs, squared_deviation, bound) / xs.size
     except OverflowError as exc:
         raise NumericError("the atoms sum past the float range") from exc
+    bound = max((lo - m) * (lo - m), (hi - m) * (hi - m))  # float arithmetic: inf, no warning
+    if bound < math.inf:
+        squared_deviation = lambda b, out=None: np.square(np.subtract(b, m, out=out), out=out)
+        try:
+            return m, _fsum(xs, squared_deviation, bound) / xs.size
+        except OverflowError:
+            pass
+    return m, _scaled_variance(xs, m, max(m - lo, hi - m))
+
+
+def _scaled_variance(xs: np.ndarray, m: float, reach: float) -> float:
+    """The variance about m of equal-weight atoms whose largest squared deviation, reach**2,
+    is past the float range, though the variance itself may not be.  Each deviation is
+    scaled by a power of two to below 2**500 before it is squared, and the mean square is
+    scaled back: no term overflows, and the scalings are exact except for squares that fall
+    below the normal range, some 2**-1000 of the largest.  A deviation past the float range
+    leaves a variance past it for any number of atoms."""
+    past = NumericError(f"the atoms have mean {m} and variance inf, past the float range")
+    if reach == math.inf:
+        raise past
+    k = math.frexp(reach)[1] - 500
+    scale = math.ldexp(1.0, -k)
+    scaled_square = lambda b, out=None: np.square(
+        np.multiply(np.subtract(b, m, out=out), scale, out=out), out=out)
+    try:
+        return math.ldexp(_fsum(xs, scaled_square, (reach * scale) ** 2) / xs.size, 2 * k)
+    except OverflowError:
+        raise past from None
 
 
 def _weighted_moments(xs: np.ndarray, ws: np.ndarray, total: float) -> tuple[float, float]:
@@ -997,10 +1021,13 @@ def transform_power(d: DistributionSpec, r: float) -> DistributionSpec:
     _check_power(d, r)
     if r == 1.0:
         return d
-    if isinstance(d, Empirical):
-        return Empirical(np.power(d.samples, r))
-    if isinstance(d, Discrete):
-        return Discrete(np.power(d.points, r), d.probs)
+    if isinstance(d, (Empirical, Discrete)):
+        with np.errstate(over="ignore", under="ignore"):  # an overflow leaves inf, refused below
+            ys = np.power(d.samples if isinstance(d, Empirical) else d.points, r)
+        try:
+            return Empirical(ys) if isinstance(d, Empirical) else Discrete(ys, d.probs)
+        except ParameterError as exc:  # the atoms are finite and positive, so X**r overflowed
+            raise NumericError(f"X**r = X**{r} is past the float range at an atom of {d!r}") from exc
     return PowerTransform(d, r)
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from jensen_sharp import (
     CustomPdf,
+    Discrete,
     DomainError,
     Empirical,
     Exponential,
@@ -554,6 +555,17 @@ def test_power_mean_validates_inputs():
 def test_power_mean_refuses_a_base_past_the_float_range(d, r, s):
     with pytest.raises(NumericError, match="past the float range"):
         power_mean_bounds(d, r=r, s=s)
+
+
+@pytest.mark.parametrize("d, r", [
+    (Empirical([1e150, 1.1e150]), 3.0),  # X**3 = 1e450
+    (Discrete([1e150, 1.1e150], [0.5, 0.5]), 3.0),
+    (Empirical([1e-200, 2.0]), -2.0),  # X**-2 = 1e400
+], ids=["empirical", "discrete", "negative-r"])
+def test_power_mean_refuses_a_power_of_the_atoms_past_the_float_range(d, r):
+    # a numeric error, not the new law's refusal of non-finite atoms, and no overflow warning
+    with pytest.raises(NumericError, match=r"X\*\*r = X\*\*.* is past the float range"):
+        power_mean_bounds(d, r=r, s=1.0)
 
 
 def test_power_mean_bounds_integrate_only_on_a_law_without_closed_form_moments(monkeypatch):

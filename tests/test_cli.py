@@ -428,6 +428,15 @@ def test_power_mean_past_the_float_range_exits_three(capsys):
     assert captured.out == "" and "past the float range" in captured.err
 
 
+def test_power_mean_of_a_sample_whose_power_is_past_the_float_range_exits_three(tmp_path, capsys):
+    p = tmp_path / "huge.txt"
+    p.write_text("1e150\n1.1e150\n")
+    status = main(["power-mean", "--dist", f"file:{p}", "--r", "3", "--s", "1"])
+    captured = capsys.readouterr()
+    assert status == 3
+    assert captured.out == "" and "X**r = X**3.0 is past the float range" in captured.err
+
+
 def test_a_normal_whose_variance_is_past_the_float_range_exits_two(capsys):
     argv = ["oracle", "--phi", "quad:a=1", "--dist", "normal:mu=0,sigma=1e200", "--oracle", "quad"]
     status = main(argv)

@@ -562,6 +562,19 @@ def test_atom_laws_refuse_moments_past_the_float_range(build):
         build()
 
 
+@pytest.mark.parametrize("xs", [
+    [0.0] * 999 + [1.5e154],  # a squared deviation is 2.2e308, the variance 2.2e305
+    [-1.2e154, 1.3e154],  # each square fits, their sum 3.1e308 does not
+    [1e154, -1.3e154, 0.5, 3.0] * 250,
+], ids=["one-far-sample", "sum-of-squares", "mixed-scales"])
+def test_a_sample_variance_in_the_float_range_is_taken_though_its_squares_are_not(xs):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(300):
+        m = mpmath.fsum(map(mpmath.mpf, xs)) / len(xs)
+        expected = float(mpmath.fsum((mpmath.mpf(x) - m) ** 2 for x in xs) / len(xs))
+    assert Empirical(xs).variance() == pytest.approx(expected, rel=1e-15)
+
+
 def test_a_discrete_atom_without_mass_is_no_part_of_the_law():
     """A massless atom is dropped: it is outside the mass-carrying range, so it neither
     leaves the domain of phi nor overflows a sum."""

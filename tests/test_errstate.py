@@ -32,6 +32,7 @@ from jensen_sharp import (
     h_endpoint_limit,
     h_eval,
     h_extrema,
+    power_mean_bounds,
 )
 from jensen_sharp import bounds, quadrature
 from jensen_sharp.quadrature import expectation
@@ -209,6 +210,12 @@ def _overflowing_sample_squares():
         Empirical(np.tile([1e308, -1e308], 500))
 
 
+def _overflowing_sample_power():
+    # every sample is finite, but X**3 is 1e450
+    with pytest.raises(NumericError, match="past the float range"):
+        power_mean_bounds(Empirical([1e150, 1.1e150]), 3.0, 1.0)
+
+
 def _path_id(path) -> str:
     return path.__name__.removeprefix("_overflowing_")
 
@@ -222,7 +229,7 @@ def test_an_overflow_on_a_scalar_path_stays_silent_and_typed(path):
 @pytest.mark.parametrize(
     "path",
     [*_SCALAR_PATHS, _overflowing_monte_carlo, _overflowing_exact_sum, _overflowing_sample_sum,
-     _overflowing_sample_squares],
+     _overflowing_sample_squares, _overflowing_sample_power],
     ids=_path_id,
 )
 def test_a_callers_error_state_never_reaches_an_evaluation(path):

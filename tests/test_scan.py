@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from jensen_sharp import (
     Exponential,
@@ -22,6 +24,7 @@ from jensen_sharp import (
 from jensen_sharp import bounds
 from jensen_sharp.bounds import (
     GRID_CORE,
+    GRID_TAIL,
     _curvature_objective,
     _h_objective,
     _scan_grid,
@@ -242,3 +245,61 @@ def test_array_and_per_point_scans_agree(f, law, extrema):
     arrays = [x for x in calls if isinstance(x, np.ndarray)]
     assert len(arrays) == 1
     assert np.array_equal(arrays[0], _scan_grid(iv, nu, f.natural_domain))
+
+
+def _reference_grid(interval, anchor, domain):
+    """The scan grid by its reference construction: np.unique of np.linspace's core and the
+    two tails, masked by the interval and the domain."""
+    lo, hi = interval.lower, interval.upper
+    base = max(1.0, abs(anchor))
+    core_lo = lo if math.isfinite(lo) else anchor - 8.0 * base
+    core_hi = hi if math.isfinite(hi) else anchor + 8.0 * base
+    if not core_lo < core_hi:
+        core_lo, core_hi = anchor - 8.0 * base, anchor + 8.0 * base
+    reach = 2.0 ** np.arange(3, 3 + GRID_TAIL, dtype=float)
+    approach = 2.0 ** -np.arange(2.0, 26.0)
+    left = anchor - base * reach if not math.isfinite(lo) else lo + (core_hi - lo) * approach
+    right = anchor + base * reach if not math.isfinite(hi) else hi - (hi - core_lo) * approach
+    grid = np.unique(np.concatenate([np.linspace(core_lo, core_hi, GRID_CORE), left, right]))
+    return grid[interval.contains(grid) & domain.contains(grid)]
+
+
+_DOMAINS = [
+    SupportInterval(-math.inf, math.inf),
+    SupportInterval(0.0, math.inf),
+    SupportInterval(0.0, math.inf, True),
+    SupportInterval(-1.0, 1.0, False, True),
+]
+
+
+@given(
+    anchor=st.floats(-1e6, 1e6),
+    lower=st.one_of(st.none(), st.floats(-2e6, 2e6)),
+    upper=st.one_of(st.none(), st.floats(-2e6, 2e6)),
+    lower_closed=st.booleans(),
+    upper_closed=st.booleans(),
+    domain=st.sampled_from(_DOMAINS),
+)
+# an anchor above hi + 8 base: the core falls back to anchor -/+ 8 base
+@example(2.0, None, -20.0, False, True, _DOMAINS[0])
+@example(1e6, None, -8e6, False, False, _DOMAINS[0])
+# a subnormal span, whose linspace step underflows to 0
+@example(0.0, 0.0, 1e-321, True, True, _DOMAINS[2])
+# a span past the float range, whose first core point is NaN
+@example(0.0, -1e308, 1e308, True, True, _DOMAINS[0])
+@example(0.0, None, None, False, False, _DOMAINS[1])
+@settings(max_examples=400, deadline=None)
+def test_scan_grid_equals_its_reference_construction_bit_for_bit(
+    anchor, lower, upper, lower_closed, upper_closed, domain
+):
+    lo = -math.inf if lower is None else lower
+    hi = math.inf if upper is None else upper
+    assume(lo < hi)
+    interval = SupportInterval(lo, hi, lower_closed and lower is not None,
+                               upper_closed and upper is not None)
+    # the grid is built under its caller's error state, as in the library's own loops
+    with np.errstate(all="ignore"):
+        grid = _scan_grid(interval, anchor, domain)
+        expected = _reference_grid(interval, anchor, domain)
+    assert grid.dtype == expected.dtype and grid.shape == expected.shape
+    assert grid.tobytes() == expected.tobytes()
