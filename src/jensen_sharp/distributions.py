@@ -195,8 +195,8 @@ def _scaled_variance(xs: np.ndarray, m: float, reach: float) -> float:
     """The variance about m of equal-weight atoms whose largest squared deviation, reach**2,
     is past the float range, though the variance itself may not be.  Each deviation is
     scaled by a power of two to below 2**500 before it is squared, and the mean square is
-    scaled back: no term overflows, and the scalings are exact except for squares that fall
-    below the normal range, some 2**-1000 of the largest.  A deviation past the float range
+    scaled back: no term overflows, and the scalings are exact except for squares under some
+    2**-2020 of the largest, which fall below the normal range.  A deviation past the float range
     leaves a variance past it for any number of atoms."""
     past = NumericError(f"the atoms have mean {m} and variance inf, past the float range")
     if reach == math.inf:
@@ -1027,7 +1027,8 @@ def transform_power(d: DistributionSpec, r: float) -> DistributionSpec:
         try:
             return Empirical(ys) if isinstance(d, Empirical) else Discrete(ys, d.probs)
         except ParameterError as exc:  # the atoms are finite and positive, so X**r overflowed
-            raise NumericError(f"X**r = X**{r} is past the float range at an atom of {d!r}") from exc
+            raise NumericError(
+                f"X**r = X**{r} is past the float range at an atom of {d!r}") from exc
     return PowerTransform(d, r)
 
 

@@ -29,7 +29,8 @@ ARRAY_HEX = 16
 
 
 def bits(obj) -> str:
-    """Every number in obj as float hex; containers and dataclasses field by field."""
+    """Every number in obj as float hex; tuples, lists and dataclasses item by item, and
+    any other object by its type's name, never by its address."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return repr(obj)
     if isinstance(obj, (float, np.floating)):
@@ -45,12 +46,8 @@ def bits(obj) -> str:
         fields = " ".join(f"{f.name}={bits(getattr(obj, f.name))}"
                           for f in dataclasses.fields(obj))
         return f"{type(obj).__name__}({fields})"
-    if isinstance(obj, dict):
-        return "{" + " ".join(f"{k!r}:{bits(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (tuple, list)):
         return "(" + " ".join(bits(v) for v in obj) + ")"
-    if callable(obj):  # a function field of a law or FunctionSpec: its name, not its address
-        return f"<{getattr(obj, '__qualname__', type(obj).__name__)}>"
     return f"<{type(obj).__name__}>"
 
 
