@@ -500,7 +500,8 @@ def _scan_extrema(
 
     def as_eval(v: float, x: float) -> HEvaluation:
         if math.isinf(v):
-            # overflow at an interior grid point: charge it to the nearer endpoint
+            # non-finite grid values are dropped above, so only a golden-section search can
+            # return an infinite candidate: charge it to the nearer endpoint
             nearer = ends[0] if abs(x - interval.lower) < abs(x - interval.upper) else ends[1]
             return HEvaluation(v, nearer.attained_at, HMethod.ENDPOINT_LIMIT)
         return HEvaluation(v, x, HMethod.DIRECT)

@@ -107,9 +107,10 @@ _FSUM_BLOCK = 2**14  # 128 KB of float64 a scratch buffer, which stays in cache
 _NORMAL_MIN_EXP = sys.float_info.min_exp - 1  # 2**-1022, the smallest normal double
 
 
-def _fsum(xs: np.ndarray, term: Callable | None = None, bound: float | None = None) -> float:
-    """math.fsum(xs), or math.fsum(term(xs)) for an elementwise ufunc ``term`` that takes
-    ``out=``, bit for bit, in a few numpy passes over each block of _FSUM_BLOCK terms.
+def _fsum(xs: np.ndarray, term: Callable | None = None, bound: float | None = None,
+          ws: np.ndarray | None = None) -> float:
+    """math.fsum(ws * term(xs)) bit for bit, for an elementwise ufunc ``term`` that takes ``out=``
+    and weights ws, each left out when None, in a few numpy passes over blocks of _FSUM_BLOCK terms.
 
     Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1), 2008, Lemma 3.3):
     with 2**m >= n + 2 and sigma = 2**e at least 2**m * max|p|, q = (sigma + p) - sigma and
@@ -125,19 +126,21 @@ def _fsum(xs: np.ndarray, term: Callable | None = None, bound: float | None = No
     round sums of every block are exact, and a block passes its first scan exactly when the
     whole array would: a non-finite term, all zeros or a sigma past the double range send
     every term to math.fsum, which then returns or raises as it would have.  A caller that
-    knows max|p| over all the terms exactly passes it as ``bound``, which stands in for the
-    first scans.  Two scratch buffers of one block are made a call; the terms are never all
-    held."""
+    knows a bound on max|p| over all the terms passes it as ``bound``, which stands in for the
+    first scans.  Two scratch buffers of one block are made a call, and the first holds the
+    block's terms; the terms are never all held."""
     n = xs.size
     if n < _FSUM_VECTOR_MIN:
-        return math.fsum((xs if term is None else term(xs)).tolist())
+        b = xs if term is None else term(xs)
+        return math.fsum((b if ws is None else b * ws).tolist())
     m = (n + 1).bit_length()
     p, q = np.empty(min(n, _FSUM_BLOCK)), np.empty(min(n, _FSUM_BLOCK))
 
     def blocks():
         for i in range(0, n, _FSUM_BLOCK):
             b = xs[i:i + _FSUM_BLOCK]
-            yield b if term is None else term(b, out=p[:b.size])
+            b = b if term is None else term(b, out=p[:b.size])
+            yield b if ws is None else np.multiply(b, ws[i:i + b.size], out=p[:b.size])
 
     def every_term():
         return chain.from_iterable(b.tolist() for b in blocks())
@@ -171,33 +174,50 @@ def _fsum(xs: np.ndarray, term: Callable | None = None, bound: float | None = No
     return math.fsum(sums if top > 0.0 else every_term())
 
 
-def _moments(xs: np.ndarray, lo: float, hi: float) -> tuple[float, float]:
-    """fsum mean and population (n divisor) variance of equal-weight atoms.  The atoms' least
-    and greatest, lo and hi, bound both sums' terms exactly: rounding is monotone, so the
-    largest |x| and (x - m)**2 lie at those ends.  Once that bound is finite no numpy
-    operation here can overflow, so none needs an error state.  Squares that overflow, or
-    sum past the float range, are left to ``_scaled_variance``."""
-    try:
-        m = _fsum(xs, bound=max(-lo, hi)) / xs.size
-    except OverflowError as exc:
-        raise NumericError("the atoms sum past the float range") from exc
-    bound = max((lo - m) * (lo - m), (hi - m) * (hi - m))  # float arithmetic: inf, no warning
-    if bound < math.inf:
-        squared_deviation = lambda b, out=None: np.square(np.subtract(b, m, out=out), out=out)
+def _moments(xs: np.ndarray, lo: float, hi: float, ws: np.ndarray | None = None,
+             total: float | None = None) -> tuple[float, float]:
+    """fsum mean and variance of atoms xs with weights ws that sum to total, or of equal-weight
+    atoms (ws None) with the population (n divisor) variance.  The least and greatest atoms,
+    lo and hi, and the largest weight bound every term before it is summed: rounding is
+    monotone, so no |w x| exceeds fl(max w * max|x|) and no w (x - m)**2 exceeds
+    fl(max w * max((lo - m)**2, (hi - m)**2)).  Once a bound is finite no numpy operation here
+    can overflow, so neither sum needs an error state or a finiteness check.  Squares that
+    overflow, or sum past the float range, are left to ``_scaled_variance``.  A term that
+    underflows is rounded as numpy rounds it whatever error state the caller holds: where
+    that state raises, the sums are taken again under one that does not."""
+    top = 1.0 if ws is None else float(ws.max())
+    total = xs.size if ws is None else total
+
+    def sums() -> tuple[float, float]:
+        bound = top * max(-lo, hi)  # inf only for a weight over 1 on an atom at the largest floats
         try:
-            return m, _fsum(xs, squared_deviation, bound) / xs.size
-        except OverflowError:
-            pass
-    return m, _scaled_variance(xs, m, max(m - lo, hi - m))
+            m = _fsum(xs, bound=bound, ws=ws) / total if bound < math.inf else math.inf
+        except OverflowError as exc:
+            raise NumericError("the atoms sum past the float range") from exc
+        bound = top * max((lo - m) * (lo - m), (hi - m) * (hi - m))  # float arithmetic: no warning
+        if bound < math.inf:
+            squared_deviation = lambda b, out=None: np.square(np.subtract(b, m, out=out), out=out)
+            try:
+                return m, _fsum(xs, squared_deviation, bound, ws) / total
+            except OverflowError:
+                pass
+        return m, _scaled_variance(xs, m, max(m - lo, hi - m), ws, total, top)
+
+    try:
+        return sums()
+    except FloatingPointError:  # the caller's error state raises on an underflow
+        with np.errstate(under="ignore"):
+            return sums()
 
 
-def _scaled_variance(xs: np.ndarray, m: float, reach: float) -> float:
-    """The variance about m of equal-weight atoms whose largest squared deviation, reach**2,
-    is past the float range, though the variance itself may not be.  Each deviation is
-    scaled by a power of two to below 2**500 before it is squared, and the mean square is
-    scaled back: no term overflows, and the scalings are exact except for squares under some
-    2**-2020 of the largest, which fall below the normal range.  A deviation past the float range
-    leaves a variance past it for any number of atoms."""
+def _scaled_variance(xs: np.ndarray, m: float, reach: float, ws: np.ndarray | None,
+                     total: float, top: float) -> float:
+    """The variance about m of the atoms of ``_moments`` whose largest squared deviation,
+    reach**2, is past the float range, though the variance itself may not be.  Each deviation
+    is scaled by a power of two to below 2**500 before it is squared, and the weighted sum is
+    scaled back: no term overflows, and the scalings are exact except for terms under some
+    2**-2020 of the largest, which fall below the normal range.  A deviation past the float
+    range is refused: it leaves a variance past it for any number of equal-weight atoms."""
     past = NumericError(f"the atoms have mean {m} and variance inf, past the float range")
     if reach == math.inf:
         raise past
@@ -206,24 +226,9 @@ def _scaled_variance(xs: np.ndarray, m: float, reach: float) -> float:
     scaled_square = lambda b, out=None: np.square(
         np.multiply(np.subtract(b, m, out=out), scale, out=out), out=out)
     try:
-        return math.ldexp(_fsum(xs, scaled_square, (reach * scale) ** 2) / xs.size, 2 * k)
+        return math.ldexp(_fsum(xs, scaled_square, top * (reach * scale) ** 2, ws) / total, 2 * k)
     except OverflowError:
         raise past from None
-
-
-def _weighted_moments(xs: np.ndarray, ws: np.ndarray, total: float) -> tuple[float, float]:
-    """fsum mean and variance of atoms xs with weights ws summing to total.  float_power
-    squares with libm's pow like a scalar ``x ** 2``, which np.square can miss by an ulp.
-    The weights do not bound the products, so the sums hold one error state."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            m = _fsum(ws * xs) / total
-            v = _fsum(ws * np.float_power(xs - m, 2)) / total
-        except OverflowError as exc:
-            raise NumericError("the atoms sum past the float range") from exc
-    if not (math.isfinite(m) and math.isfinite(v)):
-        raise NumericError(f"the atoms have mean {m} and variance {v}, past the float range")
-    return m, v
 
 
 def _moments_by(expect: Callable, mass: float) -> tuple[float, float]:
@@ -241,24 +246,36 @@ def _moments_by(expect: Callable, mass: float) -> tuple[float, float]:
 _CANCELLATION = 1e-4  # a variance under this share of E[Y**2] keeps fewer than about 12 of 16 digits
 
 
-def _closed_power_moments(raw: Callable[[float], float], r: float, pole: float,
-                          share: Callable[[float], float] | None = None):
+def _closed_power_moments(raw: Callable[[float], float], log_raw: Callable[[float], float],
+                          r: float, pole: float, share: Callable[[float], float] | None = None):
     """Mean and variance of Y = X**r from raw(k) = E[X**k], a closed form finite for k > pole.
+    Where raw(k) over- or underflows (it raises OverflowError or ZeroDivisionError, or its
+    value is outside the normal float range) the same form is taken in log space, as
+    exp(log_raw(k)); a moment outside the normal float range even so raises NumericError.
     The variance is E[Y**2] * share(r) when a share is given, share(r) = Var Y / E[Y**2] in a
     form that does not cancel, and Var Y = E[Y**2] - E[Y]**2 otherwise.  A divergent moment
-    raises the NumericError of ``_moments_by``; None leaves both to ``expect`` where a moment
-    leaves the normal float range, or where the difference would cancel more than about 4
-    digits (a tiny |r|, or a narrow law far from 0)."""
+    raises the NumericError of ``_moments_by``; None leaves both to ``expect`` where the
+    difference would cancel more than about 4 digits (a tiny |r|, or a narrow law far from 0)."""
     if r <= pole:
         raise NumericError("law has non-finite mean")
     if 2.0 * r <= pole:
         raise NumericError("law has non-finite variance")
-    try:
-        m1, m2 = raw(r), raw(2.0 * r)
-    except (OverflowError, ZeroDivisionError):
-        return None
-    if not (sys.float_info.min <= m1 * m1 and m2 < math.inf):
-        return None
+
+    def moment(k: float) -> float:
+        try:
+            value = raw(k)
+        except (OverflowError, ZeroDivisionError):
+            value = 0.0
+        if not sys.float_info.min <= value < math.inf:
+            try:
+                value = math.exp(log_raw(k))
+            except (OverflowError, ValueError):  # past the float range, or a log of 0
+                value = math.inf
+        if not sys.float_info.min <= value < math.inf:
+            raise NumericError(f"E[X**{k}] is past the normal float range")
+        return value
+
+    m1, m2 = moment(r), moment(2.0 * r)
     if share is not None:
         return m1, m2 * share(r)
     v = m2 - m1 * m1
@@ -598,7 +615,9 @@ class Exponential(DistributionSpec):
     def _power_moments(self, r: float) -> tuple[float, float] | None:
         # E[X**k] = Gamma(k + 1) / rate**k, which diverges at 0 for k <= -1
         share = _gamma_share if abs(r) < 0.125 else None
-        return _closed_power_moments(lambda k: math.gamma(k + 1.0) / self.rate**k, r, -1.0, share)
+        return _closed_power_moments(lambda k: math.gamma(k + 1.0) / self.rate**k,
+                                     lambda k: math.lgamma(k + 1.0) - k * math.log(self.rate),
+                                     r, -1.0, share)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.exponential(1.0 / self.rate, n)
@@ -656,9 +675,18 @@ class Uniform(DistributionSpec):
             if c == 0.0:
                 return log_ratio / w
             end = self.hi**c if c > 0.0 else self.lo**c
+            if end < sys.float_info.min:  # too few digits left: the log form takes it
+                return 0.0
             return end * -math.expm1(-abs(c) * log_ratio) / (abs(c) * w)
 
-        return _closed_power_moments(raw, r, -1.0 if self.lo == 0.0 else -math.inf)
+        def log_raw(k: float) -> float:
+            c = k + 1.0
+            if c == 0.0:
+                return math.log(log_ratio) - math.log(w)
+            end = math.log(self.hi if c > 0.0 else self.lo)
+            return c * end + math.log(-math.expm1(-abs(c) * log_ratio)) - math.log(abs(c) * w)
+
+        return _closed_power_moments(raw, log_raw, r, -1.0 if self.lo == 0.0 else -math.inf)
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.lo, self.hi, n)
@@ -763,7 +791,7 @@ class Discrete(DistributionSpec):
         pr.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "probs", pr)
-        m, v = _weighted_moments(pts, pr, 1.0)
+        m, v = _moments(pts, float(pts[0]), float(pts[-1]), pr, 1.0)
         object.__setattr__(self, "_mean", m)
         object.__setattr__(self, "_variance", v)
 
@@ -779,7 +807,8 @@ class Discrete(DistributionSpec):
     def truncated_stats(self, cell: SupportInterval) -> TruncatedStats:
         inside = _cell_slice(self.points, cell)
         p = self._require_prob(cell, _fsum(self.probs[inside]))
-        m, v = _weighted_moments(self.points[inside], self.probs[inside], p)
+        pts = self.points[inside]
+        m, v = _moments(pts, float(pts[0]), float(pts[-1]), self.probs[inside], p)
         return TruncatedStats(prob=p, mean=m, variance=v)
 
     def quantile(self, q: float) -> float:
@@ -928,6 +957,11 @@ class PowerTransform(DistributionSpec):
     def __post_init__(self) -> None:
         _check_power(self.source, self.r)
         m, v = self.source._power_moments(self.r) or _moments_by(self.expect, 1.0)
+        image = _power_image(*self.source.mass_bounds(), self.r)
+        if image is None:  # x**r rounds every x of the support to one float
+            raise NumericError(f"X**r = X**{self.r} collapses the support of {self.source!r} "
+                               "onto one float")
+        object.__setattr__(self, "_image", image)
         object.__setattr__(self, "_mean", m)
         object.__setattr__(self, "_variance", v)
 
@@ -937,7 +971,7 @@ class PowerTransform(DistributionSpec):
         return _power_image(lo, cell.upper, cell.lower_closed, cell.upper_closed, 1.0 / self.r)
 
     def mass_bounds(self):
-        y = _power_image(*self.source.mass_bounds(), self.r)
+        y = self._image
         return y.lower, y.upper, y.lower_closed, y.upper_closed
 
     def expect(self, g, cell=None):

@@ -43,7 +43,7 @@ from jensen_sharp import (
     sample_bounds,
     switch_radius,
 )
-from jensen_sharp import quadrature
+from jensen_sharp import bounds, quadrature
 from jensen_sharp.bounds import BoundMethod
 from jensen_sharp.extreal import ext_mul, ext_sum
 from jensen_sharp.functions import FunctionSpec
@@ -475,6 +475,28 @@ def test_curvature_bounds_quadratic_equals_h_bounds():
     assert cb.upper == pytest.approx(jb.upper, rel=1e-12)
 
 
+@pytest.mark.parametrize("error", [NumericError, LimitUndeterminedError])
+def test_curvature_bounds_stand_alone_where_the_h_bounds_cannot_be_computed(error, monkeypatch):
+    f, d = exp_scaled(1.0), Normal(0.0, 1.0)
+    expected = curvature_bounds(f, d)
+
+    def refuse(*_):
+        raise error("no h bounds")
+
+    monkeypatch.setattr(bounds, "jensen_bounds", refuse)
+    cb = curvature_bounds(f, d)
+    assert (cb.lower, cb.upper, cb.method) == (expected.lower, expected.upper, BoundMethod.CURVATURE)
+
+
+def test_curvature_bounds_tighter_than_the_h_bounds_are_refused(monkeypatch):
+    f, d = exp_scaled(1.0), Normal(0.0, 1.0)
+    hb = jensen_bounds(f, d)
+    wider = dataclasses.replace(hb, lower=hb.lower - 1.0)  # curvature_bounds' lower end, 0, beats it
+    monkeypatch.setattr(bounds, "jensen_bounds", lambda *_: wider)
+    with pytest.raises(NumericError, match="curvature bounds came out tighter than the h bounds"):
+        curvature_bounds(f, d)
+
+
 def test_curvature_bounds_never_tighter(pinned_sample):
     cases = [
         (exp_scaled(0.5), Exponential(1.0)),
@@ -566,6 +588,32 @@ def test_power_mean_refuses_a_power_of_the_atoms_past_the_float_range(d, r):
     # a numeric error, not the new law's refusal of non-finite atoms, and no overflow warning
     with pytest.raises(NumericError, match=r"X\*\*r = X\*\*.* is past the float range"):
         power_mean_bounds(d, r=r, s=1.0)
+
+
+def test_power_mean_takes_a_moment_past_the_float_range_of_its_closed_form_in_log_space():
+    # Gamma(201) overflows, but E[X**200] = Gamma(201) / 100**200 is 7.9e-26, which quadrature
+    # reads as 8.7e-85
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        expected = float(mpmath.root(mpmath.factorial(200) / mpmath.mpf(100) ** 200, 200))
+    pm = power_mean_bounds(Exponential(100.0), 100.0, 200.0)
+    assert pm.mean_lower == pytest.approx(expected, rel=1e-14)
+    assert pm.mean_upper == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("d, r, s", [
+    (Exponential(1e150), 2.5, 5.0),  # E[X**2.5] = Gamma(3.5) / 1e375 underflows to 0
+    (Uniform(1e150, 1.1e150), 3.0, 1.0),  # E[X**3] = 1.3e450
+], ids=["exponential-underflow", "uniform-overflow"])
+def test_power_mean_refuses_a_moment_of_the_power_outside_the_normal_float_range(d, r, s):
+    with pytest.raises(NumericError, match=r"E\[X\*\*.*\] is past the normal float range"):
+        power_mean_bounds(d, r, s)
+
+
+def test_power_mean_refuses_a_power_that_collapses_the_support():
+    # (1 + 1e-12)**1e-5 rounds to 1: Y = X**r has no support interval
+    with pytest.raises(NumericError, match="collapses the support"):
+        power_mean_bounds(Uniform(1.0, 1.0 + 1e-12), 1e-5, 1.0)
 
 
 def test_power_mean_bounds_integrate_only_on_a_law_without_closed_form_moments(monkeypatch):

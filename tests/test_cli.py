@@ -437,6 +437,14 @@ def test_power_mean_of_a_sample_whose_power_is_past_the_float_range_exits_three(
     assert captured.out == "" and "X**r = X**3.0 is past the float range" in captured.err
 
 
+def test_power_mean_whose_power_collapses_the_support_exits_three(capsys):
+    argv = ["power-mean", "--dist", "uniform:lo=1,hi=1.000000000001", "--r", "0.00001", "--s", "1"]
+    status = main(argv)
+    captured = capsys.readouterr()
+    assert status == 3
+    assert captured.out == "" and "collapses the support" in captured.err
+
+
 def test_a_normal_whose_variance_is_past_the_float_range_exits_two(capsys):
     argv = ["oracle", "--phi", "quad:a=1", "--dist", "normal:mu=0,sigma=1e200", "--oracle", "quad"]
     status = main(argv)

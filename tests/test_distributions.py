@@ -562,17 +562,20 @@ def test_atom_laws_refuse_moments_past_the_float_range(build):
         build()
 
 
-@pytest.mark.parametrize("xs", [
-    [0.0] * 999 + [1.5e154],  # a squared deviation is 2.2e308, the variance 2.2e305
-    [-1.2e154, 1.3e154],  # each square fits, their sum 3.1e308 does not
-    [1e154, -1.3e154, 0.5, 3.0] * 250,
-], ids=["one-far-sample", "sum-of-squares", "mixed-scales"])
-def test_a_sample_variance_in_the_float_range_is_taken_though_its_squares_are_not(xs):
+@pytest.mark.parametrize("xs, ws", [
+    ([0.0] * 999 + [1.5e154], None),  # a squared deviation is 2.2e308, the variance 2.2e305
+    ([-1.2e154, 1.3e154], None),  # each square fits, their sum 3.1e308 does not
+    ([1e154, -1.3e154, 0.5, 3.0] * 250, None),
+    ([0.0, 1.5e154], [0.999, 0.001]),  # the weighted form of the first
+], ids=["one-far-sample", "sum-of-squares", "mixed-scales", "one-far-atom"])
+def test_a_sample_variance_in_the_float_range_is_taken_though_its_squares_are_not(xs, ws):
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workprec(300):
-        m = mpmath.fsum(map(mpmath.mpf, xs)) / len(xs)
-        expected = float(mpmath.fsum((mpmath.mpf(x) - m) ** 2 for x in xs) / len(xs))
-    assert Empirical(xs).variance() == pytest.approx(expected, rel=1e-15)
+        weights = [mpmath.mpf(1) / len(xs)] * len(xs) if ws is None else ws
+        m = mpmath.fsum(mpmath.mpf(w) * x for w, x in zip(weights, xs))
+        expected = float(mpmath.fsum(mpmath.mpf(w) * (x - m) ** 2 for w, x in zip(weights, xs)))
+    law = Empirical(xs) if ws is None else Discrete(xs, ws)
+    assert law.variance() == pytest.approx(expected, rel=1e-15)
 
 
 def test_a_discrete_atom_without_mass_is_no_part_of_the_law():
@@ -610,7 +613,7 @@ def _random_discrete_laws():
         pts = rng.normal(rng.uniform(-50.0, 50.0), rng.uniform(0.01, 30.0), n)
         w = rng.uniform(0.0, 1.0, n)
         yield Discrete(pts, w / w.sum())
-    # mean 0; libm's pow squares 29.07538533248004 one ulp away from x*x
+    # mean 0; x*x squares 29.07538533248004 one ulp away from libm's pow
     yield Discrete([-29.07538533248004, 29.07538533248004], [0.5, 0.5])
     # enough atoms for the vector sums of distributions._fsum
     w = rng.uniform(0.0, 1.0, 3000)
@@ -621,13 +624,13 @@ def test_discrete_sums_match_scalar_fsum_bit_for_bit():
     for d in _random_discrete_laws():
         m = math.fsum(p * x for p, x in zip(d.probs, d.points))
         assert d.mean() == m
-        assert d.variance() == math.fsum(p * (x - m) ** 2 for p, x in zip(d.probs, d.points))
+        assert d.variance() == math.fsum(p * ((x - m) * (x - m)) for p, x in zip(d.probs, d.points))
         cell = SupportInterval(float(d.points[0]), float(d.points[-1]), True, False)
         ts = d.truncated_stats(cell)
         pr, pt = d.probs[:-1], d.points[:-1]
         cm = math.fsum(p * x for p, x in zip(pr, pt)) / ts.prob
         assert ts.mean == cm
-        assert ts.variance == math.fsum(p * (x - cm) ** 2 for p, x in zip(pr, pt)) / ts.prob
+        assert ts.variance == math.fsum(p * ((x - cm) * (x - cm)) for p, x in zip(pr, pt)) / ts.prob
 
 
 # ---------------------------------------------------------------------------
@@ -1144,6 +1147,8 @@ _POWER_MOMENT_CASES = [
     *[(Uniform(lo, hi), r, partial(_mp_uniform_raw, lo=lo, hi=hi))
       for lo, hi in [(0.0, 1.0), (1.0, 3.0), (1e-6, 1.0), (100.0, 101.0)]
       for r in (-3.0, -1.0, -0.5, 0.5, 2.0, 3.0) if lo > 0.0 or r > -0.5],
+    # hi**(2r + 1) is subnormal, with 9 digits, though E[X**2r] is not: taken in log space
+    (Uniform(5e-11, 1e-10), 15.2, partial(_mp_uniform_raw, lo=5e-11, hi=1e-10)),
 ]
 
 

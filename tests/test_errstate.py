@@ -33,6 +33,8 @@ from jensen_sharp import (
     h_eval,
     h_extrema,
     power_mean_bounds,
+    quadratic,
+    sample_bounds,
 )
 from jensen_sharp import bounds, quadrature
 from jensen_sharp.quadrature import expectation
@@ -126,13 +128,13 @@ def test_a_sample_law_is_built_without_an_error_state(errstates):
     assert len(errstates) == 0
 
 
-def test_a_sample_partition_enters_one_error_state(errstates):
-    # each cell's moments take none; the coarse law's weighted moments take the one
+def test_a_sample_partition_is_built_without_an_error_state(errstates):
+    # the cells' moments and the coarse law's weighted ones are all bounded by their atoms
     law = Empirical(np.random.default_rng(5).lognormal(0.0, 0.5, 1000))
     cuts = equal_probability_cuts(law, 16)
     errstates.clear()
     assert len(build_partition(law, cuts).cells) == 16
-    assert len(errstates) == 1
+    assert len(errstates) == 0
 
 
 def test_a_monte_carlo_run_enters_three_error_states(errstates):
@@ -216,8 +218,23 @@ def _overflowing_sample_power():
         power_mean_bounds(Empirical([1e150, 1.1e150]), 3.0, 1.0)
 
 
+_TINY = [1e-200, 2e-200, 3e-200]  # their squared deviations, 1e-400, underflow to 0
+
+
+def _underflowing_sample_moments():
+    assert Empirical(_TINY).variance() == 0.0
+
+
+def _underflowing_discrete_moments():
+    assert Discrete(_TINY, [0.25, 0.5, 0.25]).variance() == 0.0
+
+
+def _underflowing_sample_bounds():
+    assert sample_bounds(quadratic(1.0), _TINY).lower == 0.0
+
+
 def _path_id(path) -> str:
-    return path.__name__.removeprefix("_overflowing_")
+    return path.__name__.removeprefix("_overflowing_").removeprefix("_underflowing_")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -229,10 +246,12 @@ def test_an_overflow_on_a_scalar_path_stays_silent_and_typed(path):
 @pytest.mark.parametrize(
     "path",
     [*_SCALAR_PATHS, _overflowing_monte_carlo, _overflowing_exact_sum, _overflowing_sample_sum,
-     _overflowing_sample_squares, _overflowing_sample_power],
+     _overflowing_sample_squares, _overflowing_sample_power, _underflowing_sample_moments,
+     _underflowing_discrete_moments, _underflowing_sample_bounds],
     ids=_path_id,
 )
 def test_a_callers_error_state_never_reaches_an_evaluation(path):
-    # under "raise" an overflow outside a loop's own state would raise FloatingPointError
+    # under "raise" an overflow or underflow outside a loop's own state would raise
+    # FloatingPointError
     with np.errstate(all="raise"):
         path()

@@ -144,6 +144,14 @@ def test_power_negative_exponent_is_concave_on_positive_half_line():
     assert f.natural_domain.lower == 0.0 and f.natural_domain.upper == math.inf
 
 
+@pytest.mark.parametrize("coeffs", [(math.inf,), (1.0, math.nan), (1.0, 0.0, -math.inf)],
+                         ids=["a", "b", "c"])
+def test_quadratic_refuses_a_coefficient_that_is_not_finite(coeffs):
+    name = "abc"[len(coeffs) - 1]
+    with pytest.raises(ParameterError, match=f"quad coefficient {name} must be finite"):
+        quadratic(*coeffs)
+
+
 def test_quadratic_second_derivative_is_constant():
     f = quadratic(1.0, 0.0, 0.0)
     for x in (-10.0, 0.0, 3.7):

@@ -160,6 +160,16 @@ def test_unknown_method_rejected():
         estimate_gap(quadratic(1.0), Uniform(0.0, 1.0), method="dice")
 
 
+def test_exact_summation_refuses_a_law_without_atoms():
+    with pytest.raises(ParameterError, match="exact summation needs a law with atoms"):
+        estimate_gap(quadratic(1.0), Uniform(0.0, 1.0), method="exact")
+
+
+def test_monte_carlo_refuses_a_budget_of_one_draw():
+    with pytest.raises(ParameterError, match="at least 2 samples, got 1"):
+        estimate_gap(quadratic(1.0), Uniform(0.0, 1.0), budget=1, method="mc")
+
+
 # the grid holds the narrow and off-centre normals that one whole-line QUADPACK
 # pass never sampled: it read quadratic(1) on N(100, 1) as -10000, on N(5, 0.01)
 # as -25 and on N(20, 0.5) as -400, and exp(0.5) on N(100, 1) as -5.18e21

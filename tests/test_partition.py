@@ -17,6 +17,7 @@ from jensen_sharp import (
     EmptyCellError,
     Exponential,
     Normal,
+    NumericError,
     ParameterError,
     PartitionPlan,
     SupportInterval,
@@ -188,6 +189,12 @@ def test_plan_refuses_cells_that_do_not_adjoin_in_order():
         PartitionPlan(cells=(plan.cells[0], plan.cells[2]), source=d)
 
 
+def test_plan_refuses_a_source_whose_mean_its_coarse_law_misses():
+    plan = build_partition(Normal(0.0, 1.0), [-0.5, 0.5])
+    with pytest.raises(NumericError, match="coarse mean .* disagrees with the source mean 1.0"):
+        PartitionPlan(cells=plan.cells, source=Normal(1.0, 1.0))
+
+
 # ---------------------------------------------------------------------------
 # partition bounds
 # ---------------------------------------------------------------------------
@@ -306,6 +313,12 @@ def test_positivity_certificate_examples():
     assert positivity_certificate(exp_scaled(1.0), Normal(0.0, 1.0), SupportInterval(0.0, 1.0))
     linear = quadratic(0.0, 1.0, 0.0)
     assert not positivity_certificate(linear, Normal(0.0, 1.0), SupportInterval(0.0, 1.0))
+
+
+def test_positivity_certificate_is_inconclusive_on_a_window_outside_the_domain_of_phi():
+    # -log x is strictly convex on (0, 2), but the window reaches below 0
+    assert positivity_certificate(neg_log(), Uniform(-1.0, 2.0), SupportInterval(0.5, 1.5))
+    assert not positivity_certificate(neg_log(), Uniform(-1.0, 2.0), SupportInterval(-0.5, 1.5))
 
 
 def test_positivity_certificate_zero_probability_window():

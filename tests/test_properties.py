@@ -251,7 +251,9 @@ def _masked_stats(d, cell):
         return (p, *distributions._moments(inside, float(inside.min()), float(inside.max())))
     mask = cell.contains(d.points)
     p = d._require_prob(cell, distributions._fsum(d.probs[mask]))
-    return (p, *distributions._weighted_moments(d.points[mask], d.probs[mask], p))
+    inside = d.points[mask]
+    return (p, *distributions._moments(inside, float(inside.min()), float(inside.max()),
+                                       d.probs[mask], p))
 
 
 def _bits(compute):

@@ -8,7 +8,7 @@
 # SAMPLE_FILE is a sample file in the file:PATH grammar, one decimal per line
 # (src/jensen_sharp/data/uniform_10_100_seed42.txt is the pinned one).  The
 # package is run from the checkout that holds this script; PYTHON picks the
-# interpreter (default python3).  There are 41 commands.  The last ten are
+# interpreter (default python3).  There are 43 commands.  The last eleven are
 # error cases; the three before them run a quadratic, whose h is identically its
 # coefficient a, so h must read a at every end they report.  The oracle on
 # exp:t=3 over normal:mu=0,sigma=40 overflows phi at the tail nodes of its
@@ -18,9 +18,12 @@
 # exp:rate=1.485 reads NaN, as phi overflows where the density underflows, and
 # power:p=-1.4 over exp:rate=1 diverges at the finite end 0.  The power mean at
 # r = 0.00001 over exp:rate=1 takes the series form of the variance of X**r, and
-# its moment bracket is the point Gamma(1.00002).  Of the error cases, the
-# normal with sigma=1e200 has a variance past the float range (status 2), and
-# so has the power-mean base E[X]**4 over exp:rate=1e-100 (status 3).  Three samples are
+# its moment bracket is the point Gamma(1.00002).  The power mean at r = 100,
+# s = 200 over exp:rate=100 takes E[X**200] = Gamma(201)/100**200, 7.9e-26, in
+# log space, as Gamma(201) overflows; its mean bracket is the point 0.74900.  Of
+# the error cases, the normal with sigma=1e200 has a variance past the float
+# range (status 2), and so have the power-mean base E[X]**4 over exp:rate=1e-100
+# and E[X**3] over uniform:lo=1e150,hi=1.1e150 (status 3).  Three samples are
 # written to a temporary directory and named relative to it, so that the output
 # does not depend on where that directory is: three 5s; two 1e308s, whose sum
 # overflows; and 2,000 values exp(sin(k)), k = 1..2000, printed with repr, large
@@ -65,6 +68,7 @@ run power-mean --dist exp:rate=1 --r 2 --s 0.5 --oracle quad
 run power-mean --dist uniform:lo=1,hi=3 --r -1 --s 2 --oracle mc:n=10000,seed=1
 run power-mean --dist uniform:lo=1.5,hi=5 --r 3 --s 1.5 --oracle quad
 run power-mean --dist exp:rate=1 --r 0.00001 --s 0.00002 --oracle quad
+run power-mean --dist exp:rate=100 --r 100 --s 200 --oracle quad
 run oracle --phi exp:t=0.5 --dist exp:rate=1 --oracle mc:n=100000,seed=42
 run oracle --phi exp:t=2 --dist exp:rate=1 --oracle quad
 run oracle --phi exp:t=3 --dist normal:mu=0,sigma=40 --oracle quad
@@ -92,3 +96,4 @@ run bound --phi exp:t=1 --dist exp:rate=1 --seed 5
 (cd "$const" && run sample-bound --phi quad:a=1 --dist file:two_1e308.txt)
 run oracle --phi quad:a=1 --dist normal:mu=0,sigma=1e200 --oracle quad
 run power-mean --dist exp:rate=1e-100 --r 1 --s 4
+run power-mean --dist uniform:lo=1e150,hi=1.1e150 --r 3 --s 1
